@@ -14,19 +14,32 @@ too: the cover is orientable exactly when every column sum of the matrix is
 odd, equivalently when every vertex of G has even out-degree.
 
 This module holds the map, its inverse, and the brute-force counters that
-anchor the closed formulas in :mod:`cubecovers.counting`.  The counters
-stream over the canonical code range and never materialize a graph list, so
-a count over ``[0, 2^(n(n-1)))`` can be split into disjoint subranges and
-the partial sums added back in any order.
+anchor the closed formulas in :mod:`cubecovers.counting`.  The digraph-side
+counter walks the canonical code range with the block kernel of
+:mod:`cubecovers.digraph`: each aligned block of ``2^(n-1)`` codes shares
+rows ``1 .. n-1``, and one peel of that shared part plus the set of vertices
+reaching vertex 0 decides every code of the block exactly (the argument is
+in that module's docstring).  Rows ``1 .. n-1`` are still enumerated
+exhaustively, and the counter never uses the recurrences it checks.  It
+never materializes a graph list either, so a count over
+``[0, 2^(n(n-1)))`` can be split into disjoint subranges and the partial
+sums added back in any order.  The matrix-side counters share nothing with
+it: they run the principal-minor oracle of :mod:`cubecovers.gf2`.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
+import os
 from collections.abc import Iterator
 from typing import NamedTuple
 
-from cubecovers.digraph import DEFAULT_ENUMERATION_CAP, Digraph, EnumerationCapExceeded
+from cubecovers.digraph import (
+    DEFAULT_ENUMERATION_CAP,
+    Digraph,
+    EnumerationCapExceeded,
+    count_acyclic_codes,
+)
 from cubecovers.gf2 import BitMatrix
 
 
@@ -96,60 +109,6 @@ def digraph_from_characteristic(matrix: BitMatrix) -> Digraph:
 # ----------------------------------------------------------------------
 
 
-def _row_decode_tables(n: int) -> list[list[int]]:
-    # table[u][chunk] = adjacency mask of row u for an (n-1)-bit code chunk,
-    # i.e. the chunk with a zero bit spliced in at the diagonal position.
-    width = n - 1
-    tables = []
-    for u in range(n):
-        low_mask = (1 << u) - 1
-        tables.append(
-            [
-                (chunk & low_mask) | ((chunk >> u) << (u + 1))
-                for chunk in range(1 << width)
-            ]
-        )
-    return tables
-
-
-def _count_code_range(n: int, start: int, stop: int) -> DagCounts:
-    """Count acyclic and acyclic-with-even-out-degrees graphs in a code range.
-
-    Pure function of its arguments, so disjoint ranges can run in separate
-    processes and the totals added in any order.
-    """
-    tables = _row_decode_tables(n)
-    width = n - 1
-    chunk_mask = (1 << width) - 1 if n else 0
-    full = (1 << n) - 1
-    shifts = [u * width for u in range(n)]
-    vertices = range(n)
-    dags = 0
-    orientable = 0
-    for code in range(start, stop):
-        rows = [tables[u][(code >> shifts[u]) & chunk_mask] for u in vertices]
-        alive = full
-        while alive:
-            removable = 0
-            scan = alive
-            while scan:
-                bit = scan & -scan
-                if not rows[bit.bit_length() - 1] & alive:
-                    removable |= bit
-                scan ^= bit
-            if not removable:
-                break
-            alive ^= removable
-        if not alive:
-            dags += 1
-            for mask in rows:
-                if mask.bit_count() & 1:
-                    break
-            else:
-                orientable += 1
-    return DagCounts(dags, orientable)
-
-
 def brute_counts(
     n: int,
     start: int = 0,
@@ -160,10 +119,11 @@ def brute_counts(
     """Brute-force counts over the code range ``[start, stop)``.
 
     ``stop`` defaults to the full range ``2^(n(n-1))``.  With ``jobs > 1``
-    the range is split into equal slices handled by worker processes; the
-    result is the same for any job count or partition, because each slice is
-    a pure function of its bounds.  Falls back to in-process execution when
-    worker processes cannot be spawned.
+    the range is split into equal slices handled by worker processes, at
+    most ``os.cpu_count()`` of them; the result is the same for any job
+    count or partition, because each slice is a pure function of its bounds.
+    Falls back to in-process execution when worker processes cannot be
+    spawned.
     """
     if n < 0:
         raise ValueError("vertex count must be nonnegative")
@@ -178,25 +138,23 @@ def brute_counts(
         raise ValueError("jobs must be at least 1")
 
     span = stop - start
-    jobs = min(jobs, span) or 1
+    jobs = min(jobs, span, os.cpu_count() or 1) or 1
     bounds = [start + span * i // jobs for i in range(jobs + 1)]
     slices = [(bounds[i], bounds[i + 1]) for i in range(jobs)]
 
     if jobs == 1:
-        return _count_code_range(n, start, stop)
+        return DagCounts(*count_acyclic_codes(n, start, stop))
 
     try:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
             partials = list(
-                pool.map(_count_code_range, [n] * jobs, *zip(*slices))
+                pool.map(count_acyclic_codes, [n] * jobs, *zip(*slices))
             )
     except (OSError, concurrent.futures.BrokenExecutor):
         # Sandboxed environments without process support; same totals either way.
-        partials = [_count_code_range(n, lo, hi) for lo, hi in slices]
+        partials = [count_acyclic_codes(n, lo, hi) for lo, hi in slices]
 
-    return DagCounts(
-        sum(p.dags for p in partials), sum(p.orientable for p in partials)
-    )
+    return DagCounts(*map(sum, zip(*partials)))
 
 
 def brute_count_dags(n: int, **kwargs) -> int:

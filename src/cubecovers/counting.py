@@ -21,6 +21,7 @@ and leaves 64-bit range near n = 11.
 from __future__ import annotations
 
 import math
+import threading
 
 
 __all__ = [
@@ -59,22 +60,29 @@ def dag_count_sequence(max_n: int) -> list[int]:
     return values
 
 
-# Prefix of the DAG-count sequence, grown on demand.  Appends are idempotent
-# (every fill writes the same value), so concurrent extension is benign.
+# Prefix of the DAG-count sequence, grown on demand.  Readers never lock: the
+# list only grows, and every index below its length holds its final value.
+# Growth is computed in a local copy and published under the lock; unlocked
+# appends from two threads can land a value at the wrong index.
 _DAG_COUNTS: list[int] = [1]
+_DAG_COUNTS_LOCK = threading.Lock()
 
 
 def count_dags(n: int) -> int:
     """Number of acyclic digraphs on ``n`` labeled vertices (memoized)."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    while len(_DAG_COUNTS) <= n:
-        m = len(_DAG_COUNTS)
-        acc = 0
-        for k in range(1, m + 1):
-            term = binomial(m, k) * (1 << (k * (m - k))) * _DAG_COUNTS[m - k]
-            acc += term if k % 2 else -term
-        _DAG_COUNTS.append(acc)
+    if n >= len(_DAG_COUNTS):
+        with _DAG_COUNTS_LOCK:
+            values = _DAG_COUNTS[:]
+            while len(values) <= n:
+                m = len(values)
+                acc = 0
+                for k in range(1, m + 1):
+                    term = binomial(m, k) * (1 << (k * (m - k))) * values[m - k]
+                    acc += term if k % 2 else -term
+                values.append(acc)
+            _DAG_COUNTS.extend(values[len(_DAG_COUNTS):])
     return _DAG_COUNTS[n]
 
 
@@ -95,7 +103,8 @@ def count_orientable_dags(n: int) -> int:
     for k in range(1, n + 1):
         term = binomial(n, k) * (1 << ((k - 1) * (n - k))) * count_dags(n - k)
         acc += term if k % 2 else -term
-    assert acc >= 0, f"alternating sum went negative at n={n}"
+    if acc < 0:
+        raise ArithmeticError(f"alternating sum went negative at n={n}")
     return acc
 
 

@@ -8,6 +8,19 @@ Every graph has a canonical integer code: the ``n*(n-1)`` off-diagonal
 adjacency bits read in row-major order.  Enumeration walks that integer
 range in order, which makes streams deterministic, resumable, and trivially
 partitionable into disjoint code ranges for parallel counting.
+
+The acyclic graphs are found a block of codes at a time.  Row 0 is the
+lowest ``n-1`` bits of a code, so each aligned block of ``2^(n-1)``
+consecutive codes shares rows ``1 .. n-1``.  Call that shared part H, with
+vertex 0 given no out-edges.  Any cycle of a graph G in the block either
+lies in H or leaves vertex 0 along a row-0 edge and returns to 0 inside H.
+So G is acyclic exactly when H is acyclic and row 0 avoids R, the set of
+vertices that reach 0 in H.  One peel of H and one reach closure therefore
+decide all ``2^(n-1)`` codes of the block: it holds ``2^(n-|R|)`` acyclic
+graphs, exactly the row-0 chunks that are submasks of the complement of R.
+Rows ``1 .. n-1`` are still enumerated exhaustively, so counts made this way
+remain a brute-force oracle, independent of the recurrences in
+:mod:`cubecovers.counting`.
 """
 
 from __future__ import annotations
@@ -21,13 +34,16 @@ __all__ = [
     "DEFAULT_ENUMERATION_CAP",
     "Digraph",
     "EnumerationCapExceeded",
+    "count_acyclic_codes",
     "enumerate_acyclic",
     "enumerate_digraphs",
     "is_acyclic_dfs",
 ]
 
-# 2^(n(n-1)) graphs: n=5 is about a million, n=6 about a billion (minutes to
-# hours of CPU), n=7 is out of reach.  Callers may raise the cap explicitly.
+# 2^(n(n-1)) graphs: n=5 is about a million (a fraction of a second to
+# count), n=6 about a billion (about a CPU minute), n=7 about 4e12 (two to
+# four CPU days, extrapolated from sampled slices; run it as partitioned
+# code ranges).  Callers may raise the cap explicitly.
 DEFAULT_ENUMERATION_CAP = 6
 
 
@@ -93,13 +109,9 @@ class Digraph:
         if not 0 <= code < (1 << (n * width if n else 0)):
             raise ValueError(f"code {code} out of range for n={n}")
         chunk_mask = (1 << width) - 1 if n else 0
-        masks = []
-        for u in range(n):
-            chunk = (code >> (u * width)) & chunk_mask
-            low = chunk & ((1 << u) - 1)
-            high = (chunk >> u) << (u + 1)
-            masks.append(low | high)
-        return cls(n, tuple(masks))
+        return cls(n, tuple(
+            _splice_diagonal((code >> (u * width)) & chunk_mask, u) for u in range(n)
+        ))
 
     def code(self) -> int:
         """Canonical encoding: off-diagonal bits, row major, as one integer."""
@@ -172,24 +184,32 @@ class Digraph:
         """Whether the graph has no directed cycle.
 
         Peels vertices whose remaining out-degree is zero, a whole layer per
-        round, using only bitmask operations.  The graph is acyclic exactly
-        when everything peels away.  :func:`is_acyclic_dfs` is the
-        independent implementation used to cross-check this one.
+        round, using only bitmask operations (:func:`_peel`).  The graph is
+        acyclic exactly when everything peels away.  :func:`is_acyclic_dfs`
+        is the independent implementation used to cross-check this one.
         """
-        rows = self.rows
-        alive = (1 << self.n) - 1
-        while alive:
-            removable = 0
-            scan = alive
-            while scan:
-                bit = scan & -scan
-                if not rows[bit.bit_length() - 1] & alive:
-                    removable |= bit
-                scan ^= bit
-            if not removable:
-                return False
-            alive ^= removable
-        return True
+        return not _peel(self.rows, (1 << self.n) - 1)
+
+
+def _peel(rows, alive: int) -> int:
+    """Strip the vertices in ``alive`` that have no out-edge into ``alive``,
+    a whole layer per round, and return the vertices left over.
+
+    The result is 0 exactly when the subgraph induced on ``alive`` is
+    acyclic; otherwise it is the nonempty set that no round could shrink.
+    """
+    while alive:
+        removable = 0
+        scan = alive
+        while scan:
+            bit = scan & -scan
+            if not rows[bit.bit_length() - 1] & alive:
+                removable |= bit
+            scan ^= bit
+        if not removable:
+            return alive
+        alive ^= removable
+    return 0
 
 
 def is_acyclic_dfs(graph: Digraph) -> bool:
@@ -242,7 +262,104 @@ def enumerate_digraphs(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> Iterator[D
 
 
 def enumerate_acyclic(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> Iterator[Digraph]:
-    """Yield the acyclic digraphs on ``n`` labeled vertices, in code order."""
-    for graph in enumerate_digraphs(n, cap):
-        if graph.is_acyclic():
-            yield graph
+    """Yield the acyclic digraphs on ``n`` labeled vertices, in code order.
+
+    Output-sensitive: one peel per block of ``2^(n-1)`` codes, then only the
+    row-0 chunks that avoid the block's reach set, in increasing order.
+    """
+    _check_cap(n, cap)
+    if n == 0:
+        yield Digraph.empty(0)
+        return
+    for _, rows, free in _acyclic_blocks(n, 0, 1 << ((n - 1) * (n - 1))):
+        tail = tuple(rows[1:])
+        chunk = 0
+        while True:
+            yield Digraph(n, (chunk << 1, *tail))
+            if chunk == free:
+                break
+            chunk = (chunk - free) & free  # next submask of free, increasing
+
+
+# ----------------------------------------------------------------------
+# the block kernel (see the module docstring)
+# ----------------------------------------------------------------------
+
+
+def _splice_diagonal(chunk: int, u: int) -> int:
+    """Adjacency mask of row ``u`` from its ``(n-1)``-bit code chunk: the
+    chunk with a zero bit spliced in at the diagonal position ``u``."""
+    return (chunk & ((1 << u) - 1)) | ((chunk >> u) << (u + 1))
+
+
+def _row_decode_tables(n: int) -> list[list[int]]:
+    # table[u][chunk] = _splice_diagonal(chunk, u), for every chunk.
+    return [[_splice_diagonal(chunk, u) for chunk in range(1 << (n - 1))]
+            for u in range(n)]
+
+
+def _acyclic_blocks(n: int, first: int, last: int) -> Iterator[tuple[int, list[int], int]]:
+    """Yield ``(block, rows, free)`` for each block in ``[first, last)`` whose
+    shared part H is acyclic, for ``n >= 1``.
+
+    Block ``b`` holds the codes ``b * 2^(n-1) .. (b+1) * 2^(n-1) - 1``.
+    ``rows`` are the adjacency rows of H (``rows[0]`` is 0).  ``free`` is the
+    set of row-0 chunk bits that close no cycle: a code of the block is
+    acyclic exactly when its row-0 chunk is a submask of ``free``.
+    """
+    width = n - 1
+    chunk_mask = (1 << width) - 1
+    tables = _row_decode_tables(n)
+    lookups = [(tables[u], (u - 1) * width) for u in range(1, n)]
+    others = ((1 << n) - 1) ^ 1  # vertex 0 is a sink of H and needs no peel
+    for block in range(first, last):
+        rows = [0]
+        for table, shift in lookups:
+            rows.append(table[(block >> shift) & chunk_mask])
+        if _peel(rows, others):
+            continue
+        reach = 1  # the vertices that reach 0 in H, grown to a fixed point
+        while True:
+            grown = reach
+            for v in range(1, n):
+                if rows[v] & grown:
+                    grown |= 1 << v
+            if grown == reach:
+                break
+            reach = grown
+        yield block, rows, chunk_mask & ~(reach >> 1)
+
+
+def count_acyclic_codes(n: int, start: int, stop: int) -> tuple[int, int]:
+    """Count the codes in ``[start, stop)`` whose digraph is acyclic, and
+    those that are acyclic with every out-degree even.
+
+    A block wholly inside the range with ``k`` free bits adds ``2^k``
+    acyclic codes; when rows ``1 .. n-1`` all have even out-degree, the
+    even-size submasks of ``free`` add ``2^(k-1)`` orientable ones (1 when
+    ``k = 0``).  The at most two blocks cut by the range ends are scanned
+    chunk by chunk.  A pure function of its arguments, so disjoint ranges
+    can be counted in separate processes and added in any order.  The range
+    is not checked here; :func:`cubecovers.correspondence.brute_counts` is
+    the validating entry point.
+    """
+    if n == 0:
+        return stop - start, stop - start  # code 0, the empty graph
+    width = n - 1
+    size = 1 << width
+    dags = even = 0
+    for block, rows, free in _acyclic_blocks(n, start >> width, -(-stop >> width)):
+        base = block << width
+        rows_even = not any(mask.bit_count() & 1 for mask in rows)
+        if start <= base and base + size <= stop:
+            k = free.bit_count()
+            dags += 1 << k
+            if rows_even:
+                even += 1 << (k - 1) if k else 1
+            continue
+        for chunk in range(max(start - base, 0), min(stop - base, size)):
+            if not chunk & ~free:
+                dags += 1
+                if rows_even and not chunk.bit_count() & 1:
+                    even += 1
+    return dags, even

@@ -2,8 +2,8 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines.  The optional deep brute-force check at n = 6 is marked ``slow`` and
-runs only with ``-m slow`` (budget tens of minutes; it partitions the
-2^30-graph space across worker processes).
+runs only with ``-m slow``.  It partitions the 2^30-graph space across one
+worker process per core; it took 25 s on a 2-core machine with Python 3.11.
 """
 
 import math

@@ -41,6 +41,38 @@ def test_count_usage_errors(runner):
     assert invoke(runner, "count", "r").exit_code == 2
 
 
+def _parse_digits(text: str) -> int:
+    # int(text) refuses more than sys.get_int_max_str_digits() digits.
+    value = 0
+    for i in range(0, len(text), 1000):
+        chunk = text[i:i + 1000]
+        value = value * 10 ** len(chunk) + int(chunk)
+    return value
+
+
+def test_count_prints_integers_past_the_str_digit_limit(runner):
+    # D(165) has more than 4300 decimal digits, the default limit of str().
+    result = invoke(runner, "count", "r", "--n", "165")
+    assert result.exit_code == 0, result.output
+    digits = result.output.strip()
+    assert len(digits) > 4300
+    assert _parse_digits(digits) == counting.count_dags(165)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["table", "--max-n", "165"],
+        ["table", "--max-n", "165", "--format", "csv"],
+        ["asymptotic", "--n", "165", "--format", "json"],
+    ],
+)
+def test_big_exact_integers_print_without_traceback(runner, args):
+    result = invoke(runner, *args)
+    assert result.exit_code == 0, result.output
+    assert result.exception is None
+
+
 # ----------------------------------------------------------------------
 # table
 # ----------------------------------------------------------------------

@@ -1,3 +1,8 @@
+import concurrent.futures
+import itertools
+import os
+import random
+
 import pytest
 
 from cubecovers import (
@@ -15,6 +20,7 @@ from cubecovers import (
     digraph_from_characteristic,
     enumerate_acyclic,
     enumerate_digraphs,
+    is_acyclic_dfs,
     unit_diagonal_matrices,
 )
 
@@ -118,6 +124,63 @@ def test_brute_counts_match_stream_lengths(n):
     assert got.orientable == sum(
         1 for g in enumerate_acyclic(n) if g.all_out_degrees_even()
     )
+
+
+def _dfs_prefix_counts(n):
+    # prefix[c] = (acyclic, orientable) among codes [0, c), by depth-first search.
+    prefix = [(0, 0)]
+    for g in enumerate_digraphs(n):
+        acyclic = is_acyclic_dfs(g)
+        orientable = acyclic and g.all_out_degrees_even()
+        dags, even = prefix[-1]
+        prefix.append((dags + acyclic, even + orientable))
+    return prefix
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_brute_counts_match_dfs_on_code_ranges(n):
+    prefix = _dfs_prefix_counts(n)
+    total = len(prefix) - 1
+    block = 1 << (n - 1)  # codes sharing rows 1 .. n-1
+    rng = random.Random(n)
+    ranges = [(0, total), (0, 0), (total, total)]
+    ranges += [(b * block + 1, b * block + block - 1) for b in (0, 3, 5)]  # inside one block
+    ranges += [(b * block, (b + 1) * block) for b in (0, 2, 7)]  # exactly one block
+    ranges += [(b * block - 1, b * block + 1) for b in (1, 6)]  # across one block edge
+    ranges += [(b * block + 2, (b + 3) * block - 2) for b in (0, 4)]  # across several
+    for _ in range(40):
+        a, b = sorted(rng.randrange(total + 1) for _ in range(2))
+        ranges.append((a, b))
+    for a, b in ranges:
+        want = tuple(x - y for x, y in zip(prefix[b], prefix[a]))
+        assert brute_counts(n, start=a, stop=b) == want, (a, b)
+
+
+def test_jobs_are_clamped_to_the_cpu_count(monkeypatch):
+    started = []
+
+    class RecordingPool:
+        # Stands in for ProcessPoolExecutor: records the pool size and runs
+        # the slices in this process, so no worker is ever started.
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return list(itertools.starmap(fn, zip(*iterables)))
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert brute_counts(4, jobs=100000) == (543, 43)
+    assert started == [3]
+    monkeypatch.setattr(os, "cpu_count", lambda: None)  # unknown: one worker
+    assert brute_counts(4, jobs=100000) == (543, 43)
+    assert started == [3]
 
 
 def test_partition_invariance():

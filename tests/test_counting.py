@@ -1,5 +1,9 @@
+import sys
+import threading
+
 import pytest
 
+from cubecovers import counting
 from cubecovers import (
     binomial,
     brute_counts,
@@ -74,6 +78,43 @@ def test_memoized_matches_fresh_computation():
     assert fresh == [count_dags(n) for n in range(17)]
     # repeated calls keep agreeing after the cache is fully warm
     assert dag_count_sequence(16) == [count_dags(n) for n in range(17)]
+
+
+def test_cold_cache_survives_concurrent_growth(monkeypatch):
+    # Four threads grow a cold memo at once.  A tiny switch interval makes
+    # them interleave inside the growth loop, which used to leave values at
+    # the wrong index.
+    reference = dag_count_sequence(40)
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            monkeypatch.setattr(counting, "_DAG_COUNTS", [1])
+            barrier = threading.Barrier(4)
+            results = []
+
+            def worker():
+                barrier.wait()
+                results.append(count_dags(40))
+
+            threads = [threading.Thread(target=worker) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+                assert not thread.is_alive()
+            assert results == [reference[40]] * 4
+            assert counting._DAG_COUNTS == reference
+    finally:
+        sys.setswitchinterval(old_interval)
+
+
+def test_negative_orientable_sum_raises(monkeypatch):
+    # With D(m) = 0 for m >= 1 only the k = n term survives: -1 at n = 2.
+    # The guard must be a real exception, not an assert that -O strips.
+    monkeypatch.setattr(counting, "count_dags", lambda m: 1 if m == 0 else 0)
+    with pytest.raises(ArithmeticError, match="negative at n=2"):
+        count_orientable_dags(2)
 
 
 def test_orientable_bounds():

@@ -167,6 +167,13 @@ def test_stream_lengths_match_closed_forms(n):
     assert sum(1 for _ in enumerate_acyclic(n)) == count_dags(n)
 
 
+@pytest.mark.parametrize("n", range(5))
+def test_enumerate_acyclic_equals_dfs_filter_in_order(n):
+    # The block kernel against the independent depth-first test, order included.
+    expected = [g for g in enumerate_digraphs(n) if is_acyclic_dfs(g)]
+    assert list(enumerate_acyclic(n)) == expected
+
+
 def test_enumeration_is_in_code_order_without_repeats():
     codes = [g.code() for g in enumerate_digraphs(3)]
     assert codes == list(range(64))
