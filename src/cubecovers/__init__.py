@@ -13,7 +13,7 @@ out-degrees are all even.  This package makes that dictionary executable:
 * :mod:`cubecovers.counting` computes both counting sequences exactly, to
   any index, in arbitrary-precision integers.
 * :mod:`cubecovers.series` proves the generating-function identities
-  coefficientwise in exact rational arithmetic.
+  coefficientwise in exact arithmetic, on the same integer kernel.
 * :mod:`cubecovers.asymptotics` locates the dominant zero of the deformed
   exponential and evaluates the growth constants, including the orientable
   fraction estimate 1.2617.../2^n.
@@ -45,7 +45,6 @@ from cubecovers.counting import (
     binomial,
     count_dags,
     count_orientable_dags,
-    dag_count_sequence,
     sequence_table,
 )
 from cubecovers.digraph import (
@@ -93,7 +92,6 @@ __all__ = [
     "compute_constants",
     "count_dags",
     "count_orientable_dags",
-    "dag_count_sequence",
     "dag_series",
     "deformed_exp",
     "deformed_exp_series",

@@ -33,6 +33,7 @@ from functools import lru_cache
 __all__ = [
     "DEFAULT_TERMS",
     "DEFAULT_TOL",
+    "MIN_TOL",
     "AsymptoticConstants",
     "RootFindingError",
     "compute_constants",
@@ -45,6 +46,7 @@ __all__ = [
 
 DEFAULT_TERMS = 30
 DEFAULT_TOL = 1e-13
+MIN_TOL = 1e-14  # a smaller Newton tolerance is not reachable in doubles
 
 # The zero is a simple root well inside this bracket; landing anywhere else
 # means the iteration went wrong.
@@ -85,8 +87,8 @@ def _newton_zero(terms: int, tol: float, initial: float) -> tuple[float, int]:
     """Newton iteration for the zero, returning (zero, iterations used)."""
     if terms < 25:
         raise ValueError("need at least 25 terms for a trustworthy tail")
-    if tol < 1e-14:
-        raise ValueError("tolerance below 1e-14 is not reachable in doubles")
+    if not tol >= MIN_TOL:
+        raise ValueError(f"tolerance must be at least {MIN_TOL}, got {tol!r}")
     x = initial
     for iteration in range(1, _MAX_NEWTON_ITERATIONS + 1):
         derivative = deformed_exp(x / 2, terms)  # E'(x) = E(x/2)

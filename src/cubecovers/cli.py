@@ -250,16 +250,34 @@ def verify(n_max: int, series_order: int, series_only: bool, jobs: int,
         sys.exit(1)
 
 
+def _tolerance(ctx: click.Context, param: click.Parameter, value: float) -> float:
+    if not (math.isfinite(value) and value >= asymptotics.MIN_TOL):
+        raise click.BadParameter(
+            f"{value!r} is not a finite number >= {asymptotics.MIN_TOL}"
+        )
+    return value
+
+
+def _decimals_resolved(tol: float) -> int:
+    """The most decimal places a Newton tolerance of ``tol`` supports: the
+    largest d >= 0 with 10^-d >= tol."""
+    return max(0, math.floor(-math.log10(tol) + 1e-9))
+
+
 @main.command()
-@click.option("--digits", type=click.IntRange(1, 17), default=10, show_default=True)
+@click.option("--digits", type=click.IntRange(1, 17), default=10, show_default=True,
+              help="Decimal places, at most as many as --tol resolves.")
 @click.option("--terms", type=click.IntRange(25), default=asymptotics.DEFAULT_TERMS,
               show_default=True)
-@click.option("--tol", type=float, default=asymptotics.DEFAULT_TOL, show_default=True)
+@click.option("--tol", type=float, default=asymptotics.DEFAULT_TOL, show_default=True,
+              callback=_tolerance,
+              help=f"Newton step tolerance, finite and >= {asymptotics.MIN_TOL}.")
 @click.option("--format", "fmt", type=click.Choice(["text", "json"]),
               default="text", show_default=True)
 def constants(digits: int, terms: int, tol: float, fmt: str) -> None:
     """Print the zero of the deformed exponential and both growth prefactors."""
     c = asymptotics.compute_constants(terms, tol)
+    digits = min(digits, _decimals_resolved(tol))
     values = {
         "alpha": f"{c.alpha:.{digits}f}",
         "dag_prefactor": f"{c.dag_prefactor:.{digits}f}",

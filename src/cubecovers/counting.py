@@ -12,10 +12,13 @@ sum with one factor of 2 fewer per selected vertex:
 
     V(n) = sum_{k=1..n} (-1)^(k+1) * C(n,k) * 2^((k-1)(n-k)) * D(n-k).
 
-Everything here is exact Python integer arithmetic; the powers of two are
-built by shifting and the alternating partial sums stay signed until the
-final (provably nonnegative) value is returned.  D(n) grows like 2^(n^2/2)
-and leaves 64-bit range near n = 11.
+Both are sums of terms C(n,k) * a * b * 2^s, as is every coefficient of a
+product of chromatic series (:mod:`cubecovers.series`).  One integer kernel,
+:func:`chromatic_sum`, evaluates them all: it multiplies the small factors
+first and shifts last, keeps the binomial incrementally, and collects
+positive and negative terms apart, in plain Python integers.  Both
+sequences are memoized.  D(n) grows like 2^(n^2/2) and leaves 64-bit range
+near n = 11.
 """
 
 from __future__ import annotations
@@ -26,9 +29,9 @@ import threading
 
 __all__ = [
     "binomial",
+    "chromatic_sum",
     "count_dags",
     "count_orientable_dags",
-    "dag_count_sequence",
     "sequence_table",
 ]
 
@@ -42,22 +45,35 @@ def binomial(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
-def dag_count_sequence(max_n: int) -> list[int]:
-    """The list ``[D(0), ..., D(max_n)]`` computed from scratch.
+def chromatic_sum(
+    n: int, a: list[int], b: list[int], start: int = 0, lag: int = 0
+) -> int:
+    """The exact integer sum over ``k = start .. n`` of
 
-    No shared state: this is the reference path the memoized
-    :func:`count_dags` is checked against.
+        C(n,k) * a[k] * b[n-k] * 2^((k - lag) * (n - k)),
+
+    the n-th coefficient of the chromatic convolution of ``a`` and ``b``
+    when ``lag`` is 0.  Each term multiplies the small factors first and
+    shifts last, so no k(n-k)-bit power of two is ever built, and no
+    big-by-big product is taken when ``a`` holds the small numbers.  The
+    binomial is updated incrementally, and positive and negative terms go
+    to separate accumulators.  Needs ``start >= lag`` for every term to be
+    an integer.
     """
-    if max_n < 0:
-        raise ValueError("max_n must be nonnegative")
-    values = [1]
-    for n in range(1, max_n + 1):
-        acc = 0
-        for k in range(1, n + 1):
-            term = binomial(n, k) * (1 << (k * (n - k))) * values[n - k]
-            acc += term if k % 2 else -term
-        values.append(acc)
-    return values
+    pos = neg = 0
+    c = math.comb(n, start)
+    for k in range(start, n + 1):
+        x = a[k]
+        if x:
+            y = b[n - k]
+            if y:
+                term = (c * x * y) << ((k - lag) * (n - k))
+                if term > 0:
+                    pos += term
+                else:
+                    neg -= term
+        c = c * (n - k) // (k + 1)
+    return pos - neg
 
 
 # Prefix of the DAG-count sequence, grown on demand.  Readers never lock: the
@@ -67,6 +83,12 @@ def dag_count_sequence(max_n: int) -> list[int]:
 _DAG_COUNTS: list[int] = [1]
 _DAG_COUNTS_LOCK = threading.Lock()
 
+# V(n) needs D(0 .. n-1) but no other V, so its memo is keyed by n: one
+# query does not pay for all the smaller ones.  Each value is computed once,
+# under the lock, and published only if it passes the sign check.
+_ORIENTABLE_COUNTS: dict[int, int] = {0: 1}
+_ORIENTABLE_COUNTS_LOCK = threading.Lock()
+
 
 def count_dags(n: int) -> int:
     """Number of acyclic digraphs on ``n`` labeled vertices (memoized)."""
@@ -75,13 +97,9 @@ def count_dags(n: int) -> int:
     if n >= len(_DAG_COUNTS):
         with _DAG_COUNTS_LOCK:
             values = _DAG_COUNTS[:]
+            signs = [(-1) ** k for k in range(n + 1)]  # E(-x)
             while len(values) <= n:
-                m = len(values)
-                acc = 0
-                for k in range(1, m + 1):
-                    term = binomial(m, k) * (1 << (k * (m - k))) * values[m - k]
-                    acc += term if k % 2 else -term
-                values.append(acc)
+                values.append(-chromatic_sum(len(values), signs, values, start=1))
             _DAG_COUNTS.extend(values[len(_DAG_COUNTS):])
     return _DAG_COUNTS[n]
 
@@ -89,7 +107,7 @@ def count_dags(n: int) -> int:
 def count_orientable_dags(n: int) -> int:
     """Number of acyclic digraphs on ``n`` labeled vertices with every
     out-degree even, which is the number of orientable small covers over the
-    n-cube up to Davis-Januszkiewicz equivalence.
+    n-cube up to Davis-Januszkiewicz equivalence (memoized).
 
     For ``n = 0`` the answer is 1: the empty digraph qualifies vacuously.
     (The chromatic-series normalization in :mod:`cubecovers.series` instead
@@ -97,15 +115,16 @@ def count_orientable_dags(n: int) -> int:
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if n == 0:
-        return 1
-    acc = 0
-    for k in range(1, n + 1):
-        term = binomial(n, k) * (1 << ((k - 1) * (n - k))) * count_dags(n - k)
-        acc += term if k % 2 else -term
-    if acc < 0:
-        raise ArithmeticError(f"alternating sum went negative at n={n}")
-    return acc
+    if n not in _ORIENTABLE_COUNTS:
+        with _ORIENTABLE_COUNTS_LOCK:
+            if n not in _ORIENTABLE_COUNTS:
+                dags = [count_dags(m) for m in range(n)]
+                signs = [(-1) ** k for k in range(n + 1)]  # E(-x)
+                value = -chromatic_sum(n, signs, dags, start=1, lag=1)
+                if value < 0:
+                    raise ArithmeticError(f"alternating sum went negative at n={n}")
+                _ORIENTABLE_COUNTS[n] = value
+    return _ORIENTABLE_COUNTS[n]
 
 
 def sequence_table(max_n: int) -> list[tuple[int, int, int]]:

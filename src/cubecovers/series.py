@@ -7,8 +7,12 @@ the integer-friendly convolution
     c_n = sum_{k=0..n} C(n,k) * 2^(k(n-k)) * a_k * b_{n-k},
 
 because C(n,2) = C(k,2) + C(n-k,2) + k(n-k).  Working in this basis keeps
-every identity below in small exact rationals instead of the astronomically
-scaled plain power-series coefficients.
+every identity below in integer numerators over power-of-two denominators
+instead of the astronomically scaled plain power-series coefficients.
+Coefficients are stored as :class:`~fractions.Fraction`, but products and
+the quotient run on integer numerators through the shared kernel
+:func:`cubecovers.counting.chromatic_sum` and build one ``Fraction`` per
+output coefficient.
 
 Notation used throughout this module:
 
@@ -39,7 +43,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from cubecovers.counting import binomial, count_dags, count_orientable_dags
+from cubecovers.counting import chromatic_sum, count_dags, count_orientable_dags
 
 
 __all__ = [
@@ -70,7 +74,9 @@ class ChromaticSeries:
         if not self.coeffs:
             raise ValueError("a series needs at least its constant coefficient")
         object.__setattr__(
-            self, "coeffs", tuple(Fraction(c) for c in self.coeffs)
+            self,
+            "coeffs",
+            tuple(c if type(c) is Fraction else Fraction(c) for c in self.coeffs),
         )
 
     @property
@@ -115,16 +121,30 @@ class ChromaticSeries:
         return ChromaticSeries(tuple(-c for c in self.coeffs))
 
 
+def _numerators(s: ChromaticSeries, order: int) -> tuple[list[int], int]:
+    """Coefficients 0 .. order as integer numerators over one common
+    denominator, the lcm of theirs."""
+    coeffs = s.coeffs[: order + 1]
+    common = math.lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (common // c.denominator) for c in coeffs], common
+
+
 def chrom_mul(a: ChromaticSeries, b: ChromaticSeries) -> ChromaticSeries:
-    """Product on the chromatic basis, truncated to the smaller order."""
+    """Product on the chromatic basis, truncated to the smaller order.
+
+    Both factors go over a common denominator, so every coefficient of the
+    product is one integer :func:`~cubecovers.counting.chromatic_sum` over
+    the product of the two denominators.
+    """
     order = min(a.order, b.order)
-    coeffs = []
-    for n in range(order + 1):
-        acc = Fraction(0)
-        for k in range(n + 1):
-            acc += binomial(n, k) * (1 << (k * (n - k))) * a.coeffs[k] * b.coeffs[n - k]
-        coeffs.append(acc)
-    return ChromaticSeries(tuple(coeffs))
+    xs, x_den = _numerators(a, order)
+    ys, y_den = _numerators(b, order)
+    if max(map(int.bit_length, xs)) > max(map(int.bit_length, ys)):
+        xs, ys = ys, xs  # the kernel multiplies by its first sequence first
+    den = x_den * y_den
+    return ChromaticSeries(
+        tuple(Fraction(chromatic_sum(n, xs, ys), den) for n in range(order + 1))
+    )
 
 
 def unit_series(order: int) -> ChromaticSeries:
@@ -156,20 +176,24 @@ def orientable_series(order: int) -> ChromaticSeries:
 def orientable_from_quotient(order: int) -> ChromaticSeries:
     """Solve V(x) * E(-x/2) = 1 - E(-x) for V, coefficient by coefficient.
 
-    The divisor has constant term 1, so forward substitution needs no
-    division at all; the solution is produced without consulting the
-    orientable counting formula, which makes it an independent route to the
-    same integers.
+    The divisor's coefficients are (-1/2)^j, so W_n = 2^n V_n obeys an
+    integer recurrence,
+
+        W_n = (-1)^(n+1) 2^n - sum_{k<n} (-1)^(n-k) C(n,k) 2^(k(n-k)) W_k,
+
+    solved by forward substitution with one division by 2^n at the end.  A
+    coefficient that is not an integer comes back as a proper fraction.
+    The solution is produced without consulting the orientable counting
+    formula, which makes it an independent route to the same integers.
     """
-    divisor = deformed_exp_series(order).scale_argument(Fraction(-1, 2))
-    numerator = unit_series(order) - deformed_exp_series(order).scale_argument(-1)
-    coeffs: list[Fraction] = []
-    for n in range(order + 1):
-        acc = numerator.coeffs[n]
-        for k in range(n):
-            acc -= binomial(n, k) * (1 << (k * (n - k))) * coeffs[k] * divisor.coeffs[n - k]
-        coeffs.append(acc)
-    return ChromaticSeries(tuple(coeffs))
+    signs = [(-1) ** k for k in range(order + 1)]  # E(-x)
+    scaled = [0]
+    for n in range(1, order + 1):
+        forcing = 1 << n if n % 2 else -(1 << n)
+        scaled.append(forcing - chromatic_sum(n, signs, scaled, start=1))
+    return ChromaticSeries(
+        tuple(Fraction(w, 1 << n) for n, w in enumerate(scaled))
+    )
 
 
 @dataclass(frozen=True)

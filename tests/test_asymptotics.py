@@ -115,6 +115,8 @@ def test_root_finder_validates_input():
         dominant_zero(terms=10)
     with pytest.raises(ValueError):
         dominant_zero(tol=1e-16)
+    with pytest.raises(ValueError):
+        dominant_zero(tol=float("nan"))
 
 
 def test_newton_refuses_a_root_outside_the_bracket():

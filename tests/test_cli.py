@@ -230,6 +230,29 @@ def test_constants_text_output(runner):
     assert "truncation=30" in result.output
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1e-3", "0", "1e-15", "9.9e-15"])
+def test_constants_rejects_bad_tolerance(runner, tol):
+    result = invoke(runner, "constants", f"--tol={tol}", "--format", "json")
+    assert result.exit_code == 2
+    assert "Invalid value for '--tol'" in result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+
+
+def test_constants_prints_no_more_digits_than_the_tolerance_resolves(runner):
+    result = invoke(runner, "constants", "--tol", "0.5", "--format", "json")
+    assert result.exit_code == 0
+    payload = json.loads(result.output)
+    assert payload["alpha"] == "-1"
+    assert payload["ratio_factor"] == "1"
+    result = invoke(runner, "constants", "--tol", "1e-3", "--format", "json")
+    payload = json.loads(result.output)
+    assert payload["alpha"] == "-1.488" and payload["tolerance"] == 0.001
+    result = invoke(runner, "constants", "--tol", "1e-14", "--digits", "17")
+    assert result.exit_code == 0
+    assert "alpha                 = -1.48807854559" in result.output
+    assert "alpha                 = -1.488078545595" not in result.output
+
+
 def test_asymptotic_side_by_side(runner):
     result = invoke(runner, "asymptotic", "--n", "7", "--format", "json")
     payload = json.loads(result.output)

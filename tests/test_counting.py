@@ -1,3 +1,4 @@
+import math
 import sys
 import threading
 
@@ -9,7 +10,6 @@ from cubecovers import (
     brute_counts,
     count_dags,
     count_orientable_dags,
-    dag_count_sequence,
     sequence_table,
 )
 
@@ -68,53 +68,105 @@ def test_negative_n_rejected():
     with pytest.raises(ValueError):
         count_orientable_dags(-1)
     with pytest.raises(ValueError):
-        dag_count_sequence(-1)
-    with pytest.raises(ValueError):
         sequence_table(-1)
 
 
 def test_memoized_matches_fresh_computation():
-    fresh = dag_count_sequence(16)
-    assert fresh == [count_dags(n) for n in range(17)]
+    # The published values, then E(-x) D(x) = 1 on the chromatic basis:
+    # sum_k (-1)^k C(n,k) 2^(k(n-k)) D(n-k) = 0 for n >= 1, written out
+    # term by term here rather than through the counting kernel.
+    assert [count_dags(n) for n in range(1, 8)] == DAG_COUNTS
+    for n in range(1, 41):
+        assert sum(
+            (-1) ** k * math.comb(n, k) * 2 ** (k * (n - k)) * count_dags(n - k)
+            for k in range(n + 1)
+        ) == 0
     # repeated calls keep agreeing after the cache is fully warm
-    assert dag_count_sequence(16) == [count_dags(n) for n in range(17)]
+    assert counting._DAG_COUNTS[:41] == [count_dags(n) for n in range(41)]
 
 
-def test_cold_cache_survives_concurrent_growth(monkeypatch):
-    # Four threads grow a cold memo at once.  A tiny switch interval makes
-    # them interleave inside the growth loop, which used to leave values at
-    # the wrong index.
-    reference = dag_count_sequence(40)
+def _grow_cold_memo_from_threads(monkeypatch, memo, cold, count, ns, reference):
+    # Four threads fill a cold memo at once, each asking for ``ns`` in its
+    # own order.  A tiny switch interval makes them interleave inside the
+    # growth code, which used to leave values at the wrong index.
     old_interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        for _ in range(20):
-            monkeypatch.setattr(counting, "_DAG_COUNTS", [1])
+        for trial in range(20):
+            monkeypatch.setattr(counting, memo, cold())
             barrier = threading.Barrier(4)
-            results = []
+            results = {}
 
-            def worker():
+            def worker(order):
                 barrier.wait()
-                results.append(count_dags(40))
+                results[order] = [count(n) for n in order]
 
-            threads = [threading.Thread(target=worker) for _ in range(4)]
+            shifts = [(trial + 5 * t) % len(ns) for t in range(4)]
+            orders = [tuple(ns[i:] + ns[:i]) for i in shifts]
+            threads = [threading.Thread(target=worker, args=(o,)) for o in orders]
             for thread in threads:
                 thread.start()
             for thread in threads:
                 thread.join(timeout=30)
                 assert not thread.is_alive()
-            assert results == [reference[40]] * 4
-            assert counting._DAG_COUNTS == reference
+            for order in orders:
+                assert results[order] == [reference[n] for n in order]
+            assert getattr(counting, memo) == reference
     finally:
         sys.setswitchinterval(old_interval)
 
 
+def test_cold_cache_survives_concurrent_growth(monkeypatch):
+    # The reference is a single-threaded run from a cold memo.
+    monkeypatch.setattr(counting, "_DAG_COUNTS", [1])
+    count_dags(40)
+    reference = counting._DAG_COUNTS
+    assert len(reference) == 41 and reference[1:8] == DAG_COUNTS
+    _grow_cold_memo_from_threads(
+        monkeypatch, "_DAG_COUNTS", lambda: [1], count_dags, [40], reference
+    )
+
+
+def test_orientable_cold_cache_survives_concurrent_growth(monkeypatch):
+    ns = list(range(0, 41, 3))
+    monkeypatch.setattr(counting, "_ORIENTABLE_COUNTS", {0: 1})
+    for n in ns:
+        count_orientable_dags(n)
+    reference = counting._ORIENTABLE_COUNTS
+    assert sorted(reference) == ns and reference[3] == 4 and reference[6] == 74581
+
+    # Each value is computed once per cold memo, however the threads race.
+    computed = []
+    kernel = counting.chromatic_sum
+
+    def counted(n, a, b, start=0, lag=0):
+        if lag:
+            computed.append(n)
+        return kernel(n, a, b, start, lag)
+
+    monkeypatch.setattr(counting, "chromatic_sum", counted)
+    _grow_cold_memo_from_threads(
+        monkeypatch, "_ORIENTABLE_COUNTS", lambda: {0: 1}, count_orientable_dags,
+        ns, reference,
+    )
+    assert sorted(computed) == sorted(ns[1:] * 20)
+
+
+def test_orientable_query_computes_only_its_own_value(monkeypatch):
+    monkeypatch.setattr(counting, "_ORIENTABLE_COUNTS", {0: 1})
+    assert count_orientable_dags(7) == ORIENTABLE_COUNTS[6]
+    assert counting._ORIENTABLE_COUNTS == {0: 1, 7: ORIENTABLE_COUNTS[6]}
+
+
 def test_negative_orientable_sum_raises(monkeypatch):
     # With D(m) = 0 for m >= 1 only the k = n term survives: -1 at n = 2.
-    # The guard must be a real exception, not an assert that -O strips.
+    # The guard must be a real exception, not an assert that -O strips, and
+    # a cold memo makes sure the sum is really computed.
+    monkeypatch.setattr(counting, "_ORIENTABLE_COUNTS", {0: 1})
     monkeypatch.setattr(counting, "count_dags", lambda m: 1 if m == 0 else 0)
     with pytest.raises(ArithmeticError, match="negative at n=2"):
         count_orientable_dags(2)
+    assert counting._ORIENTABLE_COUNTS == {0: 1}  # nothing published
 
 
 def test_orientable_bounds():

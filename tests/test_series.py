@@ -18,7 +18,7 @@ from cubecovers import (
     unit_series,
     verify_identities,
 )
-from cubecovers import counting
+from cubecovers import counting, series
 
 small_rationals = st.fractions(
     min_value=-9, max_value=9, max_denominator=9
@@ -102,6 +102,45 @@ def test_multiplication_commutes(a, b):
 @settings(max_examples=30)
 def test_multiplication_is_associative(a, b, c):
     assert chrom_mul(chrom_mul(a, b), c) == chrom_mul(a, chrom_mul(b, c))
+
+
+def naive_chrom_mul(a, b):
+    # The convolution written out in Fractions, term by term.
+    order = min(a.order, b.order)
+    return ChromaticSeries(tuple(
+        sum(
+            (Fraction(math.comb(n, k) * 2 ** (k * (n - k))) * a.coeffs[k] * b.coeffs[n - k]
+             for k in range(n + 1)),
+            Fraction(0),
+        )
+        for n in range(order + 1)
+    ))
+
+
+# Non-dyadic denominators and negative values, so the common denominator
+# of a factor is rarely a power of two.
+odd_rationals = st.sampled_from(
+    [Fraction(1, 3), Fraction(5, 7), Fraction(-2, 9), Fraction(-11, 5), Fraction(0)]
+) | st.fractions(min_value=-50, max_value=50, max_denominator=35)
+
+
+@given(
+    st.lists(odd_rationals, min_size=1, max_size=12),
+    st.lists(odd_rationals, min_size=1, max_size=12),
+)
+@settings(max_examples=60)
+def test_multiplication_matches_the_naive_convolution(xs, ys):
+    a, b = ChromaticSeries(tuple(xs)), ChromaticSeries(tuple(ys))
+    product = chrom_mul(a, b)
+    assert product == naive_chrom_mul(a, b)
+    assert all(type(c) is Fraction for c in product.coeffs)
+
+
+def test_multiplication_by_hand_with_odd_denominators():
+    a = ChromaticSeries((Fraction(1, 3), Fraction(5, 7)))
+    b = ChromaticSeries((Fraction(-1, 2), Fraction(3, 5), Fraction(4)))
+    # c_1 = a_0 b_1 + a_1 b_0 = 1/5 - 5/14 = -11/70
+    assert chrom_mul(a, b).coeffs == (Fraction(-1, 6), Fraction(-11, 70))
 
 
 @given(series_strategy())
@@ -199,6 +238,25 @@ def test_quotient_is_integral_and_matches_the_formula(order):
         if n >= 1:
             assert c == count_orientable_dags(n)
     assert q == orientable_series(order)
+
+
+def test_quotient_matches_the_counts_through_sixty():
+    q = orientable_from_quotient(60)
+    assert q.coefficient(0) == 0
+    for n in range(1, 61):
+        c = q.coefficient(n)
+        assert c.denominator == 1
+        assert c.numerator == count_orientable_dags(n)
+
+
+def test_quotient_returns_a_non_integer_coefficient_as_a_fraction(monkeypatch):
+    # Off by one in the scaled recurrence, 2^n V_n is odd: the division at
+    # the end must leave a proper fraction for the check to see.
+    kernel = series.chromatic_sum
+    monkeypatch.setattr(series, "chromatic_sum", lambda *args, **kw: kernel(*args, **kw) + 1)
+    q = orientable_from_quotient(5)
+    assert q.coefficient(1) == Fraction(1, 2)
+    assert any(c.denominator != 1 for c in q.coeffs)
 
 
 def test_quotient_times_divisor_recovers_numerator():
