@@ -33,16 +33,13 @@ from cubecovers.asymptotics import (
 from cubecovers.correspondence import (
     DagCounts,
     brute_count_characteristic_matrices,
-    brute_count_dags,
     brute_count_orientable_characteristic_matrices,
-    brute_count_orientable_dags,
     brute_counts,
     characteristic_matrix,
     digraph_from_characteristic,
     unit_diagonal_matrices,
 )
 from cubecovers.counting import (
-    binomial,
     count_dags,
     count_orientable_dags,
     sequence_table,
@@ -81,11 +78,8 @@ __all__ = [
     "EnumerationCapExceeded",
     "IdentityCheck",
     "RootFindingError",
-    "binomial",
     "brute_count_characteristic_matrices",
-    "brute_count_dags",
     "brute_count_orientable_characteristic_matrices",
-    "brute_count_orientable_dags",
     "brute_counts",
     "characteristic_matrix",
     "chrom_mul",

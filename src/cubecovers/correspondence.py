@@ -24,7 +24,8 @@ exhaustively, and the counter never uses the recurrences it checks.  It
 never materializes a graph list either, so a count over
 ``[0, 2^(n(n-1)))`` can be split into disjoint subranges and the partial
 sums added back in any order.  The matrix-side counters share nothing with
-it: they run the principal-minor oracle of :mod:`cubecovers.gf2`.
+it: they decode each matrix straight from its code and run the
+principal-minor oracle of :mod:`cubecovers.gf2`, never looking at a graph.
 """
 
 from __future__ import annotations
@@ -40,14 +41,12 @@ from cubecovers.digraph import (
     EnumerationCapExceeded,
     count_acyclic_codes,
 )
-from cubecovers.gf2 import BitMatrix
+from cubecovers.gf2 import BitMatrix, transpose_masks
 
 
 __all__ = [
     "DagCounts",
     "brute_counts",
-    "brute_count_dags",
-    "brute_count_orientable_dags",
     "brute_count_characteristic_matrices",
     "brute_count_orientable_characteristic_matrices",
     "characteristic_matrix",
@@ -55,8 +54,11 @@ __all__ = [
     "unit_diagonal_matrices",
 ]
 
-# The matrix-side counters run the subset-minor oracle on 2^(n(n-1))
-# candidates; n = 4 (4096 candidates, 15 minors each) is the practical edge.
+# The matrix-side counters run the all-minors oracle on 2^(n(n-1))
+# candidates.  n = 4 (4096 candidates, 15 minors each) takes 0.04 s; n = 5
+# (1,048,576 candidates, 31 minors each) takes about 11 s on one core of a
+# 2-core VM with Python 3.11, 3 s of it decoding: too long for a `verify`
+# run, whose digraph side covers n = 5 in a fraction of a second.
 MATRIX_BRUTEFORCE_CAP = 4
 
 
@@ -78,12 +80,12 @@ def characteristic_matrix(graph: Digraph) -> BitMatrix:
 
     Total on digraphs (no acyclicity requirement): testing the equivalences
     on the full graph space is deliberate.  The adjacency diagonal is zero,
-    so adding the identity just sets the diagonal to 1.
+    so adding the identity just sets the diagonal to 1, and the transpose of
+    A + I is A^t + I: one transposing pass builds the result.
     """
-    transposed = graph.adjacency_matrix().transpose()
-    return BitMatrix(
-        graph.n, tuple(mask | (1 << i) for i, mask in enumerate(transposed.rows))
-    )
+    return BitMatrix(graph.n, transpose_masks(
+        (mask | (1 << u) for u, mask in enumerate(graph.rows)), graph.n
+    ))
 
 
 def digraph_from_characteristic(matrix: BitMatrix) -> Digraph:
@@ -91,17 +93,17 @@ def digraph_from_characteristic(matrix: BitMatrix) -> Digraph:
 
     Requires every diagonal entry to be 1 (subtracting the identity must
     leave a loop-free adjacency matrix).  The result is acyclic exactly when
-    the input has all unit principal minors.
+    the input has all unit principal minors.  The diagonal is stripped and
+    the matrix transposed in one pass.
     """
     for i, mask in enumerate(matrix.rows):
         if not (mask >> i) & 1:
             raise ValueError(
                 f"diagonal entry ({i}, {i}) is 0; not a characteristic matrix"
             )
-    stripped = BitMatrix(
-        matrix.n, tuple(mask ^ (1 << i) for i, mask in enumerate(matrix.rows))
-    )
-    return Digraph(matrix.n, stripped.transpose().rows)
+    return Digraph(matrix.n, transpose_masks(
+        (mask ^ (1 << i) for i, mask in enumerate(matrix.rows)), matrix.n
+    ))
 
 
 # ----------------------------------------------------------------------
@@ -157,16 +159,6 @@ def brute_counts(
     return DagCounts(*map(sum, zip(*partials)))
 
 
-def brute_count_dags(n: int, **kwargs) -> int:
-    """Number of acyclic digraphs on ``n`` labeled vertices, by enumeration."""
-    return brute_counts(n, **kwargs).dags
-
-
-def brute_count_orientable_dags(n: int, **kwargs) -> int:
-    """Number of acyclic digraphs with all out-degrees even, by enumeration."""
-    return brute_counts(n, **kwargs).orientable
-
-
 # ----------------------------------------------------------------------
 # brute-force counting over matrices
 # ----------------------------------------------------------------------
@@ -178,22 +170,28 @@ def unit_diagonal_matrices(n: int) -> Iterator[BitMatrix]:
     A matrix with a zero diagonal entry fails its 1x1 principal minor, so
     restricting to unit diagonals loses nothing when hunting for matrices
     with all unit principal minors.  Off-diagonal bits run through the same
-    row-major code order as the digraph enumeration.
+    row-major code order as the digraph enumeration: row ``i`` is the
+    ``i``-th chunk of ``n - 1`` code bits with a 1 spliced in at column
+    ``i``.
     """
     if n < 0:
         raise ValueError("matrix dimension must be nonnegative")
-    for code in range(1 << (n * (n - 1))):
-        skeleton = Digraph.from_code(n, code)
-        yield BitMatrix(
-            n, tuple(mask | (1 << i) for i, mask in enumerate(skeleton.rows))
-        )
+    width = n - 1
+    chunk = (1 << width) - 1 if n else 0
+    for code in range(1 << (n * width)):
+        rows = []
+        for i in range(n):
+            bits = (code >> (i * width)) & chunk
+            low = bits & ((1 << i) - 1)
+            rows.append(low | (1 << i) | ((bits ^ low) << 1))
+        yield BitMatrix(n, tuple(rows))
 
 
 def brute_count_characteristic_matrices(n: int, cap: int = MATRIX_BRUTEFORCE_CAP) -> int:
     """Count GF(2) matrices with all unit principal minors, by the subset oracle.
 
     Independent of the digraph route on purpose: this counter never looks at
-    a graph, so its agreement with :func:`brute_count_dags` checks the
+    a graph, so its agreement with ``brute_counts(n).dags`` checks the
     correspondence itself.
     """
     if n > cap:

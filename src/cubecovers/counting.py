@@ -28,21 +28,11 @@ import threading
 
 
 __all__ = [
-    "binomial",
     "chromatic_sum",
     "count_dags",
     "count_orientable_dags",
     "sequence_table",
 ]
-
-
-def binomial(n: int, k: int) -> int:
-    """Exact binomial coefficient C(n, k) for 0 <= k <= n."""
-    if n < 0 or k < 0:
-        raise ValueError("binomial arguments must be nonnegative")
-    if k > n:
-        raise ValueError(f"binomial({n}, {k}): k exceeds n")
-    return math.comb(n, k)
 
 
 def chromatic_sum(
@@ -118,7 +108,8 @@ def count_orientable_dags(n: int) -> int:
     if n not in _ORIENTABLE_COUNTS:
         with _ORIENTABLE_COUNTS_LOCK:
             if n not in _ORIENTABLE_COUNTS:
-                dags = [count_dags(m) for m in range(n)]
+                count_dags(n - 1)  # one call publishes D(0 .. n-1)
+                dags = _DAG_COUNTS[:n]
                 signs = [(-1) ** k for k in range(n + 1)]  # E(-x)
                 value = -chromatic_sum(n, signs, dags, start=1, lag=1)
                 if value < 0:

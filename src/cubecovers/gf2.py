@@ -8,19 +8,42 @@ share between concurrent tasks.
 
 The one domain-specific test here is :meth:`BitMatrix.has_unit_principal_minors`:
 a square GF(2) matrix is the reduced characteristic matrix of a small cover
-over a cube exactly when every principal minor equals 1.  That method checks
-the definition directly (all ``2^n - 1`` index subsets) and is intended as
-the slow, trustworthy oracle for small ``n``; large-scale work goes through
-the digraph dictionary in :mod:`cubecovers.correspondence`.
+over a cube exactly when every principal minor equals 1.  That method still
+evaluates every one of the ``2^n - 1`` principal minors, but by recursive
+Schur complements over a depth-first walk of the index subsets, not one
+elimination per subset in increasing bitmask order.  It is the exact
+matrix-side oracle for small ``n``, and it shares no code with
+:mod:`cubecovers.digraph`; large-scale work goes through the digraph
+dictionary in :mod:`cubecovers.correspondence`.
+:meth:`BitMatrix.principal_minor` and :meth:`BitMatrix.det` keep the
+per-subset definition the walk is tested against.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
 from dataclasses import dataclass
+from functools import reduce
+from operator import xor
 
 
-__all__ = ["BitMatrix"]
+__all__ = ["BitMatrix", "transpose_masks"]
+
+
+def transpose_masks(rows: Iterable[int], n: int) -> tuple[int, ...]:
+    """The rows of the transpose of the ``n`` by ``n`` matrix whose rows are
+    the bitmasks ``rows``.
+
+    Walks the set bits only, so the cost is the number of ones, not n^2.
+    """
+    cols = [0] * n
+    for i, mask in enumerate(rows):
+        bit = 1 << i
+        while mask:
+            low = mask & -mask
+            cols[low.bit_length() - 1] |= bit
+            mask ^= low
+    return tuple(cols)
 
 
 @dataclass(frozen=True)
@@ -100,13 +123,7 @@ class BitMatrix:
         )
 
     def transpose(self) -> BitMatrix:
-        cols = []
-        for j in range(self.n):
-            mask = 0
-            for i, row in enumerate(self.rows):
-                mask |= ((row >> j) & 1) << i
-            cols.append(mask)
-        return BitMatrix(self.n, tuple(cols))
+        return BitMatrix(self.n, transpose_masks(self.rows, self.n))
 
     # ------------------------------------------------------------------
     # determinants and minors
@@ -157,16 +174,30 @@ class BitMatrix:
     def has_unit_principal_minors(self) -> bool:
         """Whether every principal minor (all nonempty index subsets) is 1.
 
-        Checks the definition directly, so it is exponential in ``n`` and
-        meant as an oracle for small matrices.  Subsets are visited in
-        increasing bitmask order and the scan stops at the first zero minor,
-        so matrices with a zero diagonal entry are rejected quickly by their
-        1x1 minors.  The empty matrix passes (empty conjunction).
+        Every one of the ``2^n - 1`` minors is still evaluated, each exactly
+        once, but by recursive Schur complements (Griffin and Tsatsomeros,
+        *Principal minors, Part I*, 2006) instead of one elimination per
+        subset.  A node of the depth-first walk is a subset S whose minors
+        all passed, carried as its Schur complement M_S restricted to the
+        indices above max(S).  For such S, det A[S + {j}] = det A[S] *
+        M_S[j][j] = M_S[j][j], and pivoting M_S on (j, j), one XOR per row
+        with a 1 in column j, gives the complement of S + {j}.  The walk
+        stops at the first zero; the root checks every 1x1 minor before any
+        larger one, so a zero diagonal entry is rejected at once.  The empty
+        matrix passes (empty conjunction).
         """
-        for subset in range(1, 1 << self.n):
-            idx = [i for i in range(self.n) if (subset >> i) & 1]
-            if self.principal_minor(idx) == 0:
-                return False
+        stack = [(0, self.rows)]
+        while stack:
+            low, rows = stack.pop()
+            for k, pivot in enumerate(rows):
+                j = low + k
+                if not (pivot >> j) & 1:
+                    return False
+                if k + 1 < len(rows):
+                    bit = 1 << j
+                    stack.append(
+                        (j + 1, [r ^ pivot if r & bit else r for r in rows[k + 1:]])
+                    )
         return True
 
     # ------------------------------------------------------------------
@@ -183,10 +214,11 @@ class BitMatrix:
         Applied to a reduced characteristic matrix this is the
         Nakayama-Nishimura orientability criterion: the identity block of
         the full characteristic matrix contributes columns of sum 1, so only
-        the reduced block needs testing.  Sums are taken as integers and the
-        parity is read off at the end.
+        the reduced block needs testing.  Bit j of the XOR of all rows is
+        the parity of column j, so every column is odd exactly when that XOR
+        is the all-ones mask.
         """
-        return all(total % 2 == 1 for total in self.column_sums())
+        return reduce(xor, self.rows, 0) == (1 << self.n) - 1
 
     def __str__(self) -> str:
         return self.to_text()

@@ -84,6 +84,27 @@ def test_tail_negligible_past_twenty_five_terms():
         assert deformed_exp(x, 30) == deformed_exp(x, 60)
 
 
+def _every_term(x, terms):
+    # deformed_exp without the early stop: all terms + 1 Kahan steps.
+    total = lost = 0.0
+    term = 1.0
+    for n in range(terms + 1):
+        y = term - lost
+        t = total + y
+        lost = (t - total) - y
+        total = t
+        term *= x / ((n + 1) * (1 << n))
+    return total
+
+
+@pytest.mark.parametrize("x", [4.0, -4.0, -2.976, -1.488, -0.744, 0.3, 1e-300])
+def test_early_stop_gives_the_bits_of_running_every_term(x):
+    for terms in (0, 1, 25, 44, 45, 46, 60, 200, 1000):
+        assert deformed_exp(x, terms) == _every_term(x, terms)
+    # Past about 1020 terms the full loop cannot convert (n + 1) * 2^n.
+    assert deformed_exp(x, 5000) == _every_term(x, 1000)
+
+
 # ----------------------------------------------------------------------
 # root finding
 # ----------------------------------------------------------------------

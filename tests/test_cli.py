@@ -253,6 +253,17 @@ def test_constants_prints_no_more_digits_than_the_tolerance_resolves(runner):
     assert "alpha                 = -1.488078545595" not in result.output
 
 
+def test_constants_accepts_more_terms_than_a_float_can_scale(runner):
+    # (n + 1) * 2^n leaves float range near n = 1020; the partial sum has
+    # long stopped changing by then, so a large --terms prints the default
+    # constants, not an OverflowError.
+    result = invoke(runner, "constants", "--terms", "1100", "--format", "json")
+    assert result.exit_code == 0, result.output
+    payload = json.loads(result.output)
+    default = json.loads(invoke(runner, "constants", "--format", "json").output)
+    assert payload == {**default, "truncation": 1100}
+
+
 def test_asymptotic_side_by_side(runner):
     result = invoke(runner, "asymptotic", "--n", "7", "--format", "json")
     payload = json.loads(result.output)

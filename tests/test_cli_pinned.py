@@ -1,0 +1,31 @@
+"""Byte-for-byte pins of CLI output.
+
+Each digest is the sha256 of what the command prints.  A kernel change
+that alters a check record, a number's rendering or the order in which
+graphs are enumerated changes a digest, so it cannot slip through as a
+pure speedup.  If an output is meant to change, recompute the digest and
+say why in the change log.
+"""
+
+import hashlib
+
+import pytest
+from click.testing import CliRunner
+
+from cubecovers import cli
+
+PINNED = {
+    ("verify", "--n-max", "4", "--format", "json"):
+        "05efd9a1588b10bb650443f11f40fc588edbfea1b37e43d842a5b15381e1b9ca",
+    ("verify", "--format", "text"):
+        "672b7e36d192c6e2357d7fac69445106cb883ef1bf04e1dab48be754fd24b63c",
+    ("enumerate", "--n", "4", "--matrices", "--format", "json"):
+        "e0c02e657788cbab6392e45a56a5b23210d885295deecaa24635415e50aaadc4",
+}
+
+
+@pytest.mark.parametrize("args", list(PINNED), ids=" ".join)
+def test_cli_output_bytes_are_pinned(args):
+    result = CliRunner().invoke(cli.main, list(args))
+    assert result.exit_code == 0, result.output
+    assert hashlib.sha256(result.stdout_bytes).hexdigest() == PINNED[args]

@@ -6,7 +6,6 @@ import pytest
 
 from cubecovers import counting
 from cubecovers import (
-    binomial,
     brute_counts,
     count_dags,
     count_orientable_dags,
@@ -19,28 +18,33 @@ ORIENTABLE_COUNTS = [1, 1, 4, 43, 1156, 74581, 11226874]
 
 
 # ----------------------------------------------------------------------
-# binomial
+# the kernel's incremental binomial
 # ----------------------------------------------------------------------
+
+
+def kernel_binomial(n, k):
+    # With a and b the indicators of k and n - k and lag k, the only term
+    # of the chromatic sum is C(n,k) * 1 * 1 << 0, reached after the
+    # incremental binomial has stepped through every index below k.
+    a = [int(i == k) for i in range(n + 1)]
+    b = [int(i == n - k) for i in range(n + 1)]
+    return counting.chromatic_sum(n, a, b, start=0, lag=k)
 
 
 @pytest.mark.parametrize("n,k,expected", [(5, 2, 10), (7, 3, 35), (9, 0, 1), (6, 6, 1)])
 def test_binomial_values(n, k, expected):
-    assert binomial(n, k) == expected
-
-
-def test_binomial_rejects_bad_input():
-    with pytest.raises(ValueError):
-        binomial(3, 4)
-    with pytest.raises(ValueError):
-        binomial(-1, 0)
-    with pytest.raises(ValueError):
-        binomial(3, -2)
+    assert kernel_binomial(n, k) == expected
 
 
 def test_binomial_pascal_identity():
-    for n in range(1, 12):
+    for n in range(1, 40):
         for k in range(1, n):
-            assert binomial(n, k) == binomial(n - 1, k - 1) + binomial(n - 1, k)
+            assert kernel_binomial(n, k) == (
+                kernel_binomial(n - 1, k - 1) + kernel_binomial(n - 1, k)
+            )
+        assert [kernel_binomial(n, k) for k in range(n + 1)] == [
+            math.comb(n, k) for k in range(n + 1)
+        ]
 
 
 # ----------------------------------------------------------------------
@@ -158,12 +162,33 @@ def test_orientable_query_computes_only_its_own_value(monkeypatch):
     assert counting._ORIENTABLE_COUNTS == {0: 1, 7: ORIENTABLE_COUNTS[6]}
 
 
+def test_cold_orientable_query_calls_count_dags_once(monkeypatch):
+    # V(n) reads D(0 .. n-1) off the published prefix after one call that
+    # grows it, instead of one count_dags call per m.
+    monkeypatch.setattr(counting, "_ORIENTABLE_COUNTS", {0: 1})
+    monkeypatch.setattr(counting, "_DAG_COUNTS", [1])
+    calls = []
+    real = counting.count_dags
+
+    def counted(m):
+        calls.append(m)
+        return real(m)
+
+    monkeypatch.setattr(counting, "count_dags", counted)
+    assert count_orientable_dags(40) == sum(
+        (-1) ** (k + 1) * math.comb(40, k) * 2 ** ((k - 1) * (40 - k))
+        * real(40 - k)
+        for k in range(1, 41)
+    )
+    assert calls == [39]
+
+
 def test_negative_orientable_sum_raises(monkeypatch):
     # With D(m) = 0 for m >= 1 only the k = n term survives: -1 at n = 2.
     # The guard must be a real exception, not an assert that -O strips, and
     # a cold memo makes sure the sum is really computed.
     monkeypatch.setattr(counting, "_ORIENTABLE_COUNTS", {0: 1})
-    monkeypatch.setattr(counting, "count_dags", lambda m: 1 if m == 0 else 0)
+    monkeypatch.setattr(counting, "_DAG_COUNTS", [1, 0, 0])
     with pytest.raises(ArithmeticError, match="negative at n=2"):
         count_orientable_dags(2)
     assert counting._ORIENTABLE_COUNTS == {0: 1}  # nothing published

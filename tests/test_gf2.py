@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cubecovers import BitMatrix
+from cubecovers import BitMatrix, gf2
 
 
 def cofactor_det(bits) -> int:
@@ -126,6 +126,71 @@ def test_sample_matrix_is_member(sample_matrix):
     assert sample_matrix.has_unit_principal_minors()
 
 
+def all_minors_unit(m):
+    # The per-subset definition, one elimination per nonempty subset.
+    return all(
+        m.principal_minor([i for i in range(m.n) if (s >> i) & 1]) == 1
+        for s in range(1, 1 << m.n)
+    )
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_schur_walk_matches_every_subset_minor_exhaustively(n):
+    # Every n x n matrix for n <= 4 (2^16 of them at n = 4), zero diagonals
+    # included; at n = 4 exactly D(4) = 543 pass.
+    members = 0
+    for m in all_matrices(n):
+        got = m.has_unit_principal_minors()
+        assert got == all_minors_unit(m), m.rows
+        members += got
+    assert members == [1, 1, 3, 25, 543][n]
+
+
+def unit_upper_conjugate(n, strict_upper, perm):
+    # P U P^t for U unit upper triangular: entry (perm[i], perm[j]) is U[i][j].
+    rows = [0] * n
+    for i in range(n):
+        upper = (1 << i) | ((strict_upper[i] << (i + 1)) & ((1 << n) - 1))
+        for j in range(n):
+            if (upper >> j) & 1:
+                rows[perm[i]] |= 1 << perm[j]
+    return BitMatrix(n, tuple(rows))
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_schur_walk_matches_every_subset_minor_at_five_to_seven(data):
+    n = data.draw(st.integers(5, 7))
+    if data.draw(st.booleans()):
+        # Permuted unit upper triangular matrices are all members: each
+        # principal submatrix is again one, with determinant 1.
+        strict_upper = data.draw(st.lists(
+            st.integers(0, (1 << n) - 1), min_size=n, max_size=n))
+        perm = data.draw(st.permutations(range(n)))
+        m = unit_upper_conjugate(n, strict_upper, perm)
+        assert m.has_unit_principal_minors()
+        assert all_minors_unit(m)
+    else:
+        masks = data.draw(st.lists(
+            st.integers(0, (1 << n) - 1), min_size=n, max_size=n))
+        # Forcing some diagonal entries to 1 (3/4 of them end up 1) lets
+        # more walks get past the 1x1 minors.
+        unit = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        m = BitMatrix(n, tuple(
+            mask | (1 << i) if flag else mask
+            for i, (mask, flag) in enumerate(zip(masks, unit))
+        ))
+        assert m.has_unit_principal_minors() == all_minors_unit(m)
+
+
+def test_minor_oracle_shares_nothing_with_the_digraph_module():
+    assert not any(
+        getattr(value, "__module__", None) == "cubecovers.digraph"
+        or getattr(value, "__name__", None) == "cubecovers.digraph"
+        for value in vars(gf2).values()
+    )
+
+
 @pytest.mark.parametrize("n", range(4))
 def test_membership_implies_unit_diagonal(n):
     for m in all_matrices(n):
@@ -142,6 +207,18 @@ def test_membership_closed_under_transpose(n):
 # ----------------------------------------------------------------------
 # column parity (orientability of the matching cover)
 # ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_transpose_and_column_parity_match_their_entrywise_definition(n):
+    for m in all_matrices(n):
+        # Row j of the transpose collects entry (i, j) of every row i.
+        columns = tuple(
+            sum(((row >> j) & 1) << i for i, row in enumerate(m.rows))
+            for j in range(n)
+        )
+        assert m.transpose().rows == columns
+        assert m.has_odd_column_sums() == all(c.bit_count() % 2 for c in columns)
 
 
 def test_identity_columns_all_odd():
