@@ -64,13 +64,13 @@ def deformed_exp(x: float, terms: int = DEFAULT_TERMS) -> float:
     """Partial sum of E(x) through the x^terms term.
 
     Terms are added in increasing degree with Kahan compensation.  Each term
-    is the previous one times x / ((n+1) * 2^n), so for |x| <= 4 and
+    is the previous one times x / ((n+1) * 2^n), scaled by ``ldexp`` so the
+    power of two is never converted to a float; for |x| <= 4 and
     terms >= 25 the omitted tail is far below double-precision resolution.
     Once a term has underflowed to 0.0 and adding it would leave both the
     sum and the compensation as they are, every later step would too, so
     the loop stops there: the result is the same bits as running every
-    term, and a large ``terms`` never converts a huge ``(n+1) * 2^n`` to a
-    float.
+    term.  A partial sum that leaves the float range raises ``ValueError``.
     """
     if not math.isfinite(x):
         raise ValueError(f"argument must be finite, got {x!r}")
@@ -82,12 +82,16 @@ def deformed_exp(x: float, terms: int = DEFAULT_TERMS) -> float:
     for n in range(terms + 1):
         y = term - lost
         t = total + y
+        if not math.isfinite(t):
+            raise ValueError(
+                f"partial sum of E({x!r}) through x^{n} leaves the float range"
+            )
         compensation = (t - total) - y
         if term == 0.0 and t == total and compensation == lost:
             break
         lost = compensation
         total = t
-        term *= x / ((n + 1) * (1 << n))
+        term *= math.ldexp(x / (n + 1), -n)
     return total
 
 

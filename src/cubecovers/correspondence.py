@@ -17,11 +17,11 @@ This module holds the map, its inverse, and the brute-force counters that
 anchor the closed formulas in :mod:`cubecovers.counting`.  The digraph-side
 counter walks the canonical code range with the block kernel of
 :mod:`cubecovers.digraph`: each aligned block of ``2^(n-1)`` codes shares
-rows ``1 .. n-1``, and one peel of that shared part plus the set of vertices
-reaching vertex 0 decides every code of the block exactly (the argument is
-in that module's docstring).  Rows ``1 .. n-1`` are still enumerated
-exhaustively, and the counter never uses the recurrences it checks.  It
-never materializes a graph list either, so a count over
+rows ``1 .. n-1``, and that shared part plus the set of vertices reaching
+vertex 0 decides every code of the block exactly (the argument is in that
+module's docstring).  Each assignment of rows ``1 .. n-1`` is visited or
+skipped on a cycle witness, and the counter never uses the recurrences it
+checks.  It never materializes a graph list either, so a count over
 ``[0, 2^(n(n-1)))`` can be split into disjoint subranges and the partial
 sums added back in any order.  The matrix-side counters share nothing with
 it: they decode each matrix straight from its code and run the

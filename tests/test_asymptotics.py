@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 
@@ -103,6 +104,15 @@ def test_early_stop_gives_the_bits_of_running_every_term(x):
         assert deformed_exp(x, terms) == _every_term(x, terms)
     # Past about 1020 terms the full loop cannot convert (n + 1) * 2^n.
     assert deformed_exp(x, 5000) == _every_term(x, 1000)
+
+
+@pytest.mark.parametrize("x", [1e300, -1e300, -1e20])
+@pytest.mark.parametrize("terms", [50, 1100])
+def test_partial_sum_outside_the_float_range_is_a_value_error(x, terms):
+    # Terms overflow to inf before they underflow to 0.0: no nan, no
+    # OverflowError from converting (n + 1) * 2^n to a float.
+    with pytest.raises(ValueError, match=re.escape(repr(x))):
+        deformed_exp(x, terms)
 
 
 # ----------------------------------------------------------------------

@@ -21,6 +21,10 @@ PINNED = {
         "672b7e36d192c6e2357d7fac69445106cb883ef1bf04e1dab48be754fd24b63c",
     ("enumerate", "--n", "4", "--matrices", "--format", "json"):
         "e0c02e657788cbab6392e45a56a5b23210d885295deecaa24635415e50aaadc4",
+    ("verify", "--n-max", "5", "--series-order", "12", "--format", "json"):
+        "89b07ffaf6dd1a877519e0f3594cf909f67cc923c1b14978434b3260a95e3ac8",
+    ("enumerate", "--n", "5", "--matrices", "--format", "json"):
+        "5ac82e1a8e40fd762785e7849871d37c7770a1c86bc3fde958a4ae29eb7f8b4d",
 }
 
 

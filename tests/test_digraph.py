@@ -1,3 +1,5 @@
+import functools
+import random
 from pathlib import Path
 
 import pytest
@@ -12,6 +14,7 @@ from cubecovers import (
     enumerate_digraphs,
     is_acyclic_dfs,
 )
+from cubecovers.digraph import _acyclic_blocks, count_acyclic_codes
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -190,6 +193,98 @@ def test_enumeration_cap():
 def test_cap_error_is_a_value_error_with_context():
     with pytest.raises(ValueError, match="cap is 6"):
         next(enumerate_digraphs(8))
+
+
+# ----------------------------------------------------------------------
+# the pruned block walk
+# ----------------------------------------------------------------------
+
+
+@functools.cache
+def _linear_scan(n):
+    # Every block in turn: peel the shared part H (the graph with row 0
+    # empty), then grow the set of vertices reaching 0 to a fixed point.
+    width = n - 1
+    found = []
+    for block in range(1 << (width * width)):
+        graph = Digraph.from_code(n, block << width)
+        if not graph.is_acyclic():
+            continue
+        rows = list(graph.rows)
+        reach = 1
+        while True:
+            grown = reach
+            for v in range(1, n):
+                if rows[v] & reach:
+                    grown |= 1 << v
+            if grown == reach:
+                break
+            reach = grown
+        found.append((block, rows, ((1 << width) - 1) & ~(reach >> 1)))
+    return found
+
+
+def _assert_walk_matches_scan(n, first, last):
+    expected = [item for item in _linear_scan(n) if first <= item[0] < last]
+    assert list(_acyclic_blocks(n, first, last)) == expected, (n, first, last)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_block_walk_matches_linear_scan_on_every_range(n):
+    blocks = 1 << ((n - 1) * (n - 1))
+    for first in range(blocks + 1):
+        for last in range(first, blocks + 1):
+            _assert_walk_matches_scan(n, first, last)
+
+
+def test_block_walk_matches_linear_scan_around_top_row_chunks():
+    # At n = 4 the top digit (row 3) changes every 64 blocks.
+    points = sorted({
+        p for k in range(9) for p in (64 * k - 1, 64 * k, 64 * k + 1, 64 * k + 37)
+        if 0 <= p <= 512
+    })
+    for i, first in enumerate(points):
+        for last in points[i:]:
+            _assert_walk_matches_scan(4, first, last)
+
+
+def test_block_walk_matches_linear_scan_on_random_ranges():
+    rng = random.Random(20080101)
+    blocks = 1 << 16
+    _assert_walk_matches_scan(5, 0, blocks)
+    for _ in range(40):
+        first = rng.randrange(blocks + 1)
+        last = rng.randrange(first, min(first + rng.choice([3, 300, blocks]), blocks) + 1)
+        _assert_walk_matches_scan(5, first, last)
+
+
+def _n7_ranges():
+    below = Digraph(7, tuple((1 << u) - 1 for u in range(7))).code()  # u -> v < u
+    above = Digraph(7, tuple(0x7F ^ ((2 << u) - 1) for u in range(7))).code()
+    width = 1 << 14
+    return [
+        (0, width),
+        ((1 << 36) - width // 2 - 5, (1 << 36) + width // 2 - 5),  # top row 0 -> 1
+        (below - width // 2 + 3, below + width // 2 + 3),
+        (above - width // 2 - 7, above + width // 2 - 7),
+        ((1 << 42) - width, 1 << 42),
+    ]
+
+
+@pytest.mark.parametrize("first,last", _n7_ranges())
+def test_count_acyclic_codes_matches_dfs_graph_by_graph_at_n_7(first, last):
+    acyclic = []
+    even = []
+    for code in range(first, last):
+        graph = Digraph.from_code(7, code)
+        acyclic.append(is_acyclic_dfs(graph))
+        even.append(acyclic[-1] and graph.all_out_degrees_even())
+    assert count_acyclic_codes(7, first, last) == (sum(acyclic), sum(even))
+    # Pieces cut inside blocks count the same graphs.
+    cuts = [first, first + 1, first + 64 * 37 + 5, last - 3, last]
+    for lo, hi in zip(cuts, cuts[1:]):
+        i, j = lo - first, hi - first
+        assert count_acyclic_codes(7, lo, hi) == (sum(acyclic[i:j]), sum(even[i:j]))
 
 
 # ----------------------------------------------------------------------
