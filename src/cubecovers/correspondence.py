@@ -24,8 +24,12 @@ skipped on a cycle witness, and the counter never uses the recurrences it
 checks.  It never materializes a graph list either, so a count over
 ``[0, 2^(n(n-1)))`` can be split into disjoint subranges and the partial
 sums added back in any order.  The matrix-side counters share nothing with
-it: they decode each matrix straight from its code and run the
-principal-minor oracle of :mod:`cubecovers.gf2`, never looking at a graph.
+it: they grow the matrices with all unit principal minors one index at a
+time by Schur's formula (:func:`cubecovers.gf2.count_unit_minor_matrices`;
+the growth step and why it lists each member once are in that module's
+docstring), using GF(2) linear algebra alone and never looking at a graph.
+:func:`unit_diagonal_matrices` keeps the full scan of ``2^(n(n-1))``
+candidates as the tests' reference for that walk.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ from cubecovers.digraph import (
     EnumerationCapExceeded,
     count_acyclic_codes,
 )
-from cubecovers.gf2 import BitMatrix, transpose_masks
+from cubecovers.gf2 import BitMatrix, count_unit_minor_matrices, transpose_masks
 
 
 __all__ = [
@@ -54,11 +58,13 @@ __all__ = [
     "unit_diagonal_matrices",
 ]
 
-# The matrix-side counters run the all-minors oracle on 2^(n(n-1))
-# candidates.  n = 4 (4096 candidates, 15 minors each) takes 0.04 s; n = 5
-# (1,048,576 candidates, 31 minors each) takes about 11 s on one core of a
-# 2-core VM with Python 3.11, 3 s of it decoding: too long for a `verify`
-# run, whose digraph side covers n = 5 in a fraction of a second.
+# The matrix-side counters grow their matrices one index at a time (see
+# :func:`cubecovers.gf2.unit_minor_matrices`).  On one core of a 2-core VM
+# with Python 3.11, both counts together take about 0.1 s at n = 5 (the
+# full scan of the 2^20 unit-diagonal matrices took about 10 s) and about
+# 11 s at n = 6, the optional deep check.  `verify` stays at 4: its matrix
+# checks also compare the member set with the image of every one of the
+# 2^(n(n-1)) digraphs, and that per-graph pass takes about 20 s at n = 5.
 MATRIX_BRUTEFORCE_CAP = 4
 
 
@@ -121,11 +127,14 @@ def brute_counts(
     """Brute-force counts over the code range ``[start, stop)``.
 
     ``stop`` defaults to the full range ``2^(n(n-1))``.  With ``jobs > 1``
-    the range is split into equal slices handled by worker processes, at
-    most ``os.cpu_count()`` of them; the result is the same for any job
-    count or partition, because each slice is a pure function of its bounds.
-    Falls back to in-process execution when worker processes cannot be
-    spawned.
+    the range is cut into pieces aligned to the top two row chunks of the
+    code (``2^(2(n-1))`` of them over the full range), clipped at its ends,
+    and worker processes, at most ``os.cpu_count()`` of them, each take the
+    next piece as they finish one: the pruned walk puts most of the work in
+    the low pieces, where the top rows are sparse, so equal slices would
+    leave workers idle.  The result is the same for any job count or
+    partition, because each piece is a pure function of its bounds.  Falls
+    back to in-process execution when worker processes cannot be spawned.
     """
     if n < 0:
         raise ValueError("vertex count must be nonnegative")
@@ -139,22 +148,20 @@ def brute_counts(
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
 
-    span = stop - start
-    jobs = min(jobs, span, os.cpu_count() or 1) or 1
-    bounds = [start + span * i // jobs for i in range(jobs + 1)]
-    slices = [(bounds[i], bounds[i + 1]) for i in range(jobs)]
-
+    jobs = min(jobs, stop - start, os.cpu_count() or 1) or 1
     if jobs == 1:
         return DagCounts(*count_acyclic_codes(n, start, stop))
 
+    size = 1 << ((n - 2) * (n - 1))  # codes sharing the top two row chunks
+    cuts = [start, *range(start - start % size + size, stop, size), stop]
     try:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            partials = list(
-                pool.map(count_acyclic_codes, [n] * jobs, *zip(*slices))
-            )
+            partials = list(pool.map(
+                count_acyclic_codes, [n] * (len(cuts) - 1), cuts[:-1], cuts[1:]
+            ))
     except (OSError, concurrent.futures.BrokenExecutor):
         # Sandboxed environments without process support; same totals either way.
-        partials = [count_acyclic_codes(n, lo, hi) for lo, hi in slices]
+        partials = [count_acyclic_codes(n, start, stop)]
 
     return DagCounts(*map(sum, zip(*partials)))
 
@@ -172,7 +179,9 @@ def unit_diagonal_matrices(n: int) -> Iterator[BitMatrix]:
     with all unit principal minors.  Off-diagonal bits run through the same
     row-major code order as the digraph enumeration: row ``i`` is the
     ``i``-th chunk of ``n - 1`` code bits with a 1 spliced in at column
-    ``i``.
+    ``i``.  The library no longer scans them; filtered through
+    :meth:`~cubecovers.gf2.BitMatrix.has_unit_principal_minors` they are
+    the tests' reference for :func:`cubecovers.gf2.unit_minor_matrices`.
     """
     if n < 0:
         raise ValueError("matrix dimension must be nonnegative")
@@ -188,7 +197,7 @@ def unit_diagonal_matrices(n: int) -> Iterator[BitMatrix]:
 
 
 def brute_count_characteristic_matrices(n: int, cap: int = MATRIX_BRUTEFORCE_CAP) -> int:
-    """Count GF(2) matrices with all unit principal minors, by the subset oracle.
+    """Count GF(2) matrices with all unit principal minors, by the grown walk.
 
     Independent of the digraph route on purpose: this counter never looks at
     a graph, so its agreement with ``brute_counts(n).dags`` checks the
@@ -196,7 +205,7 @@ def brute_count_characteristic_matrices(n: int, cap: int = MATRIX_BRUTEFORCE_CAP
     """
     if n > cap:
         raise EnumerationCapExceeded(n, cap)
-    return sum(1 for m in unit_diagonal_matrices(n) if m.has_unit_principal_minors())
+    return count_unit_minor_matrices(n)
 
 
 def brute_count_orientable_characteristic_matrices(
@@ -205,8 +214,4 @@ def brute_count_orientable_characteristic_matrices(
     """Count matrices with all unit principal minors and all odd column sums."""
     if n > cap:
         raise EnumerationCapExceeded(n, cap)
-    return sum(
-        1
-        for m in unit_diagonal_matrices(n)
-        if m.has_odd_column_sums() and m.has_unit_principal_minors()
-    )
+    return count_unit_minor_matrices(n, odd_columns=True)

@@ -32,6 +32,7 @@ oracle, independent of the recurrences in :mod:`cubecovers.counting`.
 
 from __future__ import annotations
 
+import itertools
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
@@ -265,8 +266,9 @@ def enumerate_digraphs(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> Iterator[D
     Graphs appear exactly once, in increasing order of their canonical code.
     """
     _check_cap(n, cap)
-    for code in range(1 << (n * (n - 1))):
-        yield Digraph.from_code(n, code)
+    # Row 0 is the least significant chunk of a code, so it varies fastest.
+    for rows in itertools.product(*reversed(_row_decode_tables(n))):
+        yield Digraph(n, rows[::-1])
 
 
 def enumerate_acyclic(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> Iterator[Digraph]:

@@ -11,23 +11,46 @@ a square GF(2) matrix is the reduced characteristic matrix of a small cover
 over a cube exactly when every principal minor equals 1.  That method still
 evaluates every one of the ``2^n - 1`` principal minors, but by recursive
 Schur complements over a depth-first walk of the index subsets, not one
-elimination per subset in increasing bitmask order.  It is the exact
-matrix-side oracle for small ``n``, and it shares no code with
-:mod:`cubecovers.digraph`; large-scale work goes through the digraph
-dictionary in :mod:`cubecovers.correspondence`.
+elimination per subset in increasing bitmask order.
 :meth:`BitMatrix.principal_minor` and :meth:`BitMatrix.det` keep the
 per-subset definition the walk is tested against.
+
+:func:`unit_minor_matrices` and :func:`count_unit_minor_matrices` produce the
+members themselves, without testing candidates, by growing the leading
+block one index at a time.  Every leading block of a member is a member.
+Border a k by k member B with a row r, a column c and a diagonal 1: the
+minors on index sets without k are B's, and for each S in {0 .. k-1} Schur's
+formula (Griffin and Tsatsomeros, *Principal minors, Part I*, 2006) gives
+det A[S + {k}] = det B_S * (1 + r_S B_S^-1 c_S) = 1 + r_S B_S^-1 c_S.  So for
+fixed B and r the admissible columns are exactly the vectors orthogonal to
+the 2^k - 1 forms r_S B_S^-1: a subspace of dimension k - rank.  A matrix
+determines its (B, r, c), so each member comes out once.  Odd column sums
+are linear too.  They constrain only the finished matrix: on the last
+border they fix r (column j < k sums to column j of B plus r_j) and add the
+all-ones form on c (the new column sums to the weight of c plus 1).
+
+Both routes are the exact matrix-side oracle.  They use GF(2) linear
+algebra only, import nothing from the rest of the package, and never
+build a digraph, so they check the dictionary of
+:mod:`cubecovers.correspondence` independently of :mod:`cubecovers.digraph`.
+The full scan of the ``2^(n(n-1))`` unit-diagonal matrices through the
+minor test is the tests' reference for the grown walk at n <= 4.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import reduce
 from operator import xor
 
 
-__all__ = ["BitMatrix", "transpose_masks"]
+__all__ = [
+    "BitMatrix",
+    "count_unit_minor_matrices",
+    "transpose_masks",
+    "unit_minor_matrices",
+]
 
 
 def transpose_masks(rows: Iterable[int], n: int) -> tuple[int, ...]:
@@ -222,3 +245,129 @@ class BitMatrix:
 
     def __str__(self) -> str:
         return self.to_text()
+
+
+# ----------------------------------------------------------------------
+# growing the matrices with all unit principal minors
+# ----------------------------------------------------------------------
+
+
+def _inverse_planes(rows: tuple[int, ...], k: int) -> list[tuple[int, ...]]:
+    """Every principal inverse of a k by k matrix with all unit principal
+    minors, sliced by entry: bit s of ``planes[i][j]`` is entry (i, j) of
+    the inverse of the principal submatrix on the index set s (a bitmask).
+
+    The inverses are bordered one index at a time.  For s = t + {j} with j
+    above max(t), let u = B_t^-1 c and v = r B_t^-1, where c and r are
+    column j and row j of B restricted to t.  The Schur complement of B_t
+    in B_s, 1 + v c, equals det B_s / det B_t = 1, so over GF(2) the
+    inverse of B_s is [[B_t^-1 + u v, u], [v, 1]]: row i of t gains v + e_j
+    when u_i = 1, and row j is v + e_j.
+    """
+    cols = transpose_masks(rows, k)
+    inverses = [[0] * k]
+    for s in range(1, 1 << k):
+        j = s.bit_length() - 1
+        inverse = inverses[s ^ (1 << j)]  # its rows outside t are 0
+        v = 1 << j
+        for i in range(j):
+            if (rows[j] >> i) & 1:
+                v ^= inverse[i]
+        grown = [row ^ v if (row & cols[j]).bit_count() & 1 else row for row in inverse]
+        grown[j] = v
+        inverses.append(grown)
+    return [transpose_masks(column, k) for column in zip(*inverses)]
+
+
+def _new_rows(
+    rows: tuple[int, ...], k: int, odd_columns: bool
+) -> Iterator[tuple[int, list[int]]]:
+    """Yield ``(r, forms)`` for each new row r that can border the k by k
+    member ``rows``: bit s of ``forms[j]`` is entry j of the form
+    r_S B_S^-1 for the index set s.  A new column c gives a member exactly
+    when the XOR of ``forms[j]`` over the bits j of c is 0.
+
+    With ``odd_columns`` the border is the last one: only the row that
+    makes every old column sum odd is yielded, and bit 0 of each form (no
+    index set s is empty) carries the all-ones form, which makes the new
+    column's sum odd.
+    """
+    planes = _inverse_planes(rows, k)
+    if odd_columns:
+        r = ((1 << k) - 1) ^ reduce(xor, rows, 0)
+        forms = [1] * k
+        for i in range(k):
+            if (r >> i) & 1:
+                forms = [a ^ b for a, b in zip(forms, planes[i])]
+        yield r, forms
+        return
+    table = [[0] * k]  # forms of r = 0, 1, 2, .. by doubling over the bits of r
+    for plane in planes:
+        table += [[a ^ b for a, b in zip(forms, plane)] for forms in table]
+    yield from enumerate(table)
+
+
+def _columns(forms: list[int]) -> list[int]:
+    """The columns c, in increasing order, whose XOR of forms is 0."""
+    sums = [0]
+    for form in forms:
+        sums += [x ^ form for x in sums]
+    return [c for c, x in enumerate(sums) if not x]
+
+
+def _rank(vectors: list[int]) -> int:
+    pivots: dict[int, int] = {}
+    for v in vectors:
+        while v:
+            top = v.bit_length()
+            if top not in pivots:
+                pivots[top] = v
+                break
+            v ^= pivots[top]
+    return len(pivots)
+
+
+def _unit_minor_rows(n: int, rows: tuple[int, ...] = ()) -> Iterator[tuple[int, ...]]:
+    """The row masks of every n by n member whose leading block is ``rows``,
+    depth first, so only one border table per level is held at a time."""
+    k = len(rows)
+    if k == n:
+        yield rows
+        return
+    for r, forms in _new_rows(rows, k, False):
+        for c in _columns(forms):
+            yield from _unit_minor_rows(n, (
+                *(mask | ((c >> i) & 1) << k for i, mask in enumerate(rows)),
+                r | 1 << k,
+            ))
+
+
+def unit_minor_matrices(n: int) -> Iterator[BitMatrix]:
+    """Every ``n`` by ``n`` GF(2) matrix whose principal minors all equal 1,
+    each exactly once, grown one index at a time (see the module docstring).
+    """
+    if n < 0:
+        raise ValueError("matrix dimension must be nonnegative")
+    for rows in _unit_minor_rows(n):
+        yield BitMatrix(n, rows)
+
+
+def count_unit_minor_matrices(n: int, odd_columns: bool = False) -> int:
+    """Number of ``n`` by ``n`` GF(2) matrices with all principal minors 1,
+    or, with ``odd_columns``, of those whose column sums are also all odd.
+
+    The last border is counted, not listed: for each (n-1) by (n-1) member
+    B and new row r, the admissible columns form a subspace of dimension
+    n - 1 - rank of the forms (see :func:`unit_minor_matrices`).  Odd
+    column sums fix r and add the all-ones form on c (module docstring).
+    """
+    if n < 0:
+        raise ValueError("matrix dimension must be nonnegative")
+    if n == 0:
+        return 1  # the empty matrix; its column sums are vacuously odd
+    k = n - 1
+    return sum(
+        1 << (k - _rank(forms))
+        for rows in _unit_minor_rows(k)
+        for _, forms in _new_rows(rows, k, odd_columns)
+    )

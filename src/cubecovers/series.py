@@ -117,9 +117,6 @@ class ChromaticSeries:
             tuple(self.coeffs[n] - other.coeffs[n] for n in range(order + 1))
         )
 
-    def __neg__(self) -> ChromaticSeries:
-        return ChromaticSeries(tuple(-c for c in self.coeffs))
-
 
 def _numerators(s: ChromaticSeries, order: int) -> tuple[list[int], int]:
     """Coefficients 0 .. order as integer numerators over one common

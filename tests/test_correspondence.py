@@ -181,31 +181,64 @@ def test_brute_counts_match_dfs_on_code_ranges(n):
         assert brute_counts(n, start=a, stop=b) == want, (a, b)
 
 
-def test_jobs_are_clamped_to_the_cpu_count(monkeypatch):
-    started = []
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records each pool size and every
+    piece handed out, and counts the pieces in this process, so no worker
+    is ever started."""
 
-    class RecordingPool:
-        # Stands in for ProcessPoolExecutor: records the pool size and runs
-        # the slices in this process, so no worker is ever started.
-        def __init__(self, max_workers):
-            started.append(max_workers)
+    sizes: list[int]
+    pieces: list[tuple[int, int]]
 
-        def __enter__(self):
-            return self
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
 
-        def __exit__(self, *exc):
-            return False
+    def __enter__(self):
+        return self
 
-        def map(self, fn, *iterables):
-            return list(itertools.starmap(fn, zip(*iterables)))
+    def __exit__(self, *exc):
+        return False
 
+    def map(self, fn, *iterables):
+        calls = list(zip(*iterables))
+        self.pieces.extend((lo, hi) for _, lo, hi in calls)
+        return list(itertools.starmap(fn, calls))
+
+
+@pytest.fixture
+def pool(monkeypatch):
+    monkeypatch.setattr(RecordingPool, "sizes", [], raising=False)
+    monkeypatch.setattr(RecordingPool, "pieces", [], raising=False)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    return RecordingPool
+
+
+def test_jobs_are_clamped_to_the_cpu_count(monkeypatch, pool):
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
     assert brute_counts(4, jobs=100000) == (543, 43)
-    assert started == [3]
+    assert pool.sizes == [3]
     monkeypatch.setattr(os, "cpu_count", lambda: None)  # unknown: one worker
     assert brute_counts(4, jobs=100000) == (543, 43)
-    assert started == [3]
+    assert pool.sizes == [3]
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_jobs_hand_out_pieces_aligned_to_the_top_two_row_chunks(monkeypatch, pool, n):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    total = 1 << (n * (n - 1))
+    size = 1 << ((n - 2) * (n - 1))
+    for start, stop in [(0, total), (1, total - 1), (size - 1, 3 * size + 5), (7, 9)]:
+        pool.pieces.clear()
+        got = brute_counts(n, start=start, stop=stop, jobs=2)
+        assert got == brute_counts(n, start=start, stop=stop)
+        # The pieces tile [start, stop) in order, with no gap and no overlap,
+        # and every inner cut sits on a multiple of the piece size.
+        pieces = pool.pieces
+        assert pieces[0][0] == start and pieces[-1][1] == stop
+        assert all(hi == lo for (_, hi), (lo, _) in zip(pieces, pieces[1:]))
+        assert all(lo < hi for lo, hi in pieces)
+        assert all(lo % size == 0 for lo, _ in pieces[1:])
+        assert len(pieces) == len(range(start // size, -(-stop // size)))
+    assert brute_counts(n, jobs=2) == (count_dags(n), count_orientable_dags(n))
 
 
 def test_partition_invariance():
@@ -257,6 +290,11 @@ def test_matrix_membership_counts(n, expected):
 def test_orientable_matrix_counts(n, expected):
     assert brute_count_orientable_characteristic_matrices(n) == expected
     assert expected == count_orientable_dags(n)
+
+
+def test_matrix_counters_reach_n_5_once_the_cap_is_raised():
+    assert brute_count_characteristic_matrices(5, cap=5) == 29281
+    assert brute_count_orientable_characteristic_matrices(5, cap=5) == 1156
 
 
 def test_matrix_counters_enforce_their_cap():

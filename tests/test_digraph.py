@@ -178,8 +178,10 @@ def test_enumerate_acyclic_equals_dfs_filter_in_order(n):
 
 
 def test_enumeration_is_in_code_order_without_repeats():
-    codes = [g.code() for g in enumerate_digraphs(3)]
-    assert codes == list(range(64))
+    for n in range(5):
+        graphs = list(enumerate_digraphs(n))
+        assert [g.code() for g in graphs] == list(range(1 << (n * (n - 1))))
+        assert graphs == [Digraph.from_code(n, code) for code in range(len(graphs))]
 
 
 def test_enumeration_cap():

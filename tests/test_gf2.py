@@ -1,10 +1,12 @@
+import ast
 import itertools
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cubecovers import BitMatrix, gf2
+from cubecovers import BitMatrix, count_dags, gf2, unit_diagonal_matrices
 
 
 def cofactor_det(bits) -> int:
@@ -189,6 +191,16 @@ def test_minor_oracle_shares_nothing_with_the_digraph_module():
         or getattr(value, "__name__", None) == "cubecovers.digraph"
         for value in vars(gf2).values()
     )
+    # Nor does it import anything from the package: the grown walk and the
+    # oracle are GF(2) code alone.
+    imported = set()
+    for node in ast.walk(ast.parse(Path(gf2.__file__).read_text())):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add("." * node.level + (node.module or ""))
+    assert imported
+    assert not any(name.startswith(("cubecovers", ".")) for name in imported), imported
 
 
 @pytest.mark.parametrize("n", range(4))
@@ -202,6 +214,40 @@ def test_membership_implies_unit_diagonal(n):
 def test_membership_closed_under_transpose(n):
     for m in all_matrices(n):
         assert m.has_unit_principal_minors() == m.transpose().has_unit_principal_minors()
+
+
+# ----------------------------------------------------------------------
+# growing the members one index at a time
+# ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_grown_walk_equals_the_full_scan(n):
+    # The reference is the full scan: every unit-diagonal matrix through the
+    # Schur-walk oracle.
+    members = {m for m in unit_diagonal_matrices(n) if m.has_unit_principal_minors()}
+    grown = list(gf2.unit_minor_matrices(n))
+    assert len(set(grown)) == len(grown)
+    assert set(grown) == members
+    assert gf2.count_unit_minor_matrices(n) == len(members)
+    assert gf2.count_unit_minor_matrices(n, odd_columns=True) == sum(
+        m.has_odd_column_sums() for m in members
+    )
+
+
+def test_grown_walk_at_five_lists_members_only_and_each_once():
+    # Too many candidates for the full scan in a test; D(5) members, each
+    # passing the oracle and none twice, are the whole set.
+    grown = list(gf2.unit_minor_matrices(5))
+    assert len(grown) == len(set(grown)) == count_dags(5)
+    assert all(m.has_unit_principal_minors() for m in grown)
+
+
+def test_grown_walk_rejects_a_negative_dimension():
+    with pytest.raises(ValueError):
+        next(gf2.unit_minor_matrices(-1))
+    with pytest.raises(ValueError):
+        gf2.count_unit_minor_matrices(-1)
 
 
 # ----------------------------------------------------------------------
