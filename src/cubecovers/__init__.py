@@ -25,7 +25,6 @@ from cubecovers.asymptotics import (
     RootFindingError,
     compute_constants,
     deformed_exp,
-    dominant_zero,
     log_dag_estimate,
     log_orientable_estimate,
     ratio_estimate,
@@ -37,21 +36,13 @@ from cubecovers.correspondence import (
     brute_counts,
     characteristic_matrix,
     digraph_from_characteristic,
-    unit_diagonal_matrices,
 )
 from cubecovers.counting import (
     count_dags,
     count_orientable_dags,
     sequence_table,
 )
-from cubecovers.digraph import (
-    DEFAULT_ENUMERATION_CAP,
-    Digraph,
-    EnumerationCapExceeded,
-    enumerate_acyclic,
-    enumerate_digraphs,
-    is_acyclic_dfs,
-)
+from cubecovers.digraph import Digraph, EnumerationCapExceeded, is_acyclic_dfs
 from cubecovers.gf2 import BitMatrix
 from cubecovers.series import (
     ChromaticSeries,
@@ -59,9 +50,7 @@ from cubecovers.series import (
     chrom_mul,
     dag_series,
     deformed_exp_series,
-    derivative_identity_first_failure,
     orientable_from_quotient,
-    orientable_series,
     unit_series,
     verify_identities,
 )
@@ -72,7 +61,6 @@ __all__ = [
     "AsymptoticConstants",
     "BitMatrix",
     "ChromaticSeries",
-    "DEFAULT_ENUMERATION_CAP",
     "DagCounts",
     "Digraph",
     "EnumerationCapExceeded",
@@ -89,19 +77,13 @@ __all__ = [
     "dag_series",
     "deformed_exp",
     "deformed_exp_series",
-    "derivative_identity_first_failure",
     "digraph_from_characteristic",
-    "dominant_zero",
-    "enumerate_acyclic",
-    "enumerate_digraphs",
     "is_acyclic_dfs",
     "log_dag_estimate",
     "log_orientable_estimate",
     "orientable_from_quotient",
-    "orientable_series",
     "ratio_estimate",
     "sequence_table",
-    "unit_diagonal_matrices",
     "unit_series",
     "verify_identities",
 ]

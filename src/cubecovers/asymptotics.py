@@ -38,7 +38,6 @@ __all__ = [
     "RootFindingError",
     "compute_constants",
     "deformed_exp",
-    "dominant_zero",
     "log_dag_estimate",
     "log_orientable_estimate",
     "ratio_estimate",
@@ -127,14 +126,6 @@ def _newton_zero(terms: int, tol: float, initial: float) -> tuple[float, int]:
     )
 
 
-def dominant_zero(
-    terms: int = DEFAULT_TERMS, tol: float = DEFAULT_TOL, initial: float = -1.5
-) -> float:
-    """The negative zero of the deformed exponential, near -1.488."""
-    zero, _ = _newton_zero(terms, tol, initial)
-    return zero
-
-
 @dataclass(frozen=True)
 class AsymptoticConstants:
     """The zero and growth prefactors, with the numerics that produced them.
@@ -194,11 +185,11 @@ def _log_factorial(n: int) -> float:
     return sum(math.log(k) for k in range(2, n + 1))
 
 
-def log_dag_estimate(n: int, constants: AsymptoticConstants | None = None) -> float:
+def log_dag_estimate(n: int) -> float:
     """Natural log of the asymptotic DAG-count estimate at n."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    c = constants or _default_constants()
+    c = _default_constants()
     return (
         math.log(c.dag_prefactor)
         + (n * (n - 1) // 2) * math.log(2.0)
@@ -207,13 +198,11 @@ def log_dag_estimate(n: int, constants: AsymptoticConstants | None = None) -> fl
     )
 
 
-def log_orientable_estimate(
-    n: int, constants: AsymptoticConstants | None = None
-) -> float:
+def log_orientable_estimate(n: int) -> float:
     """Natural log of the asymptotic orientable-count estimate at n."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    c = constants or _default_constants()
+    c = _default_constants()
     return (
         math.log(c.orientable_prefactor)
         + (n * (n - 1) // 2) * math.log(2.0)
@@ -222,9 +211,8 @@ def log_orientable_estimate(
     )
 
 
-def ratio_estimate(n: int, constants: AsymptoticConstants | None = None) -> float:
+def ratio_estimate(n: int) -> float:
     """Estimated orientable fraction at n: ratio_factor / 2^n."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    c = constants or _default_constants()
-    return math.ldexp(c.ratio_factor, -n)
+    return math.ldexp(_default_constants().ratio_factor, -n)

@@ -156,25 +156,28 @@ def _verify_checks(n_max: int, series_order: int, series_only: bool,
                 f"brute={m_orient} formula={counting.count_orientable_dags(n)}", n=n)
 
             images = set()
-            round_trips = True
-            equivalences = True
-            transfers = True
+            # The code of the first graph that breaks each per-graph check.
+            round_trip = equivalence = transfer = None
             for graph in enumerate_digraphs(n, cap=enum_cap):
                 matrix = correspondence.characteristic_matrix(graph)
-                if correspondence.digraph_from_characteristic(matrix) != graph:
-                    round_trips = False
-                if graph.all_out_degrees_even() != matrix.has_odd_column_sums():
-                    equivalences = False
+                if (round_trip is None
+                        and correspondence.digraph_from_characteristic(matrix) != graph):
+                    round_trip = graph.code()
+                if (equivalence is None
+                        and graph.all_out_degrees_even() != matrix.has_odd_column_sums()):
+                    equivalence = graph.code()
                 acyclic = graph.is_acyclic()
                 if acyclic:
                     images.add(matrix)
-                if acyclic != (matrix in members):
-                    transfers = False
+                if transfer is None and acyclic != (matrix in members):
+                    transfer = graph.code()
             add("bijection-image", images == members,
                 f"images={len(images)} members={len(members)}", n=n)
-            add("round-trip", round_trips, None, n=n)
-            add("orientability-equivalence", equivalences, None, n=n)
-            add("acyclicity-transfer", transfers, None, n=n)
+            for check, code in (("round-trip", round_trip),
+                                ("orientability-equivalence", equivalence),
+                                ("acyclicity-transfer", transfer)):
+                add(check, code is None,
+                    None if code is None else f"first failure at code={code}", n=n)
 
     for result in series.verify_identities(series_order):
         checks.append({
@@ -236,9 +239,8 @@ def verify(n_max: int, series_order: int, series_only: bool, jobs: int,
                 f"{key}={c[key]}" for key in ("identity", "n", "order") if key in c
             )
             status = "ok  " if c["pass"] else "FAIL"
-            extra = ""
-            if not c["pass"]:
-                extra = f"  [{c.get('detail') or c.get('first_failure')}]"
+            shown = c.get("detail") or c.get("first_failure")
+            extra = f"  [{shown}]" if not c["pass"] and shown is not None else ""
             click.echo(f"{status} {c['check']} ({scope}){extra}")
         click.echo(
             "all checks passed" if not failures else f"{len(failures)} check(s) failed"

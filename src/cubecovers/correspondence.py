@@ -16,18 +16,15 @@ odd, equivalently when every vertex of G has even out-degree.
 This module holds the map, its inverse, and the brute-force counters that
 anchor the closed formulas in :mod:`cubecovers.counting`.  The digraph-side
 counter walks the canonical code range with the block kernel of
-:mod:`cubecovers.digraph`: each aligned block of ``2^(n-1)`` codes shares
-rows ``1 .. n-1``, and that shared part plus the set of vertices reaching
-vertex 0 decides every code of the block exactly (the argument is in that
-module's docstring).  Each assignment of rows ``1 .. n-1`` is visited or
-skipped on a cycle witness, and the counter never uses the recurrences it
-checks.  It never materializes a graph list either, so a count over
-``[0, 2^(n(n-1)))`` can be split into disjoint subranges and the partial
-sums added back in any order.  The matrix-side counters share nothing with
-it: they grow the matrices with all unit principal minors one index at a
-time by Schur's formula (:func:`cubecovers.gf2.count_unit_minor_matrices`;
-the growth step and why it lists each member once are in that module's
-docstring), using GF(2) linear algebra alone and never looking at a graph.
+:mod:`cubecovers.digraph` (its module docstring gives the argument), never
+uses the recurrences it checks and never materializes a graph list, so a
+count over ``[0, 2^(n(n-1)))`` can be split into disjoint subranges and the
+partial sums added back in any order.  The matrix-side counters share
+nothing with it: they grow the matrices with all unit principal minors one
+index at a time by Schur's formula
+(:func:`cubecovers.gf2.count_unit_minor_matrices`; the growth step and why
+it lists each member once are in that module's docstring), using GF(2)
+linear algebra alone and never looking at a graph.
 :func:`unit_diagonal_matrices` keeps the full scan of ``2^(n(n-1))``
 candidates as the tests' reference for that walk.
 """
@@ -43,7 +40,9 @@ from cubecovers.digraph import (
     DEFAULT_ENUMERATION_CAP,
     Digraph,
     EnumerationCapExceeded,
+    _check_cap,
     count_acyclic_codes,
+    enumerate_digraphs,
 )
 from cubecovers.gf2 import BitMatrix, count_unit_minor_matrices, transpose_masks
 
@@ -60,11 +59,11 @@ __all__ = [
 
 # The matrix-side counters grow their matrices one index at a time (see
 # :func:`cubecovers.gf2.unit_minor_matrices`).  On one core of a 2-core VM
-# with Python 3.11, both counts together take about 0.1 s at n = 5 (the
-# full scan of the 2^20 unit-diagonal matrices took about 10 s) and about
-# 11 s at n = 6, the optional deep check.  `verify` stays at 4: its matrix
-# checks also compare the member set with the image of every one of the
-# 2^(n(n-1)) digraphs, and that per-graph pass takes about 20 s at n = 5.
+# with Python 3.11, both counts together take about 0.07 s at n = 5 and
+# 7.2-8.2 s at n = 6 (three runs), the optional deep check.  `verify` stays
+# at 4: its matrix checks also compare the member set with the image of
+# every one of the 2^(n(n-1)) digraphs, and that per-graph pass takes about
+# 20 s at n = 5.
 MATRIX_BRUTEFORCE_CAP = 4
 
 
@@ -136,10 +135,7 @@ def brute_counts(
     partition, because each piece is a pure function of its bounds.  Falls
     back to in-process execution when worker processes cannot be spawned.
     """
-    if n < 0:
-        raise ValueError("vertex count must be nonnegative")
-    if n > cap:
-        raise EnumerationCapExceeded(n, cap)
+    _check_cap(n, cap)
     total = 1 << (n * (n - 1))
     if stop is None:
         stop = total
@@ -176,24 +172,15 @@ def unit_diagonal_matrices(n: int) -> Iterator[BitMatrix]:
 
     A matrix with a zero diagonal entry fails its 1x1 principal minor, so
     restricting to unit diagonals loses nothing when hunting for matrices
-    with all unit principal minors.  Off-diagonal bits run through the same
-    row-major code order as the digraph enumeration: row ``i`` is the
-    ``i``-th chunk of ``n - 1`` code bits with a 1 spliced in at column
-    ``i``.  The library no longer scans them; filtered through
+    with all unit principal minors.  Matrix number ``c`` is the adjacency
+    matrix of the digraph with code ``c`` with its diagonal set, read off
+    :func:`~cubecovers.digraph.enumerate_digraphs` in the same order and
+    under the same cap.  Filtered through
     :meth:`~cubecovers.gf2.BitMatrix.has_unit_principal_minors` they are
     the tests' reference for :func:`cubecovers.gf2.unit_minor_matrices`.
     """
-    if n < 0:
-        raise ValueError("matrix dimension must be nonnegative")
-    width = n - 1
-    chunk = (1 << width) - 1 if n else 0
-    for code in range(1 << (n * width)):
-        rows = []
-        for i in range(n):
-            bits = (code >> (i * width)) & chunk
-            low = bits & ((1 << i) - 1)
-            rows.append(low | (1 << i) | ((bits ^ low) << 1))
-        yield BitMatrix(n, tuple(rows))
+    for graph in enumerate_digraphs(n):
+        yield BitMatrix(n, tuple(mask | 1 << i for i, mask in enumerate(graph.rows)))
 
 
 def brute_count_characteristic_matrices(n: int, cap: int = MATRIX_BRUTEFORCE_CAP) -> int:

@@ -193,32 +193,26 @@ class Digraph:
         """Whether the graph has no directed cycle.
 
         Peels vertices whose remaining out-degree is zero, a whole layer per
-        round, using only bitmask operations (:func:`_peel`).  The graph is
-        acyclic exactly when everything peels away.  :func:`is_acyclic_dfs`
-        is the independent implementation used to cross-check this one.
+        round, using only bitmask operations.  The graph is acyclic exactly
+        when everything peels away; a round that removes nothing leaves a
+        set in which every vertex has an out-edge, so it holds a cycle.
+        :func:`is_acyclic_dfs` is the independent implementation used to
+        cross-check this one.
         """
-        return not _peel(self.rows, (1 << self.n) - 1)
-
-
-def _peel(rows, alive: int) -> int:
-    """Strip the vertices in ``alive`` that have no out-edge into ``alive``,
-    a whole layer per round, and return the vertices left over.
-
-    The result is 0 exactly when the subgraph induced on ``alive`` is
-    acyclic; otherwise it is the nonempty set that no round could shrink.
-    """
-    while alive:
-        removable = 0
-        scan = alive
-        while scan:
-            bit = scan & -scan
-            if not rows[bit.bit_length() - 1] & alive:
-                removable |= bit
-            scan ^= bit
-        if not removable:
-            return alive
-        alive ^= removable
-    return 0
+        rows = self.rows
+        alive = (1 << self.n) - 1
+        while alive:
+            removable = 0
+            scan = alive
+            while scan:
+                bit = scan & -scan
+                if not rows[bit.bit_length() - 1] & alive:
+                    removable |= bit
+                scan ^= bit
+            if not removable:
+                return False
+            alive ^= removable
+        return True
 
 
 def is_acyclic_dfs(graph: Digraph) -> bool:

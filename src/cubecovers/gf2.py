@@ -8,10 +8,9 @@ share between concurrent tasks.
 
 The one domain-specific test here is :meth:`BitMatrix.has_unit_principal_minors`:
 a square GF(2) matrix is the reduced characteristic matrix of a small cover
-over a cube exactly when every principal minor equals 1.  That method still
-evaluates every one of the ``2^n - 1`` principal minors, but by recursive
-Schur complements over a depth-first walk of the index subsets, not one
-elimination per subset in increasing bitmask order.
+over a cube exactly when every principal minor equals 1.  That method
+evaluates every one of the ``2^n - 1`` principal minors by recursive Schur
+complements over a depth-first walk of the index subsets.
 :meth:`BitMatrix.principal_minor` and :meth:`BitMatrix.det` keep the
 per-subset definition the walk is tested against.
 

@@ -17,16 +17,15 @@ from cubecovers import (
     compute_constants,
     count_dags,
     count_orientable_dags,
-    derivative_identity_first_failure,
-    enumerate_acyclic,
-    enumerate_digraphs,
     log_dag_estimate,
     log_orientable_estimate,
     orientable_from_quotient,
     ratio_estimate,
-    unit_diagonal_matrices,
     verify_identities,
 )
+from cubecovers.correspondence import unit_diagonal_matrices
+from cubecovers.digraph import enumerate_acyclic, enumerate_digraphs
+from cubecovers.series import derivative_identity_first_failure
 
 DAG_COUNTS = [1, 3, 25, 543, 29281, 3781503, 1138779265]
 ORIENTABLE_COUNTS = [1, 1, 4, 43, 1156, 74581, 11226874]

@@ -10,7 +10,6 @@ from cubecovers import (
     count_dags,
     count_orientable_dags,
     deformed_exp,
-    dominant_zero,
     log_dag_estimate,
     log_orientable_estimate,
     ratio_estimate,
@@ -121,33 +120,34 @@ def test_partial_sum_outside_the_float_range_is_a_value_error(x, terms):
 
 
 def test_zero_is_near_minus_one_point_four_eight_eight():
-    alpha = dominant_zero()
+    alpha = compute_constants().alpha
     assert -1.6 < alpha < -1.4
     assert round(alpha, 3) == -1.488
 
 
 def test_zero_really_is_a_zero():
-    alpha = dominant_zero()
+    alpha = compute_constants().alpha
     assert abs(deformed_exp(alpha)) < 1e-12
 
 
 def test_newton_agrees_with_bisection_oracle():
-    assert dominant_zero() == pytest.approx(bisect_zero(), abs=1e-10)
+    assert compute_constants().alpha == pytest.approx(bisect_zero(), abs=1e-10)
 
 
 def test_zero_is_stable_in_truncation():
-    reference = dominant_zero(terms=25)
+    reference = compute_constants(terms=25).alpha
     for terms in (28, 30, 40):
-        assert dominant_zero(terms=terms) == pytest.approx(reference, abs=1e-12)
+        alpha = compute_constants(terms=terms).alpha
+        assert alpha == pytest.approx(reference, abs=1e-12)
 
 
 def test_root_finder_validates_input():
     with pytest.raises(ValueError):
-        dominant_zero(terms=10)
+        compute_constants(terms=10)
     with pytest.raises(ValueError):
-        dominant_zero(tol=1e-16)
+        compute_constants(tol=1e-16)
     with pytest.raises(ValueError):
-        dominant_zero(tol=float("nan"))
+        compute_constants(tol=float("nan"))
 
 
 def test_newton_refuses_a_root_outside_the_bracket():

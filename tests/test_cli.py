@@ -3,7 +3,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from cubecovers import cli, counting
+from cubecovers import Digraph, IdentityCheck, cli, correspondence, counting, series
 
 
 @pytest.fixture
@@ -205,6 +205,65 @@ def test_verify_text_format_failure_names_the_check(runner, monkeypatch):
                     "--format", "text")
     assert result.exit_code == 1
     assert "FAIL dag-count-bruteforce" in result.output
+
+
+def _break_codes_12_and_48(check, monkeypatch):
+    """Make ``check`` fail on the n = 3 graphs with codes 12 and 48 only."""
+
+    def broken(graph):
+        return graph.n == 3 and graph.code() in (12, 48)
+
+    if check == "round-trip":
+        original = correspondence.digraph_from_characteristic
+
+        def wrong_inverse(matrix):
+            graph = original(matrix)
+            return Digraph.empty(3) if broken(graph) else graph
+
+        monkeypatch.setattr(correspondence, "digraph_from_characteristic", wrong_inverse)
+    elif check == "orientability-equivalence":
+        even = Digraph.all_out_degrees_even
+        monkeypatch.setattr(Digraph, "all_out_degrees_even",
+                            lambda graph: even(graph) != broken(graph))
+    else:
+        acyclic = Digraph.is_acyclic
+        monkeypatch.setattr(Digraph, "is_acyclic",
+                            lambda graph: acyclic(graph) and not broken(graph))
+
+
+@pytest.mark.parametrize(
+    "check", ["round-trip", "orientability-equivalence", "acyclicity-transfer"]
+)
+def test_verify_names_the_first_graph_that_breaks_a_per_graph_check(
+    runner, monkeypatch, check
+):
+    _break_codes_12_and_48(check, monkeypatch)
+    args = ("verify", "--n-max", "3", "--series-order", "4")
+    result = invoke(runner, *args)
+    assert result.exit_code == 1
+    records = [c for c in json.loads(result.output)["checks"] if c["check"] == check]
+    assert [(c["n"], c["pass"], c["detail"]) for c in records] == [
+        (0, True, None),
+        (1, True, None),
+        (2, True, None),
+        (3, False, "first failure at code=12"),
+    ]
+    text = invoke(runner, *args, "--format", "text")
+    assert text.exit_code == 1
+    assert f"FAIL {check} (n=3)  [first failure at code=12]" in text.output.splitlines()
+    assert "[None]" not in text.output
+
+
+def test_verify_text_shows_a_first_failure_at_zero(runner, monkeypatch):
+    monkeypatch.setattr(series, "verify_identities", lambda order: [
+        IdentityCheck("alternating-inverse", order, False, 0),
+        IdentityCheck("half-argument-decomposition", order, False, None),
+    ])
+    result = invoke(runner, "verify", "--series", "--order", "4", "--format", "text")
+    assert result.exit_code == 1
+    lines = result.output.splitlines()
+    assert "FAIL series-identity (identity=alternating-inverse, order=4)  [0]" in lines
+    assert "FAIL series-identity (identity=half-argument-decomposition, order=4)" in lines
 
 
 # ----------------------------------------------------------------------

@@ -16,11 +16,10 @@ from cubecovers import (
     count_dags,
     count_orientable_dags,
     digraph_from_characteristic,
-    enumerate_acyclic,
-    enumerate_digraphs,
     is_acyclic_dfs,
-    unit_diagonal_matrices,
 )
+from cubecovers.correspondence import unit_diagonal_matrices
+from cubecovers.digraph import enumerate_acyclic, enumerate_digraphs
 
 
 # ----------------------------------------------------------------------

@@ -1,5 +1,7 @@
-"""Every narrative script under ``demos/`` runs to completion and prints."""
+"""Every narrative script under ``demos/`` runs to completion and prints,
+and the README's library session gives the output it shows."""
 
+import doctest
 import os
 import subprocess
 import sys
@@ -9,6 +11,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+README = ROOT / "README.md"
 
 
 def test_demos_are_present():
@@ -27,3 +30,18 @@ def test_demo_runs(demo):
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip()
+
+
+def test_readme_library_session():
+    # The section "Library in one minute", up to the next heading.  The
+    # n = 6 matrix deep check sits in another section because it takes
+    # seconds.
+    text = README.read_text()
+    section = text.split("## Library in one minute\n", 1)[1].split("\n## ", 1)[0]
+    session = doctest.DocTestParser().get_doctest(
+        section, {}, "README library session", str(README), None
+    )
+    report = []
+    result = doctest.DocTestRunner().run(session, out=report.append)
+    assert result.failed == 0, "".join(report)
+    assert result.attempted == 8

@@ -10,11 +10,14 @@ from cubecovers import (
     Digraph,
     EnumerationCapExceeded,
     count_dags,
-    enumerate_acyclic,
-    enumerate_digraphs,
     is_acyclic_dfs,
 )
-from cubecovers.digraph import _acyclic_blocks, count_acyclic_codes
+from cubecovers.digraph import (
+    _acyclic_blocks,
+    count_acyclic_codes,
+    enumerate_acyclic,
+    enumerate_digraphs,
+)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cubecovers import BitMatrix, count_dags, gf2, unit_diagonal_matrices
+from cubecovers import BitMatrix, count_dags, gf2
+from cubecovers.correspondence import unit_diagonal_matrices
 
 
 def cofactor_det(bits) -> int:

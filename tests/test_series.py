@@ -12,13 +12,12 @@ from cubecovers import (
     count_orientable_dags,
     dag_series,
     deformed_exp_series,
-    derivative_identity_first_failure,
     orientable_from_quotient,
-    orientable_series,
     unit_series,
     verify_identities,
 )
 from cubecovers import counting, series
+from cubecovers.series import derivative_identity_first_failure, orientable_series
 
 small_rationals = st.fractions(
     min_value=-9, max_value=9, max_denominator=9

@@ -1,15 +1,22 @@
-"""The benchmark's traced run wraps package functions by name.
+"""Names that other files reach the package by.
 
-``perfbench/spans.py`` lists them in ``TRACED``; a name that no longer
-resolves on the package breaks every traced run.  The file is read and
+The benchmark's traced run wraps package functions by name:
+``perfbench/spans.py`` lists them in ``TRACED``, and a name that no longer
+resolves on the package breaks every traced run.  The demos import from
+the package root, so each name they import must be exported there, and
+every name in an ``__all__`` must resolve.  Those files are read and
 parsed here, never imported or executed.
 """
 
 import ast
 import importlib
+import pkgutil
 from pathlib import Path
 
-SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+import cubecovers
+
+ROOT = Path(__file__).resolve().parent.parent
+SPANS = ROOT / "perfbench" / "spans.py"
 
 
 def traced_names() -> dict[str, list[str]]:
@@ -33,3 +40,25 @@ def test_every_traced_name_resolves_on_the_package():
                 assert hasattr(value, part), f"cubecovers.{module_name}.{qualified}"
                 value = getattr(value, part)
             assert callable(value), f"cubecovers.{module_name}.{qualified}"
+
+
+def test_every_exported_name_resolves():
+    modules = [cubecovers] + [
+        importlib.import_module(f"cubecovers.{info.name}")
+        for info in pkgutil.iter_modules(cubecovers.__path__)
+    ]
+    for module in modules:
+        names = getattr(module, "__all__", [])
+        assert len(set(names)) == len(names), module.__name__
+        for name in names:
+            assert hasattr(module, name), f"{module.__name__}.{name}"
+
+
+def test_every_name_the_demos_import_is_exported():
+    imported = set()
+    for demo in sorted((ROOT / "demos").glob("*.py")):
+        for node in ast.walk(ast.parse(demo.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.module == "cubecovers":
+                imported.update(alias.name for alias in node.names)
+    assert imported
+    assert imported <= set(cubecovers.__all__), imported - set(cubecovers.__all__)
