@@ -17,7 +17,8 @@ out-degrees are all even.  This package makes that dictionary executable:
 * :mod:`cubecovers.asymptotics` locates the dominant zero of the deformed
   exponential and evaluates the growth constants, including the orientable
   fraction estimate 1.2617.../2^n.
-* :mod:`cubecovers.cli` exposes all of it as a command line tool.
+* :mod:`cubecovers.checks` ties each formula to its oracle, and
+  :mod:`cubecovers.cli` exposes all of it as a command line tool.
 """
 
 from cubecovers.asymptotics import (

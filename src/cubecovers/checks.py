@@ -1,0 +1,91 @@
+"""The cross-checks of ``cubecovers verify``, one record per check.
+
+Each record ties a closed form of :mod:`cubecovers.counting` to an
+independent oracle: a brute force on either side of the graph/matrix
+dictionary, or an exact series identity.  The command line prints the
+records and the acceptance tests assert on them.
+"""
+
+from __future__ import annotations
+
+from cubecovers import correspondence, counting, digraph, gf2, series
+
+
+def verify_checks(n_max: int, series_order: int, series_only: bool,
+                  jobs: int, enum_cap: int) -> list[dict]:
+    """The records of ``verify`` in its order: a dict with the check's name,
+    its scope (``identity``, ``n`` or ``order``), ``pass``, and ``detail``
+    or ``first_failure``.  Unless ``series_only``, an ``n_max`` above
+    ``enum_cap`` raises :class:`~cubecovers.digraph.EnumerationCapExceeded`
+    before any brute force runs.
+    """
+    checks: list[dict] = []
+
+    def add(check: str, passed: bool, detail=None, key="detail", **scope) -> None:
+        checks.append({"check": check, **scope, "pass": passed, key: detail})
+
+    if not series_only:
+        if n_max > enum_cap:
+            # The first n the walk below would refuse.
+            raise digraph.EnumerationCapExceeded(enum_cap + 1, enum_cap)
+        for n in range(n_max + 1):
+            got = correspondence.brute_counts(n, jobs=jobs, cap=enum_cap)
+            want_d = counting.count_dags(n)
+            want_v = counting.count_orientable_dags(n)
+            add("dag-count-bruteforce", got.dags == want_d,
+                f"brute={got.dags} formula={want_d}", n=n)
+            add("orientable-count-bruteforce", got.orientable == want_v,
+                f"brute={got.orientable} formula={want_v}", n=n)
+
+        for n in range(min(n_max, correspondence.MATRIX_BRUTEFORCE_CAP) + 1):
+            # Grown on the matrix side alone; every matrix-side check below
+            # reads this set.
+            members = set(gf2.unit_minor_matrices(n))
+            m_all = len(members)
+            add("matrix-count-bruteforce", m_all == counting.count_dags(n),
+                f"brute={m_all} formula={counting.count_dags(n)}", n=n)
+            m_orient = sum(1 for m in members if m.has_odd_column_sums())
+            add("orientable-matrix-count-bruteforce",
+                m_orient == counting.count_orientable_dags(n),
+                f"brute={m_orient} formula={counting.count_orientable_dags(n)}", n=n)
+
+            images = set()
+            # The code of the first graph that breaks each per-graph check.
+            round_trip = equivalence = transfer = None
+            for graph in digraph.enumerate_digraphs(n, cap=enum_cap):
+                matrix = correspondence.characteristic_matrix(graph)
+                if (round_trip is None
+                        and correspondence.digraph_from_characteristic(matrix) != graph):
+                    round_trip = graph.code()
+                if (equivalence is None
+                        and graph.all_out_degrees_even() != matrix.has_odd_column_sums()):
+                    equivalence = graph.code()
+                acyclic = graph.is_acyclic()
+                if acyclic:
+                    images.add(matrix)
+                if transfer is None and acyclic != (matrix in members):
+                    transfer = graph.code()
+            add("bijection-image", images == members,
+                f"images={len(images)} members={len(members)}", n=n)
+            for check, code in (("round-trip", round_trip),
+                                ("orientability-equivalence", equivalence),
+                                ("acyclicity-transfer", transfer)):
+                add(check, code is None,
+                    None if code is None else f"first failure at code={code}", n=n)
+
+    for result in series.verify_identities(series_order):
+        add("series-identity", result.passed, result.first_failure,
+            key="first_failure", identity=result.name, order=result.order)
+
+    # A non-integer coefficient differs from the integer V(n), and both
+    # series have constant term 0.
+    bad = series._first_mismatch(series.orientable_from_quotient(series_order),
+                                 series.orientable_series(series_order))
+    add("orientable-quotient", bad is None,
+        None if bad is None else f"first mismatch at n={bad}", order=series_order)
+
+    derivative_span = max(40, series_order)
+    miss = series.derivative_identity_first_failure(derivative_span)
+    add("derivative-rule", miss is None, miss, key="first_failure",
+        order=derivative_span)
+    return checks

@@ -1,6 +1,8 @@
 """Command-line interface.
 
 Subcommands: count, table, enumerate, verify, constants, asymptotic.
+Each parses its options, calls the library and prints what it returns;
+``verify`` prints the records of :func:`cubecovers.checks.verify_checks`.
 JSON is the machine interface and renders every exact integer as a decimal
 string; text is for people.  Output is deterministic for fixed flags.
 Exit codes: 0 success, 1 verification failure, 2 usage error.
@@ -16,12 +18,12 @@ from fractions import Fraction
 
 import click
 
-from cubecovers import asymptotics, correspondence, counting, gf2, series
+from cubecovers import asymptotics, correspondence, counting
+from cubecovers.checks import verify_checks
 from cubecovers.digraph import (
     DEFAULT_ENUMERATION_CAP,
     EnumerationCapExceeded,
     enumerate_acyclic,
-    enumerate_digraphs,
 )
 
 
@@ -100,23 +102,18 @@ def enumerate_cmd(n: int, orientable: bool, matrices: bool, fmt: str,
                 continue
             total += 1
             edges = graph.edges()
+            if matrices:
+                rows = correspondence.characteristic_matrix(graph).to_text().splitlines()
             if fmt == "json":
-                record = {
-                    "code": graph.code(),
-                    "edges": [[u, v] for u, v in edges],
-                }
+                record = {"code": graph.code(), "edges": [[u, v] for u, v in edges]}
                 if matrices:
-                    record["matrix"] = correspondence.characteristic_matrix(
-                        graph
-                    ).to_text().split("\n") if n else []
+                    record["matrix"] = rows
                 click.echo(json.dumps(record))
             else:
                 shown = ",".join(f"{u}>{v}" for u, v in edges) or "-"
                 line = f"{graph.code()}\t{shown}"
                 if matrices:
-                    line += "\t" + "/".join(
-                        correspondence.characteristic_matrix(graph).to_text().split("\n")
-                    )
+                    line += "\t" + "/".join(rows)
                 click.echo(line)
         if fmt == "json":
             click.echo(json.dumps({"count": str(total)}))
@@ -124,92 +121,6 @@ def enumerate_cmd(n: int, orientable: bool, matrices: bool, fmt: str,
             click.echo(f"count\t{total}")
     except EnumerationCapExceeded as exc:
         raise click.UsageError(str(exc))
-
-
-def _verify_checks(n_max: int, series_order: int, series_only: bool,
-                   jobs: int, enum_cap: int) -> list[dict]:
-    checks: list[dict] = []
-
-    def add(check: str, passed: bool, detail: str | None = None, **scope) -> None:
-        checks.append({"check": check, **scope, "pass": passed, "detail": detail})
-
-    if not series_only:
-        for n in range(n_max + 1):
-            got = correspondence.brute_counts(n, jobs=jobs, cap=enum_cap)
-            want_d = counting.count_dags(n)
-            want_v = counting.count_orientable_dags(n)
-            add("dag-count-bruteforce", got.dags == want_d,
-                f"brute={got.dags} formula={want_d}", n=n)
-            add("orientable-count-bruteforce", got.orientable == want_v,
-                f"brute={got.orientable} formula={want_v}", n=n)
-
-        for n in range(min(n_max, correspondence.MATRIX_BRUTEFORCE_CAP) + 1):
-            # Grown on the matrix side alone; every matrix-side check below
-            # reads this set.
-            members = set(gf2.unit_minor_matrices(n))
-            m_all = len(members)
-            add("matrix-count-bruteforce", m_all == counting.count_dags(n),
-                f"brute={m_all} formula={counting.count_dags(n)}", n=n)
-            m_orient = sum(1 for m in members if m.has_odd_column_sums())
-            add("orientable-matrix-count-bruteforce",
-                m_orient == counting.count_orientable_dags(n),
-                f"brute={m_orient} formula={counting.count_orientable_dags(n)}", n=n)
-
-            images = set()
-            # The code of the first graph that breaks each per-graph check.
-            round_trip = equivalence = transfer = None
-            for graph in enumerate_digraphs(n, cap=enum_cap):
-                matrix = correspondence.characteristic_matrix(graph)
-                if (round_trip is None
-                        and correspondence.digraph_from_characteristic(matrix) != graph):
-                    round_trip = graph.code()
-                if (equivalence is None
-                        and graph.all_out_degrees_even() != matrix.has_odd_column_sums()):
-                    equivalence = graph.code()
-                acyclic = graph.is_acyclic()
-                if acyclic:
-                    images.add(matrix)
-                if transfer is None and acyclic != (matrix in members):
-                    transfer = graph.code()
-            add("bijection-image", images == members,
-                f"images={len(images)} members={len(members)}", n=n)
-            for check, code in (("round-trip", round_trip),
-                                ("orientability-equivalence", equivalence),
-                                ("acyclicity-transfer", transfer)):
-                add(check, code is None,
-                    None if code is None else f"first failure at code={code}", n=n)
-
-    for result in series.verify_identities(series_order):
-        checks.append({
-            "check": "series-identity",
-            "identity": result.name,
-            "order": result.order,
-            "pass": result.passed,
-            "first_failure": result.first_failure,
-        })
-
-    quotient = series.orientable_from_quotient(series_order)
-    bad = None
-    if quotient.coefficient(0) != 0:
-        bad = 0
-    else:
-        for n in range(1, series_order + 1):
-            c = quotient.coefficient(n)
-            if c.denominator != 1 or c != counting.count_orientable_dags(n):
-                bad = n
-                break
-    add("orientable-quotient", bad is None,
-        None if bad is None else f"first mismatch at n={bad}", order=series_order)
-
-    derivative_span = max(40, series_order)
-    miss = series.derivative_identity_first_failure(derivative_span)
-    checks.append({
-        "check": "derivative-rule",
-        "order": derivative_span,
-        "pass": miss is None,
-        "first_failure": miss,
-    })
-    return checks
 
 
 @main.command()
@@ -227,7 +138,7 @@ def verify(n_max: int, series_order: int, series_only: bool, jobs: int,
            enum_cap: int, fmt: str) -> None:
     """Cross-check every formula against its brute-force or series oracle."""
     try:
-        checks = _verify_checks(n_max, series_order, series_only, jobs, enum_cap)
+        checks = verify_checks(n_max, series_order, series_only, jobs, enum_cap)
     except EnumerationCapExceeded as exc:
         raise click.UsageError(str(exc))
     failures = [c for c in checks if not c["pass"]]

@@ -39,7 +39,6 @@ from typing import NamedTuple
 from cubecovers.digraph import (
     DEFAULT_ENUMERATION_CAP,
     Digraph,
-    EnumerationCapExceeded,
     _check_cap,
     count_acyclic_codes,
     enumerate_digraphs,
@@ -60,10 +59,10 @@ __all__ = [
 # The matrix-side counters grow their matrices one index at a time (see
 # :func:`cubecovers.gf2.unit_minor_matrices`).  On one core of a 2-core VM
 # with Python 3.11, both counts together take about 0.07 s at n = 5 and
-# 7.2-8.2 s at n = 6 (three runs), the optional deep check.  `verify` stays
-# at 4: its matrix checks also compare the member set with the image of
-# every one of the 2^(n(n-1)) digraphs, and that per-graph pass takes about
-# 20 s at n = 5.
+# 7.2-8.2 s at n = 6 (three runs), the optional deep check.  The matrix
+# checks of :mod:`cubecovers.checks` stay at 4: they also compare the member
+# set with the image of every one of the 2^(n(n-1)) digraphs, and that
+# per-graph pass takes about 20 s at n = 5.
 MATRIX_BRUTEFORCE_CAP = 4
 
 
@@ -190,8 +189,7 @@ def brute_count_characteristic_matrices(n: int, cap: int = MATRIX_BRUTEFORCE_CAP
     a graph, so its agreement with ``brute_counts(n).dags`` checks the
     correspondence itself.
     """
-    if n > cap:
-        raise EnumerationCapExceeded(n, cap)
+    _check_cap(n, cap)
     return count_unit_minor_matrices(n)
 
 
@@ -199,6 +197,5 @@ def brute_count_orientable_characteristic_matrices(
     n: int, cap: int = MATRIX_BRUTEFORCE_CAP
 ) -> int:
     """Count matrices with all unit principal minors and all odd column sums."""
-    if n > cap:
-        raise EnumerationCapExceeded(n, cap)
+    _check_cap(n, cap)
     return count_unit_minor_matrices(n, odd_columns=True)

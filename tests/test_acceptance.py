@@ -1,10 +1,11 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail line.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
-lines.  The deep brute-force check counts all 2^30 digraphs at n = 6 in this
-process, with no worker pool.  The pruned block walk of
-:mod:`cubecovers.digraph` drops every prefix of rows 5, 4, .., 1 that
-already holds a cycle, so the check takes a few seconds on one core.
+lines.  Criteria 2, 4, 5 and 6 assert on the records that ``cubecovers
+verify`` prints (:func:`cubecovers.checks.verify_checks`).  The deep check
+counts all 2^30 digraphs at n = 6 in this process, with no worker pool;
+the pruned block walk of :mod:`cubecovers.digraph` drops every prefix of
+rows that already holds a cycle, so it takes a few seconds on one core.
 """
 
 import math
@@ -19,13 +20,11 @@ from cubecovers import (
     count_orientable_dags,
     log_dag_estimate,
     log_orientable_estimate,
-    orientable_from_quotient,
     ratio_estimate,
-    verify_identities,
 )
+from cubecovers.checks import verify_checks
 from cubecovers.correspondence import unit_diagonal_matrices
-from cubecovers.digraph import enumerate_acyclic, enumerate_digraphs
-from cubecovers.series import derivative_identity_first_failure
+from cubecovers.digraph import DEFAULT_ENUMERATION_CAP, enumerate_acyclic
 
 DAG_COUNTS = [1, 3, 25, 543, 29281, 3781503, 1138779265]
 ORIENTABLE_COUNTS = [1, 1, 4, 43, 1156, 74581, 11226874]
@@ -47,6 +46,14 @@ def criterion(number: int, name: str, budget_seconds: float | None = None):
     print(f"criterion {number} ({name}): PASS [{elapsed:.2f}s]")
 
 
+def passing(names, n_max=0, order=0):
+    """The records of ``verify`` named in ``names``, each asserted to pass."""
+    checks = verify_checks(n_max, order, False, 1, DEFAULT_ENUMERATION_CAP)
+    records = [c for c in checks if c["check"] in names]
+    assert all(c["pass"] for c in records), records
+    return records
+
+
 def test_criterion_1_exact_table_reproduction():
     with criterion(1, "exact table reproduction", budget_seconds=1.0):
         assert [count_dags(n) for n in range(1, 8)] == DAG_COUNTS
@@ -56,10 +63,10 @@ def test_criterion_1_exact_table_reproduction():
 def test_criterion_2_bruteforce_equals_closed_forms():
     with criterion(2, "brute force equals closed forms, n <= 5",
                    budget_seconds=60.0):
-        for n in range(6):
-            got = brute_counts(n)  # single-threaded single pass
-            assert got.dags == count_dags(n), n
-            assert got.orientable == count_orientable_dags(n), n
+        names = ("dag-count-bruteforce", "orientable-count-bruteforce")
+        records = passing(names, n_max=5)  # single-threaded single pass
+        assert [c["check"] for c in records] == list(names) * 6
+        assert [c["n"] for c in records] == sorted(list(range(6)) * 2)
 
 
 def test_criterion_3_bijection_verification(sample_graph, sample_matrix):
@@ -80,31 +87,23 @@ def test_criterion_3_bijection_verification(sample_graph, sample_matrix):
 def test_criterion_4_orientability_equivalence():
     with criterion(4, "even out-degrees equal odd column sums, all digraphs n <= 4",
                    budget_seconds=60.0):
-        for n in range(5):
-            for g in enumerate_digraphs(n):
-                assert (
-                    g.all_out_degrees_even()
-                    == characteristic_matrix(g).has_odd_column_sums()
-                )
+        records = passing({"orientability-equivalence"}, n_max=4)
+        assert [c["n"] for c in records] == list(range(5))
 
 
 def test_criterion_5_series_identities_to_order_12():
     with criterion(5, "series identities, exact rationals to order 12",
                    budget_seconds=1.0):
-        for check in verify_identities(12):
-            assert check.passed, check
-        quotient = orientable_from_quotient(12)
-        assert quotient.coefficient(0) == 0  # series normalization at n = 0;
-        # the combinatorial count there is 1 (the empty digraph)
-        for n in range(1, 13):
-            c = quotient.coefficient(n)
-            assert c.denominator == 1
-            assert c == count_orientable_dags(n)
+        records = passing({"series-identity", "orientable-quotient"}, order=12)
+        assert [(c.get("identity"), c["order"]) for c in records] == [
+            ("alternating-inverse", 12), ("half-argument-decomposition", 12), (None, 12)
+        ]
 
 
 def test_criterion_6_derivative_identity_to_40():
     with criterion(6, "termwise derivative rule to n = 40", budget_seconds=1.0):
-        assert derivative_identity_first_failure(40) is None
+        [record] = passing({"derivative-rule"})
+        assert record["order"] == 40
 
 
 def test_criterion_7_constants():

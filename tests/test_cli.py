@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import pytest
 from click.testing import CliRunner
@@ -264,6 +265,51 @@ def test_verify_text_shows_a_first_failure_at_zero(runner, monkeypatch):
     lines = result.output.splitlines()
     assert "FAIL series-identity (identity=alternating-inverse, order=4)  [0]" in lines
     assert "FAIL series-identity (identity=half-argument-decomposition, order=4)" in lines
+
+
+@pytest.mark.parametrize("index,shift", [(3, Fraction(1, 2)), (0, 1)],
+                         ids=["coefficient-3", "constant-term"])
+def test_verify_names_the_first_coefficient_the_quotient_misses(
+    runner, monkeypatch, index, shift
+):
+    exact = series.orientable_from_quotient
+
+    def off(order):
+        coeffs = list(exact(order).coeffs)
+        coeffs[index] += shift
+        return series.ChromaticSeries(tuple(coeffs))
+
+    monkeypatch.setattr(series, "orientable_from_quotient", off)
+    args = ("verify", "--series", "--order", "5")
+    result = invoke(runner, *args)
+    assert result.exit_code == 1
+    assert [c for c in json.loads(result.output)["checks"]
+            if c["check"] == "orientable-quotient"] == [{
+        "check": "orientable-quotient", "order": 5, "pass": False,
+        "detail": f"first mismatch at n={index}",
+    }]
+    text = invoke(runner, *args, "--format", "text")
+    assert text.exit_code == 1
+    line = f"FAIL orientable-quotient (order=5)  [first mismatch at n={index}]"
+    assert line in text.output.splitlines()
+
+
+@pytest.mark.parametrize("args", [("--n-max", "7"), ("--n-max", "9", "--jobs", "2")],
+                         ids=" ".join)
+def test_verify_above_the_cap_refuses_before_any_brute_force(runner, monkeypatch, args):
+    calls = []
+    brute = correspondence.brute_counts
+
+    def recorded(*call_args, **kwargs):
+        calls.append(call_args)
+        return brute(*call_args, **kwargs)
+
+    monkeypatch.setattr(correspondence, "brute_counts", recorded)
+    result = invoke(runner, "verify", *args)
+    assert result.exit_code == 2
+    assert "refusing to enumerate digraphs on 7 vertices" in result.output
+    assert calls == []
+    assert invoke(runner, "verify", "--series", *args, "--order", "4").exit_code == 0
 
 
 # ----------------------------------------------------------------------

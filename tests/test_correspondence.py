@@ -297,7 +297,10 @@ def test_matrix_counters_reach_n_5_once_the_cap_is_raised():
 
 
 def test_matrix_counters_enforce_their_cap():
-    with pytest.raises(EnumerationCapExceeded):
-        brute_count_characteristic_matrices(5)
-    with pytest.raises(EnumerationCapExceeded):
-        brute_count_orientable_characteristic_matrices(5)
+    for counter in (brute_count_characteristic_matrices,
+                    brute_count_orientable_characteristic_matrices):
+        with pytest.raises(EnumerationCapExceeded) as refused:
+            counter(5)
+        assert str(refused.value) == str(EnumerationCapExceeded(5, 4))
+        with pytest.raises(ValueError):
+            counter(-1)
