@@ -10,6 +10,11 @@ from __future__ import annotations
 
 from cubecovers import correspondence, counting, digraph, gf2, series
 
+# The matrix checks compare the grown member set with the image of every
+# one of the 2^(n(n-1)) digraphs.  That per-graph pass takes about 20 s at
+# n = 5 on one core of a 2-core VM with Python 3.11, so they stop at 4.
+MATRIX_BRUTEFORCE_CAP = 4
+
 
 def verify_checks(n_max: int, series_order: int, series_only: bool,
                   jobs: int, enum_cap: int) -> list[dict]:
@@ -37,7 +42,7 @@ def verify_checks(n_max: int, series_order: int, series_only: bool,
             add("orientable-count-bruteforce", got.orientable == want_v,
                 f"brute={got.orientable} formula={want_v}", n=n)
 
-        for n in range(min(n_max, correspondence.MATRIX_BRUTEFORCE_CAP) + 1):
+        for n in range(min(n_max, MATRIX_BRUTEFORCE_CAP) + 1):
             # Grown on the matrix side alone; every matrix-side check below
             # reads this set.
             members = set(gf2.unit_minor_matrices(n))

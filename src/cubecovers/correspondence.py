@@ -19,12 +19,13 @@ counter walks the canonical code range with the block kernel of
 :mod:`cubecovers.digraph` (its module docstring gives the argument), never
 uses the recurrences it checks and never materializes a graph list, so a
 count over ``[0, 2^(n(n-1)))`` can be split into disjoint subranges and the
-partial sums added back in any order.  The matrix-side counters share
-nothing with it: they grow the matrices with all unit principal minors one
-index at a time by Schur's formula
-(:func:`cubecovers.gf2.count_unit_minor_matrices`; the growth step and why
-it lists each member once are in that module's docstring), using GF(2)
-linear algebra alone and never looking at a graph.
+partial sums added back in any order.  The matrix-side counters grow the
+matrices with all unit principal minors one index at a time by Schur's
+formula (:func:`cubecovers.gf2.count_unit_minor_matrices`; that module's
+docstring gives the growth step) and never look at a graph.  The two
+sides share no code in either direction: neither :mod:`cubecovers.digraph`
+nor :mod:`cubecovers.gf2` imports anything from the package, so only this
+module and :mod:`cubecovers.checks` know both.
 :func:`unit_diagonal_matrices` keeps the full scan of ``2^(n(n-1))``
 candidates as the tests' reference for that walk.
 """
@@ -55,16 +56,6 @@ __all__ = [
     "digraph_from_characteristic",
     "unit_diagonal_matrices",
 ]
-
-# The matrix-side counters grow their matrices one index at a time (see
-# :func:`cubecovers.gf2.unit_minor_matrices`).  On one core of a 2-core VM
-# with Python 3.11, both counts together take about 0.07 s at n = 5 and
-# 7.2-8.2 s at n = 6 (three runs), the optional deep check.  The matrix
-# checks of :mod:`cubecovers.checks` stay at 4: they also compare the member
-# set with the image of every one of the 2^(n(n-1)) digraphs, and that
-# per-graph pass takes about 20 s at n = 5.
-MATRIX_BRUTEFORCE_CAP = 4
-
 
 class DagCounts(NamedTuple):
     """Result of one brute-force pass: all acyclic, and acyclic with every
@@ -182,7 +173,9 @@ def unit_diagonal_matrices(n: int) -> Iterator[BitMatrix]:
         yield BitMatrix(n, tuple(mask | 1 << i for i, mask in enumerate(graph.rows)))
 
 
-def brute_count_characteristic_matrices(n: int, cap: int = MATRIX_BRUTEFORCE_CAP) -> int:
+def brute_count_characteristic_matrices(
+    n: int, cap: int = DEFAULT_ENUMERATION_CAP
+) -> int:
     """Count GF(2) matrices with all unit principal minors, by the grown walk.
 
     Independent of the digraph route on purpose: this counter never looks at
@@ -194,7 +187,7 @@ def brute_count_characteristic_matrices(n: int, cap: int = MATRIX_BRUTEFORCE_CAP
 
 
 def brute_count_orientable_characteristic_matrices(
-    n: int, cap: int = MATRIX_BRUTEFORCE_CAP
+    n: int, cap: int = DEFAULT_ENUMERATION_CAP
 ) -> int:
     """Count matrices with all unit principal minors and all odd column sums."""
     _check_cap(n, cap)

@@ -28,6 +28,9 @@ prefixes that are still acyclic are extended.  The edge into vertex 0 (bit
 values.  Each assignment of rows ``1 .. n-1`` is thus either visited or
 skipped on a cycle witness, and counts made this way remain a brute-force
 oracle, independent of the recurrences in :mod:`cubecovers.counting`.
+
+The module imports nothing from the rest of the package: the graph side of
+the dictionary shares no code with the matrix side in :mod:`cubecovers.gf2`.
 """
 
 from __future__ import annotations
@@ -35,8 +38,6 @@ from __future__ import annotations
 import itertools
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
-
-from cubecovers.gf2 import BitMatrix
 
 __all__ = [
     "DEFAULT_ENUMERATION_CAP",
@@ -164,12 +165,6 @@ class Digraph:
             if (self.rows[u] >> v) & 1
         ]
 
-    def edge_count(self) -> int:
-        return sum(mask.bit_count() for mask in self.rows)
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool((self.rows[u] >> v) & 1)
-
     def out_degree(self, v: int) -> int:
         """Number of edges leaving ``v`` (the row sum of the adjacency matrix)."""
         if not 0 <= v < self.n:
@@ -184,10 +179,6 @@ class Digraph:
 
     def all_out_degrees_even(self) -> bool:
         return all(mask.bit_count() % 2 == 0 for mask in self.rows)
-
-    def adjacency_matrix(self) -> BitMatrix:
-        """The vertex adjacency matrix: entry (u, v) is 1 iff the edge u -> v exists."""
-        return BitMatrix(self.n, self.rows)
 
     def is_acyclic(self) -> bool:
         """Whether the graph has no directed cycle.

@@ -96,10 +96,6 @@ class BitMatrix:
         return cls(n, tuple(1 << i for i in range(n)))
 
     @classmethod
-    def zeros(cls, n: int) -> BitMatrix:
-        return cls(n, (0,) * n)
-
-    @classmethod
     def from_rows(cls, bits: Iterable[Iterable[int]]) -> BitMatrix:
         """Build a matrix from nested 0/1 entries (row major)."""
         packed = []

@@ -84,16 +84,9 @@ class ChromaticSeries:
         return len(self.coeffs) - 1
 
     def coefficient(self, n: int) -> Fraction:
+        if not 0 <= n <= self.order:
+            raise IndexError(f"no coefficient {n} in a series of order {self.order}")
         return self.coeffs[n]
-
-    def plain_coefficient(self, n: int) -> Fraction:
-        """The ordinary power-series coefficient of x^n."""
-        return self.coeffs[n] / (math.factorial(n) * (1 << (n * (n - 1) // 2)))
-
-    def truncate(self, order: int) -> ChromaticSeries:
-        if order > self.order:
-            raise ValueError(f"cannot extend a series from order {self.order} to {order}")
-        return ChromaticSeries(self.coeffs[: order + 1])
 
     def scale_argument(self, s) -> ChromaticSeries:
         """Substitute x -> s*x, which scales the n-th coefficient by s^n."""

@@ -44,7 +44,7 @@ def test_det_identity():
 
 
 def test_det_zero_matrix():
-    assert BitMatrix.zeros(2).det() == 0
+    assert BitMatrix(2, (0, 0)).det() == 0
 
 
 def test_det_sample_matrix_matches_cofactor_oracle(sample_matrix):
@@ -68,7 +68,7 @@ def test_det_agrees_with_cofactor_oracle_random(case):
 
 
 def test_empty_matrix_conventions():
-    empty = BitMatrix.zeros(0)
+    empty = BitMatrix(0, ())
     assert empty.det() == 1
     assert empty.has_unit_principal_minors()
     assert empty.has_odd_column_sums()

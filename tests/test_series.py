@@ -47,23 +47,17 @@ def test_order_and_coefficients():
     assert all(isinstance(c, Fraction) for c in s.coeffs)
 
 
-def test_truncate():
-    s = deformed_exp_series(5)
-    assert s.truncate(2) == deformed_exp_series(2)
-    with pytest.raises(ValueError):
-        s.truncate(6)
+@pytest.mark.parametrize("n", [-1, 4])
+def test_coefficient_outside_the_order_raises(n):
+    # A negative index must not read the coefficients from the top end.
+    s = deformed_exp_series(3).scale_argument(-1)
+    with pytest.raises(IndexError, match=f"no coefficient {n} in a series of order 3"):
+        s.coefficient(n)
 
 
 def test_all_ones_series_shape():
     assert deformed_exp_series(0).coeffs == (Fraction(1),)
     assert deformed_exp_series(3).coeffs == (1, 1, 1, 1)
-
-
-def test_plain_coefficient_unfolds_the_basis():
-    e = deformed_exp_series(3)
-    assert e.plain_coefficient(0) == 1
-    assert e.plain_coefficient(2) == Fraction(1, 4)  # 1 / (2! * 2^1)
-    assert e.plain_coefficient(3) == Fraction(1, 48)  # 1 / (3! * 2^3)
 
 
 # ----------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Names that other files reach the package by.
+"""Names that other files reach the package by, and the package's own
+import graph.
 
 The benchmark's traced run wraps package functions by name:
 ``perfbench/spans.py`` lists them in ``TRACED``, and a name that no longer
@@ -6,6 +7,10 @@ resolves on the package breaks every traced run.  The demos import from
 the package root, so each name they import must be exported there, and
 every name in an ``__all__`` must resolve.  Those files are read and
 parsed here, never imported or executed.
+
+The two sides of the graph/matrix dictionary are independent oracles only
+while they share no code, so the modules each module imports from the
+package are pinned in ``IMPORT_GRAPH``.
 """
 
 import ast
@@ -17,6 +22,21 @@ import cubecovers
 
 ROOT = Path(__file__).resolve().parent.parent
 SPANS = ROOT / "perfbench" / "spans.py"
+PACKAGE = ROOT / "src" / "cubecovers"
+
+IMPORT_GRAPH = {
+    "gf2": set(),
+    "digraph": set(),
+    "counting": set(),
+    "asymptotics": set(),
+    "series": {"counting"},
+    "correspondence": {"digraph", "gf2"},
+    "checks": {"correspondence", "counting", "digraph", "gf2", "series"},
+    "cli": {"asymptotics", "checks", "correspondence", "counting", "digraph"},
+    "__main__": {"cli"},
+    "__init__": {"asymptotics", "correspondence", "counting", "digraph", "gf2",
+                 "series"},
+}
 
 
 def traced_names() -> dict[str, list[str]]:
@@ -62,3 +82,31 @@ def test_every_name_the_demos_import_is_exported():
                 imported.update(alias.name for alias in node.names)
     assert imported
     assert imported <= set(cubecovers.__all__), imported - set(cubecovers.__all__)
+
+
+def package_imports(path: Path) -> set[str]:
+    """The package modules that the module at ``path`` imports, anywhere in
+    its body, by absolute or relative import."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level:  # relative: the package is the only parent
+                module = f"cubecovers.{module}" if module else "cubecovers"
+            # ``from cubecovers import x`` names the module x.
+            names = ([f"cubecovers.{alias.name}" for alias in node.names]
+                     if module == "cubecovers" else [module])
+        else:
+            continue
+        found.update(name.split(".")[1] for name in names
+                     if name.startswith("cubecovers."))
+    return found
+
+
+def test_package_imports_follow_the_dictionary():
+    modules = {path.stem: path for path in PACKAGE.glob("*.py")}
+    assert set(modules) == set(IMPORT_GRAPH)
+    for name, path in sorted(modules.items()):
+        assert package_imports(path) == IMPORT_GRAPH[name], name
