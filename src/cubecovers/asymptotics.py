@@ -185,30 +185,28 @@ def _log_factorial(n: int) -> float:
     return sum(math.log(k) for k in range(2, n + 1))
 
 
-def log_dag_estimate(n: int) -> float:
-    """Natural log of the asymptotic DAG-count estimate at n."""
+def _log_estimate(n: int, prefactor: float, base: float) -> float:
+    """Natural log of prefactor * 2^C(n,2) * n! / base^n."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    c = _default_constants()
     return (
-        math.log(c.dag_prefactor)
+        math.log(prefactor)
         + (n * (n - 1) // 2) * math.log(2.0)
         + _log_factorial(n)
-        - n * math.log(abs(c.alpha))
+        - n * math.log(base)
     )
+
+
+def log_dag_estimate(n: int) -> float:
+    """Natural log of the asymptotic DAG-count estimate at n."""
+    c = _default_constants()
+    return _log_estimate(n, c.dag_prefactor, abs(c.alpha))
 
 
 def log_orientable_estimate(n: int) -> float:
     """Natural log of the asymptotic orientable-count estimate at n."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
     c = _default_constants()
-    return (
-        math.log(c.orientable_prefactor)
-        + (n * (n - 1) // 2) * math.log(2.0)
-        + _log_factorial(n)
-        - n * math.log(2.0 * abs(c.alpha))
-    )
+    return _log_estimate(n, c.orientable_prefactor, 2.0 * abs(c.alpha))
 
 
 def ratio_estimate(n: int) -> float:

@@ -57,7 +57,7 @@ def verify_checks(n_max: int, series_order: int, series_only: bool,
             images = set()
             # The code of the first graph that breaks each per-graph check.
             round_trip = equivalence = transfer = None
-            for graph in digraph.enumerate_digraphs(n, cap=enum_cap):
+            for graph in digraph.enumerate_digraphs(n):
                 matrix = correspondence.characteristic_matrix(graph)
                 if (round_trip is None
                         and correspondence.digraph_from_characteristic(matrix) != graph):

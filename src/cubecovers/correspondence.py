@@ -134,22 +134,19 @@ def brute_counts(
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
 
-    jobs = min(jobs, stop - start, os.cpu_count() or 1) or 1
-    if jobs == 1:
-        return DagCounts(*count_acyclic_codes(n, start, stop))
-
-    size = 1 << ((n - 2) * (n - 1))  # codes sharing the top two row chunks
-    cuts = [start, *range(start - start % size + size, stop, size), stop]
-    try:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            partials = list(pool.map(
-                count_acyclic_codes, [n] * (len(cuts) - 1), cuts[:-1], cuts[1:]
-            ))
-    except (OSError, concurrent.futures.BrokenExecutor):
-        # Sandboxed environments without process support; same totals either way.
-        partials = [count_acyclic_codes(n, start, stop)]
-
-    return DagCounts(*map(sum, zip(*partials)))
+    jobs = min(jobs, stop - start, os.cpu_count() or 1)
+    if jobs > 1:
+        size = 1 << ((n - 2) * (n - 1))  # codes sharing the top two row chunks
+        cuts = [start, *range(start - start % size + size, stop, size), stop]
+        try:
+            with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+                partials = list(pool.map(
+                    count_acyclic_codes, [n] * (len(cuts) - 1), cuts[:-1], cuts[1:]
+                ))
+            return DagCounts(*map(sum, zip(*partials)))
+        except (OSError, concurrent.futures.BrokenExecutor):
+            pass  # no worker processes here; count in-process, same totals
+    return DagCounts(*count_acyclic_codes(n, start, stop))
 
 
 # ----------------------------------------------------------------------

@@ -58,12 +58,12 @@ DEFAULT_ENUMERATION_CAP = 6
 
 
 class EnumerationCapExceeded(ValueError):
-    """Raised when an exhaustive walk over all digraphs would be infeasible."""
+    """Raised when an exhaustive walk (over digraphs or over matrices) is
+    asked for at an n above its cap."""
 
     def __init__(self, n: int, cap: int):
         super().__init__(
-            f"refusing to enumerate digraphs on {n} vertices "
-            f"(2^{n * (n - 1)} graphs); the cap is {cap}, "
+            f"refusing an exhaustive walk at n = {n}: the cap is {cap}, "
             f"raise it explicitly if you really mean it"
         )
         self.n = n

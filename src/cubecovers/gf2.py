@@ -148,27 +148,13 @@ class BitMatrix:
     # ------------------------------------------------------------------
 
     def det(self) -> int:
-        """Determinant over GF(2) by Gaussian elimination with row pivoting.
+        """Determinant over GF(2), as a rank test.
 
-        The pivot choice cannot change the result: over GF(2) a determinant
-        is 1 exactly when the rows are linearly independent.  The empty
-        matrix has determinant 1 (empty product).
+        Over GF(2) a determinant is 1 exactly when the rows are linearly
+        independent, that is when their rank is n.  The empty matrix has
+        determinant 1 (empty product; rank 0).
         """
-        rows = list(self.rows)
-        for col in range(self.n):
-            pivot = -1
-            for i in range(col, self.n):
-                if (rows[i] >> col) & 1:
-                    pivot = i
-                    break
-            if pivot < 0:
-                return 0
-            rows[col], rows[pivot] = rows[pivot], rows[col]
-            top = rows[col]
-            for i in range(col + 1, self.n):
-                if (rows[i] >> col) & 1:
-                    rows[i] ^= top
-        return 1
+        return int(_rank(self.rows) == self.n)
 
     def principal_minor(self, indices: Iterable[int]) -> int:
         """Determinant of the submatrix on the same row and column subset.
@@ -310,7 +296,8 @@ def _columns(forms: list[int]) -> list[int]:
     return [c for c, x in enumerate(sums) if not x]
 
 
-def _rank(vectors: list[int]) -> int:
+def _rank(vectors: Iterable[int]) -> int:
+    """Rank over GF(2) of the bitmask vectors, by Gaussian elimination."""
     pivots: dict[int, int] = {}
     for v in vectors:
         while v:

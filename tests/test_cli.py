@@ -307,7 +307,7 @@ def test_verify_above_the_cap_refuses_before_any_brute_force(runner, monkeypatch
     monkeypatch.setattr(correspondence, "brute_counts", recorded)
     result = invoke(runner, "verify", *args)
     assert result.exit_code == 2
-    assert "refusing to enumerate digraphs on 7 vertices" in result.output
+    assert "refusing an exhaustive walk at n = 7: the cap is 6" in result.output
     assert calls == []
     assert invoke(runner, "verify", "--series", *args, "--order", "4").exit_code == 0
 

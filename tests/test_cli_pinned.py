@@ -25,6 +25,12 @@ PINNED = {
         "89b07ffaf6dd1a877519e0f3594cf909f67cc923c1b14978434b3260a95e3ac8",
     ("enumerate", "--n", "5", "--matrices", "--format", "json"):
         "5ac82e1a8e40fd762785e7849871d37c7770a1c86bc3fde958a4ae29eb7f8b4d",
+    ("asymptotic", "--n", "30", "--format", "json"):
+        "2bf302692d47e37887fc2089fe28635e91576355dc9cd82229f9d17e2dbf92c6",
+    ("constants", "--format", "json"):
+        "061752022b81db2565156129a3590c1772c97b6660421a3195d9d12f166d45d1",
+    ("table", "--max-n", "30", "--format", "csv"):
+        "f1d6073f15f9efc64014654cde01b771bbd836538259aa07505eedfc1ffa3538",
 }
 
 

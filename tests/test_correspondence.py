@@ -211,6 +211,32 @@ def pool(monkeypatch):
     return RecordingPool
 
 
+class UnstartablePool(RecordingPool):
+    """A pool that cannot start, as where no process support exists."""
+
+    def __init__(self, max_workers):
+        super().__init__(max_workers)
+        raise OSError("no worker processes here")
+
+
+class BrokenPool(RecordingPool):
+    """A pool whose workers die before they return a piece."""
+
+    def map(self, fn, *iterables):
+        raise concurrent.futures.BrokenExecutor("a worker died")
+
+
+@pytest.mark.parametrize("failing", [UnstartablePool, BrokenPool],
+                         ids=["oserror-on-start", "broken-executor-in-map"])
+def test_brute_counts_falls_back_in_process_when_the_pool_fails(monkeypatch, failing):
+    want = brute_counts(4)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(failing, "sizes", [], raising=False)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", failing)
+    assert brute_counts(4, jobs=2) == want == (543, 43)
+    assert failing.sizes == [2]  # the pool path was taken, then abandoned
+
+
 def test_jobs_are_clamped_to_the_cpu_count(monkeypatch, pool):
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
     assert brute_counts(4, jobs=100000) == (543, 43)
@@ -302,5 +328,8 @@ def test_matrix_counters_enforce_their_cap():
         with pytest.raises(EnumerationCapExceeded) as refused:
             counter(7)
         assert str(refused.value) == str(EnumerationCapExceeded(7, 6))
+        # These counters grow matrices and never build a digraph.
+        assert "graph" not in str(refused.value)
+        assert "n = 7" in str(refused.value) and "cap is 6" in str(refused.value)
         with pytest.raises(ValueError):
             counter(-1)
