@@ -10,9 +10,16 @@ because C(n,2) = C(k,2) + C(n-k,2) + k(n-k).  Working in this basis keeps
 every identity below in integer numerators over power-of-two denominators
 instead of the astronomically scaled plain power-series coefficients.
 Coefficients are stored as :class:`~fractions.Fraction`, but products and
-the quotient run on integer numerators through the shared kernel
-:func:`cubecovers.counting.chromatic_sum` and build one ``Fraction`` per
-output coefficient.
+the quotient run on integer numerators through one kernel,
+:func:`chromatic_sum`, and build one ``Fraction`` per output coefficient.
+The kernel takes terms k and n - k together, since they share C(n,k) and
+the shift k(n-k).
+
+The kernel serves only this module.  :mod:`cubecovers.counting` grows
+D and V from products C(n,j) * D(j) that it advances by exact division;
+here every term multiplies by a binomial stepped along the row.  So the
+identities below recompute nothing of the counting pass: they check its
+integers through different arithmetic.
 
 Notation used throughout this module:
 
@@ -43,13 +50,14 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from cubecovers.counting import chromatic_sum, count_dags, count_orientable_dags
+from cubecovers.counting import count_dags, count_orientable_dags
 
 
 __all__ = [
     "ChromaticSeries",
     "IdentityCheck",
     "chrom_mul",
+    "chromatic_sum",
     "dag_series",
     "deformed_exp_series",
     "derivative_identity_first_failure",
@@ -58,6 +66,34 @@ __all__ = [
     "unit_series",
     "verify_identities",
 ]
+
+
+def chromatic_sum(n: int, a: list[int], b: list[int], start: int = 0) -> int:
+    """The exact integer sum over ``k = start .. n`` of
+
+        C(n,k) * a[k] * b[n-k] * 2^(k(n-k)),
+
+    the n-th coefficient of the chromatic convolution of ``a`` and ``b``
+    when ``start`` is 0.  Terms k and n - k share C(n,k) and the shift
+    k(n-k), so their products a[k] * b[n-k] and a[n-k] * b[k] are added
+    first, and the pair is multiplied by the binomial and shifted once; no
+    k(n-k)-bit power of two is ever built.  No big-by-big product is taken
+    when ``a`` holds the small numbers.  The binomial is stepped along the
+    row, over k <= n/2 only.
+    """
+    total = 0
+    c = 1
+    for k in range(n // 2 + 1):
+        mirror = n - k
+        if mirror < start:
+            break  # so is every later k, and every later mirror
+        x = a[mirror] * b[k]
+        if start <= k < mirror:
+            x += a[k] * b[mirror]
+        if x:
+            total += (c * x) << (k * mirror)
+        c = c * mirror // (k + 1)
+    return total
 
 
 @dataclass(frozen=True)
@@ -123,8 +159,8 @@ def chrom_mul(a: ChromaticSeries, b: ChromaticSeries) -> ChromaticSeries:
     """Product on the chromatic basis, truncated to the smaller order.
 
     Both factors go over a common denominator, so every coefficient of the
-    product is one integer :func:`~cubecovers.counting.chromatic_sum` over
-    the product of the two denominators.
+    product is one integer :func:`chromatic_sum` over the product of the
+    two denominators.
     """
     order = min(a.order, b.order)
     xs, x_den = _numerators(a, order)
@@ -230,19 +266,20 @@ def verify_identities(order: int) -> list[IdentityCheck]:
 
 
 def derivative_identity_first_failure(max_n: int) -> int | None:
-    """Termwise check that E'(x) = E(x/2), in exact rationals.
+    """Termwise check that E'(x) = E(x/2), in exact integers.
 
     Differentiating the n-th basis term of E gives the coefficient
     1 / ((n-1)! * 2^C(n,2)) on x^(n-1); halving the argument of the
     (n-1)-th term gives (1/2)^(n-1) / ((n-1)! * 2^C(n-1,2)).  These are
-    equal because C(n,2) - C(n-1,2) = n - 1.  Returns the first n in
-    ``1 .. max_n`` where the rationals differ, or None.
+    equal because C(n,2) - C(n-1,2) = n - 1.  Both have numerator 1, so
+    the check compares their denominators.  Returns the first n in
+    ``1 .. max_n`` where they differ, or None.
     """
+    factorial = 1  # (n-1)!
     for n in range(1, max_n + 1):
-        derived = Fraction(1, math.factorial(n - 1) * (1 << (n * (n - 1) // 2)))
-        halved = Fraction(1, 1 << (n - 1)) * Fraction(
-            1, math.factorial(n - 1) * (1 << ((n - 1) * (n - 2) // 2))
-        )
+        derived = factorial << (n * (n - 1) // 2)
+        halved = (factorial << ((n - 1) * (n - 2) // 2)) << (n - 1)
         if derived != halved:
             return n
+        factorial *= n
     return None

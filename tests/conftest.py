@@ -9,7 +9,7 @@ package; material drawn with 1-based labels is stored shifted down by one.
 
 import pytest
 
-from cubecovers import BitMatrix, Digraph
+from cubecovers import BitMatrix, Digraph, counting
 
 SAMPLE_EDGES = [(0, 3), (1, 0), (1, 2), (1, 3), (3, 2)]
 
@@ -29,3 +29,15 @@ def sample_graph() -> Digraph:
 @pytest.fixture
 def sample_matrix() -> BitMatrix:
     return BitMatrix.from_rows(SAMPLE_MATRIX_BITS)
+
+
+@pytest.fixture
+def corrupted_dag_count(monkeypatch):
+    """A counting memo grown through n = 3 that holds D(3) = 26, not 25.
+
+    Its products C(3,j) * D(j) and its V(0 .. 3) are what the counting pass
+    would keep beside that value, so every larger index grows from it.
+    """
+    monkeypatch.setattr(
+        counting, "_COUNTS", ([1, 1, 3, 26], [1, 1, 1, 4], [1, 3, 9, 26])
+    )

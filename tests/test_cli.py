@@ -187,8 +187,7 @@ def test_verify_jobs_flag(runner):
     assert json.loads(result.output)["passed"] is True
 
 
-def test_verify_detects_corrupted_counts(runner, monkeypatch):
-    monkeypatch.setattr(counting, "_DAG_COUNTS", [1, 1, 3, 26])
+def test_verify_detects_corrupted_counts(runner, corrupted_dag_count):
     result = invoke(runner, "verify", "--n-max", "3", "--series-order", "5")
     assert result.exit_code == 1
     payload = json.loads(result.output)
@@ -200,8 +199,7 @@ def test_verify_detects_corrupted_counts(runner, monkeypatch):
     )
 
 
-def test_verify_text_format_failure_names_the_check(runner, monkeypatch):
-    monkeypatch.setattr(counting, "_DAG_COUNTS", [1, 1, 3, 26])
+def test_verify_text_format_failure_names_the_check(runner, corrupted_dag_count):
     result = invoke(runner, "verify", "--n-max", "3", "--series-order", "5",
                     "--format", "text")
     assert result.exit_code == 1

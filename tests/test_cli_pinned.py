@@ -31,6 +31,12 @@ PINNED = {
         "061752022b81db2565156129a3590c1772c97b6660421a3195d9d12f166d45d1",
     ("table", "--max-n", "30", "--format", "csv"):
         "f1d6073f15f9efc64014654cde01b771bbd836538259aa07505eedfc1ffa3538",
+    # Real sizes: every parity branch of the counting and series kernels,
+    # and the benchmarked series output.
+    ("verify", "--series", "--series-order", "200", "--format", "json"):
+        "0f8c99170fd121a109ee4914c32e796e3cc72767b3d95b69c7616a3b69232c66",
+    ("table", "--max-n", "200", "--format", "csv"):
+        "a22936d8a3b5aed71ab606531b8609ce13e3ec83f92acac9bf6c9a638aa956b3",
 }
 
 

@@ -4,7 +4,7 @@ import threading
 
 import pytest
 
-from cubecovers import counting
+from cubecovers import counting, series
 from cubecovers import (
     brute_counts,
     count_dags,
@@ -18,17 +18,18 @@ ORIENTABLE_COUNTS = [1, 1, 4, 43, 1156, 74581, 11226874]
 
 
 # ----------------------------------------------------------------------
-# the kernel's incremental binomial
+# the series kernel's incremental binomial
 # ----------------------------------------------------------------------
 
 
 def kernel_binomial(n, k):
-    # With a and b the indicators of k and n - k and lag k, the only term
-    # of the chromatic sum is C(n,k) * 1 * 1 << 0, reached after the
-    # incremental binomial has stepped through every index below k.
+    # With a and b the indicators of k and n - k, the only term of the
+    # chromatic sum is C(n,k) * 1 * 1 << k(n-k), reached after the
+    # incremental binomial has stepped through every index below
+    # min(k, n - k).
     a = [int(i == k) for i in range(n + 1)]
     b = [int(i == n - k) for i in range(n + 1)]
-    return counting.chromatic_sum(n, a, b, start=0, lag=k)
+    return series.chromatic_sum(n, a, b) >> (k * (n - k))
 
 
 @pytest.mark.parametrize("n,k,expected", [(5, 2, 10), (7, 3, 35), (9, 0, 1), (6, 6, 1)])
@@ -86,18 +87,79 @@ def test_memoized_matches_fresh_computation():
             for k in range(n + 1)
         ) == 0
     # repeated calls keep agreeing after the cache is fully warm
-    assert counting._DAG_COUNTS[:41] == [count_dags(n) for n in range(41)]
+    assert counting._COUNTS[0][:41] == [count_dags(n) for n in range(41)]
 
 
-def _grow_cold_memo_from_threads(monkeypatch, memo, cold, count, ns, reference):
+def _literal_counts(max_n):
+    # Robinson's recurrence and the orientable sum, term by term, with
+    # math.comb and full powers of two: none of the counting pass's
+    # arithmetic.
+    dags = [1]
+    for n in range(1, max_n + 1):
+        dags.append(sum(
+            (-1) ** (k + 1) * math.comb(n, k) * 2 ** (k * (n - k)) * dags[n - k]
+            for k in range(1, n + 1)
+        ))
+    orientable = [1] + [
+        sum(
+            (-1) ** (k + 1) * math.comb(n, k) * 2 ** ((k - 1) * (n - k)) * dags[n - k]
+            for k in range(1, n + 1)
+        )
+        for n in range(1, max_n + 1)
+    ]
+    return dags, orientable
+
+
+def _cold_memo():
+    return ([1], [1], [1])
+
+
+def test_stepwise_growth_equals_one_shot_growth_and_the_literal_formulas(
+        monkeypatch):
+    dags, orientable = _literal_counts(60)
+    assert dags[1:8] == DAG_COUNTS and orientable[1:8] == ORIENTABLE_COUNTS
+    # The published products are C(60,j) * D(j) for every j <= 60.
+    terms = [math.comb(60, j) * d for j, d in enumerate(dags)]
+
+    monkeypatch.setattr(counting, "_COUNTS", _cold_memo())
+    assert count_dags(60) == dags[60]
+    one_shot = counting._COUNTS
+    assert one_shot == (dags, orientable, terms)
+
+    monkeypatch.setattr(counting, "_COUNTS", _cold_memo())
+    for n in range(61):
+        assert count_orientable_dags(n) == orientable[n]
+        assert count_dags(n) == dags[n]
+        assert counting._COUNTS[0] == dags[: n + 1]
+    assert counting._COUNTS == one_shot
+
+
+def _count_growth_steps(monkeypatch):
+    # The pass sums D(m) with width m over the m products of row m, and
+    # V(m) with width m - 1; recording the first call names each m grown.
+    grown = []
+    mirror_sum = counting._mirror_sum
+
+    def counted(terms, width):
+        if width == len(terms):
+            grown.append(width)
+        return mirror_sum(terms, width)
+
+    monkeypatch.setattr(counting, "_mirror_sum", counted)
+    return grown
+
+
+def _grow_cold_memo_from_threads(monkeypatch, count, ns, reference, column):
     # Four threads fill a cold memo at once, each asking for ``ns`` in its
-    # own order.  A tiny switch interval makes them interleave inside the
-    # growth code, which used to leave values at the wrong index.
+    # own order, and must leave the single-threaded ``reference`` memo; the
+    # answers are read from its ``column`` (0 for D, 1 for V).  A tiny
+    # switch interval makes them interleave inside the growth code, which
+    # used to leave values at the wrong index.
     old_interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for trial in range(20):
-            monkeypatch.setattr(counting, memo, cold())
+            monkeypatch.setattr(counting, "_COUNTS", _cold_memo())
             barrier = threading.Barrier(4)
             results = {}
 
@@ -114,84 +176,77 @@ def _grow_cold_memo_from_threads(monkeypatch, memo, cold, count, ns, reference):
                 thread.join(timeout=30)
                 assert not thread.is_alive()
             for order in orders:
-                assert results[order] == [reference[n] for n in order]
-            assert getattr(counting, memo) == reference
+                assert results[order] == [reference[column][n] for n in order]
+            assert counting._COUNTS == reference
     finally:
         sys.setswitchinterval(old_interval)
 
 
 def test_cold_cache_survives_concurrent_growth(monkeypatch):
     # The reference is a single-threaded run from a cold memo.
-    monkeypatch.setattr(counting, "_DAG_COUNTS", [1])
+    monkeypatch.setattr(counting, "_COUNTS", _cold_memo())
     count_dags(40)
-    reference = counting._DAG_COUNTS
-    assert len(reference) == 41 and reference[1:8] == DAG_COUNTS
-    _grow_cold_memo_from_threads(
-        monkeypatch, "_DAG_COUNTS", lambda: [1], count_dags, [40], reference
-    )
+    reference = counting._COUNTS
+    assert len(reference[0]) == 41 and reference[0][1:8] == DAG_COUNTS
+
+    grown = _count_growth_steps(monkeypatch)
+    _grow_cold_memo_from_threads(monkeypatch, count_dags, [40], reference, 0)
+    # Each m is grown once per cold memo, however the threads race.
+    assert sorted(grown) == sorted(list(range(1, 41)) * 20)
 
 
 def test_orientable_cold_cache_survives_concurrent_growth(monkeypatch):
     ns = list(range(0, 41, 3))
-    monkeypatch.setattr(counting, "_ORIENTABLE_COUNTS", {0: 1})
+    monkeypatch.setattr(counting, "_COUNTS", _cold_memo())
     for n in ns:
         count_orientable_dags(n)
-    reference = counting._ORIENTABLE_COUNTS
-    assert sorted(reference) == ns and reference[3] == 4 and reference[6] == 74581
+    reference = counting._COUNTS
+    assert len(reference[1]) == 40 and reference[1][3] == 4
+    assert reference[1][6] == 74581
 
-    # Each value is computed once per cold memo, however the threads race.
-    computed = []
-    kernel = counting.chromatic_sum
-
-    def counted(n, a, b, start=0, lag=0):
-        if lag:
-            computed.append(n)
-        return kernel(n, a, b, start, lag)
-
-    monkeypatch.setattr(counting, "chromatic_sum", counted)
+    grown = _count_growth_steps(monkeypatch)
     _grow_cold_memo_from_threads(
-        monkeypatch, "_ORIENTABLE_COUNTS", lambda: {0: 1}, count_orientable_dags,
-        ns, reference,
+        monkeypatch, count_orientable_dags, ns, reference, 1
     )
-    assert sorted(computed) == sorted(ns[1:] * 20)
+    assert sorted(grown) == sorted(list(range(1, 40)) * 20)
 
 
-def test_orientable_query_computes_only_its_own_value(monkeypatch):
-    monkeypatch.setattr(counting, "_ORIENTABLE_COUNTS", {0: 1})
+def test_orientable_query_publishes_both_prefixes(monkeypatch):
+    # One cold V(7) query grows D, V and the products through n = 7, and
+    # publishes nothing beyond it.
+    monkeypatch.setattr(counting, "_COUNTS", _cold_memo())
     assert count_orientable_dags(7) == ORIENTABLE_COUNTS[6]
-    assert counting._ORIENTABLE_COUNTS == {0: 1, 7: ORIENTABLE_COUNTS[6]}
-
-
-def test_cold_orientable_query_calls_count_dags_once(monkeypatch):
-    # V(n) reads D(0 .. n-1) off the published prefix after one call that
-    # grows it, instead of one count_dags call per m.
-    monkeypatch.setattr(counting, "_ORIENTABLE_COUNTS", {0: 1})
-    monkeypatch.setattr(counting, "_DAG_COUNTS", [1])
-    calls = []
-    real = counting.count_dags
-
-    def counted(m):
-        calls.append(m)
-        return real(m)
-
-    monkeypatch.setattr(counting, "count_dags", counted)
-    assert count_orientable_dags(40) == sum(
-        (-1) ** (k + 1) * math.comb(40, k) * 2 ** ((k - 1) * (40 - k))
-        * real(40 - k)
-        for k in range(1, 41)
+    dags = [1] + DAG_COUNTS
+    assert counting._COUNTS == (
+        dags,
+        [1] + ORIENTABLE_COUNTS,
+        [math.comb(7, j) * d for j, d in enumerate(dags)],
     )
-    assert calls == [39]
+
+
+def test_cold_orientable_query_grows_each_m_once(monkeypatch):
+    monkeypatch.setattr(counting, "_COUNTS", _cold_memo())
+    grown = _count_growth_steps(monkeypatch)
+    dags, orientable = _literal_counts(40)
+    assert count_orientable_dags(40) == orientable[40]
+    assert grown == list(range(1, 41))
+    # A warm query grows nothing.
+    assert count_dags(40) == dags[40] and count_orientable_dags(17) == orientable[17]
+    assert grown == list(range(1, 41))
 
 
 def test_negative_orientable_sum_raises(monkeypatch):
-    # With D(m) = 0 for m >= 1 only the k = n term survives: -1 at n = 2.
+    # With D(1) = 0 the products of row 2 are 1 and 0, so D(2) = V(2) = -1.
     # The guard must be a real exception, not an assert that -O strips, and
-    # a cold memo makes sure the sum is really computed.
-    monkeypatch.setattr(counting, "_ORIENTABLE_COUNTS", {0: 1})
-    monkeypatch.setattr(counting, "_DAG_COUNTS", [1, 0, 0])
+    # a memo grown only through n = 1 makes sure the sum is really computed.
+    memo = ([1, 0], [1, 1], [1, 0])
+    monkeypatch.setattr(counting, "_COUNTS", memo)
     with pytest.raises(ArithmeticError, match="negative at n=2"):
-        count_orientable_dags(2)
-    assert counting._ORIENTABLE_COUNTS == {0: 1}  # nothing published
+        count_dags(2)
+    with pytest.raises(ArithmeticError, match="negative at n=2"):
+        count_orientable_dags(5)
+    assert counting._COUNTS is memo  # nothing published
+    assert memo == ([1, 0], [1, 1], [1, 0])
 
 
 def test_orientable_bounds():
