@@ -20,8 +20,7 @@ graph = Digraph.from_edges(4, [(0, 3), (1, 0), (1, 2), (1, 3), (3, 2)])
 print("graph edges:", graph.edges())
 print("out-degrees:", [graph.out_degree(v) for v in range(4)])
 print("in-degrees: ", [graph.in_degree(v) for v in range(4)])
-print("acyclic (peeling)?", graph.is_acyclic())
-print("acyclic (dfs)?    ", is_acyclic_dfs(graph))
+print("acyclic?", is_acyclic_dfs(graph))
 
 # The dictionary sends a digraph to the transpose of its adjacency matrix
 # plus the identity, over GF(2).

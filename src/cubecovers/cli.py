@@ -14,7 +14,6 @@ import decimal
 import json
 import math
 import sys
-from fractions import Fraction
 
 import click
 
@@ -29,6 +28,21 @@ from cubecovers.digraph import (
 
 def _fmt(value: float, digits: int) -> str:
     return f"{value:.{digits}g}"
+
+
+def _fmt_halved(x: float, n: int, digits: int) -> str:
+    """``_fmt(math.ldexp(x, -n), digits)`` for a positive float ``x``,
+    without forming that product: it leaves the normal float range near
+    n = 1022 and is 0.0 from about n = 1075.  x / 2^n is exact in
+    ``decimal`` and rounds once to ``digits`` significant digits, half to
+    even like float formatting, so the bytes are ``_fmt``'s wherever the
+    product is a normal float.
+    """
+    value = decimal.Context(prec=digits).divide(decimal.Decimal(x), 1 << n)
+    if -4 <= value.adjusted() < digits:  # where the "g" format stays fixed
+        return f"{value.normalize():f}"
+    mantissa, exponent = f"{value.normalize():e}".split("e")
+    return f"{mantissa}e{int(exponent):+03d}"
 
 
 def _dec(value: int) -> str:
@@ -160,34 +174,21 @@ def verify(n_max: int, series_order: int, series_only: bool, jobs: int,
         sys.exit(1)
 
 
-def _tolerance(ctx: click.Context, param: click.Parameter, value: float) -> float:
-    if not (math.isfinite(value) and value >= asymptotics.MIN_TOL):
-        raise click.BadParameter(
-            f"{value!r} is not a finite number >= {asymptotics.MIN_TOL}"
-        )
-    return value
-
-
-def _decimals_resolved(tol: float) -> int:
-    """The most decimal places a Newton tolerance of ``tol`` supports: the
-    largest d >= 0 with 10^-d >= tol."""
-    return max(0, math.floor(-math.log10(tol) + 1e-9))
+# The places a Newton tolerance of 1e-13 resolves: the most that
+# ``constants`` prints.
+_CONSTANT_DECIMALS = 13
 
 
 @main.command()
 @click.option("--digits", type=click.IntRange(1, 17), default=10, show_default=True,
-              help="Decimal places, at most as many as --tol resolves.")
-@click.option("--terms", type=click.IntRange(25), default=asymptotics.DEFAULT_TERMS,
-              show_default=True)
-@click.option("--tol", type=float, default=asymptotics.DEFAULT_TOL, show_default=True,
-              callback=_tolerance,
-              help=f"Newton step tolerance, finite and >= {asymptotics.MIN_TOL}.")
+              help=f"Decimal places, at most {_CONSTANT_DECIMALS} "
+                   "(what the Newton tolerance 1e-13 resolves).")
 @click.option("--format", "fmt", type=click.Choice(["text", "json"]),
               default="text", show_default=True)
-def constants(digits: int, terms: int, tol: float, fmt: str) -> None:
+def constants(digits: int, fmt: str) -> None:
     """Print the zero of the deformed exponential and both growth prefactors."""
-    c = asymptotics.compute_constants(terms, tol)
-    digits = min(digits, _decimals_resolved(tol))
+    c = asymptotics.compute_constants()
+    digits = min(digits, _CONSTANT_DECIMALS)
     values = {
         "alpha": f"{c.alpha:.{digits}f}",
         "dag_prefactor": f"{c.dag_prefactor:.{digits}f}",
@@ -236,8 +237,12 @@ def asymptotic(n: int, digits: int, fmt: str) -> None:
         "orientable_estimate": _fmt(safe_exp(log_v), digits),
         "log_dag_estimate": _fmt(log_d, digits),
         "log_orientable_estimate": _fmt(log_v, digits),
-        "ratio_exact": _fmt(float(Fraction(exact_v, exact_d)), digits),
-        "ratio_estimate": _fmt(asymptotics.ratio_estimate(n), digits),
+        # 2^n V(n)/D(n) lies in [1, 2] and K/C is 1.26..., so only the
+        # halving by 2^n leaves the float range.  Integer true division
+        # rounds the exact quotient correctly.
+        "ratio_exact": _fmt_halved((exact_v << n) / exact_d, n, digits),
+        "ratio_estimate": _fmt_halved(asymptotics.compute_constants().ratio_factor,
+                                      n, digits),
     }
     if fmt == "json":
         click.echo(json.dumps(fields))

@@ -180,37 +180,13 @@ class Digraph:
     def all_out_degrees_even(self) -> bool:
         return all(mask.bit_count() % 2 == 0 for mask in self.rows)
 
-    def is_acyclic(self) -> bool:
-        """Whether the graph has no directed cycle.
-
-        Peels vertices whose remaining out-degree is zero, a whole layer per
-        round, using only bitmask operations.  The graph is acyclic exactly
-        when everything peels away; a round that removes nothing leaves a
-        set in which every vertex has an out-edge, so it holds a cycle.
-        :func:`is_acyclic_dfs` is the independent implementation used to
-        cross-check this one.
-        """
-        rows = self.rows
-        alive = (1 << self.n) - 1
-        while alive:
-            removable = 0
-            scan = alive
-            while scan:
-                bit = scan & -scan
-                if not rows[bit.bit_length() - 1] & alive:
-                    removable |= bit
-                scan ^= bit
-            if not removable:
-                return False
-            alive ^= removable
-        return True
-
 
 def is_acyclic_dfs(graph: Digraph) -> bool:
     """Cycle detection by iterative three-color depth-first search.
 
-    Deliberately shares no code with :meth:`Digraph.is_acyclic`; the two are
-    compared exhaustively in the tests.
+    The per-graph test, and the reference for the block kernel: it shares
+    no code with :func:`enumerate_acyclic`, and the tests compare the two
+    exhaustively.
     """
     n = graph.n
     successors = [

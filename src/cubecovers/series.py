@@ -245,6 +245,12 @@ def verify_identities(order: int) -> list[IdentityCheck]:
     The DAG and orientable coefficients come from the closed-form counters
     in :mod:`cubecovers.counting`, so a failure here indicts either those
     formulas or the convolution rule.  Failures are reported, not raised.
+
+    ``alternating-inverse`` checks D.  ``half-argument-decomposition``
+    checks V's arithmetic given D, not D: counting grows V from the stored
+    D by that same decomposition, so a wrong D (say D(3) = 26 in the memo)
+    passes it.  That D fails ``alternating-inverse``, and the V grown from
+    it fails the ``orientable-quotient`` record of :mod:`cubecovers.checks`.
     """
     alternating = deformed_exp_series(order).scale_argument(-1)
     dags = dag_series(order)

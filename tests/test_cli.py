@@ -4,7 +4,9 @@ from fractions import Fraction
 import pytest
 from click.testing import CliRunner
 
-from cubecovers import Digraph, IdentityCheck, cli, correspondence, counting, series
+from cubecovers import (
+    Digraph, IdentityCheck, cli, correspondence, counting, digraph, series,
+)
 
 
 @pytest.fixture
@@ -225,9 +227,9 @@ def _break_codes_12_and_48(check, monkeypatch):
         monkeypatch.setattr(Digraph, "all_out_degrees_even",
                             lambda graph: even(graph) != broken(graph))
     else:
-        acyclic = Digraph.is_acyclic
-        monkeypatch.setattr(Digraph, "is_acyclic",
-                            lambda graph: acyclic(graph) and not broken(graph))
+        acyclic = digraph.enumerate_acyclic
+        monkeypatch.setattr(digraph, "enumerate_acyclic", lambda n: (
+            graph for graph in acyclic(n) if not broken(graph)))
 
 
 @pytest.mark.parametrize(
@@ -333,38 +335,20 @@ def test_constants_text_output(runner):
     assert "truncation=30" in result.output
 
 
-@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1e-3", "0", "1e-15", "9.9e-15"])
-def test_constants_rejects_bad_tolerance(runner, tol):
-    result = invoke(runner, "constants", f"--tol={tol}", "--format", "json")
+@pytest.mark.parametrize("option,value", [("--tol", "1e-13"), ("--terms", "30")])
+def test_constants_has_no_numerical_knobs(runner, option, value):
+    result = invoke(runner, "constants", option, value)
     assert result.exit_code == 2
-    assert "Invalid value for '--tol'" in result.output
-    assert result.exception is None or isinstance(result.exception, SystemExit)
+    error = result.output.splitlines()[-1]
+    assert "No such option" in error and option in error
+    assert isinstance(result.exception, SystemExit)
 
 
 def test_constants_prints_no_more_digits_than_the_tolerance_resolves(runner):
-    result = invoke(runner, "constants", "--tol", "0.5", "--format", "json")
+    # The Newton tolerance 1e-13 resolves 13 places.
+    result = invoke(runner, "constants", "--digits", "17")
     assert result.exit_code == 0
-    payload = json.loads(result.output)
-    assert payload["alpha"] == "-1"
-    assert payload["ratio_factor"] == "1"
-    result = invoke(runner, "constants", "--tol", "1e-3", "--format", "json")
-    payload = json.loads(result.output)
-    assert payload["alpha"] == "-1.488" and payload["tolerance"] == 0.001
-    result = invoke(runner, "constants", "--tol", "1e-14", "--digits", "17")
-    assert result.exit_code == 0
-    assert "alpha                 = -1.48807854559" in result.output
-    assert "alpha                 = -1.488078545595" not in result.output
-
-
-def test_constants_accepts_more_terms_than_a_float_can_scale(runner):
-    # (n + 1) * 2^n leaves float range near n = 1020; the partial sum has
-    # long stopped changing by then, so a large --terms prints the default
-    # constants, not an OverflowError.
-    result = invoke(runner, "constants", "--terms", "1100", "--format", "json")
-    assert result.exit_code == 0, result.output
-    payload = json.loads(result.output)
-    default = json.loads(invoke(runner, "constants", "--format", "json").output)
-    assert payload == {**default, "truncation": 1100}
+    assert "alpha                 = -1.4880785455997" in result.output.splitlines()
 
 
 def test_asymptotic_side_by_side(runner):
@@ -383,6 +367,18 @@ def test_asymptotic_survives_huge_n(runner):
     payload = json.loads(result.output)
     assert payload["dag_estimate"] == "inf"  # past double range, logs still finite
     assert float(payload["log_dag_estimate"]) > 0
+
+
+def test_asymptotic_ratios_survive_below_the_smallest_double(runner, monkeypatch):
+    # Both ratios are below 5e-324 from about n = 1076.  Synthetic counts
+    # give V/D = (4/3) / 2^1100 without growing the real ones that far.
+    monkeypatch.setattr(counting, "count_dags", lambda n: 3 << n)
+    monkeypatch.setattr(counting, "count_orientable_dags", lambda n: 4)
+    result = invoke(runner, "asymptotic", "--n", "1100", "--format", "json")
+    assert result.exit_code == 0, result.output
+    payload = json.loads(result.output)
+    assert payload["ratio_exact"] == "9.8162e-332"  # 9.816202438697e-332
+    assert payload["ratio_estimate"] == "9.28932e-332"  # 1.2617671399964 / 2^1100
 
 
 # ----------------------------------------------------------------------

@@ -19,7 +19,7 @@ from cubecovers import (
     is_acyclic_dfs,
 )
 from cubecovers.correspondence import unit_diagonal_matrices
-from cubecovers.digraph import enumerate_acyclic, enumerate_digraphs
+from cubecovers.digraph import enumerate_acyclic, enumerate_digraphs, is_acyclic_dfs
 
 
 # ----------------------------------------------------------------------
@@ -102,14 +102,14 @@ def test_round_trip_from_unit_diagonal_matrices(n):
 @pytest.mark.parametrize("n", range(4))
 def test_acyclic_exactly_when_all_minors_unit(n):
     for g in enumerate_digraphs(n):
-        assert g.is_acyclic() == characteristic_matrix(g).has_unit_principal_minors()
+        assert is_acyclic_dfs(g) == characteristic_matrix(g).has_unit_principal_minors()
 
 
 @pytest.mark.parametrize("n", range(5))
 def test_membership_exactly_when_preimage_acyclic(n):
     # Same equivalence read from the matrix side, through the inverse map.
     for m in unit_diagonal_matrices(n):
-        assert m.has_unit_principal_minors() == digraph_from_characteristic(m).is_acyclic()
+        assert m.has_unit_principal_minors() == is_acyclic_dfs(digraph_from_characteristic(m))
 
 
 @pytest.mark.parametrize("n", range(4))

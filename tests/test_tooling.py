@@ -11,6 +11,10 @@ parsed here, never imported or executed.
 The two sides of the graph/matrix dictionary are independent oracles only
 while they share no code, so the modules each module imports from the
 package are pinned in ``IMPORT_GRAPH``.
+
+Every option of the command line is a setting that the tests and the
+benchmark must cover, so the options of each subcommand are pinned in
+``CLI_OPTIONS``: adding or dropping one is an edit there.
 """
 
 import ast
@@ -19,6 +23,7 @@ import pkgutil
 from pathlib import Path
 
 import cubecovers
+from cubecovers import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 SPANS = ROOT / "perfbench" / "spans.py"
@@ -36,6 +41,17 @@ IMPORT_GRAPH = {
     "__main__": {"cli"},
     "__init__": {"asymptotics", "correspondence", "counting", "digraph", "gf2",
                  "series"},
+}
+
+
+CLI_OPTIONS = {
+    "count": ["kind", "--n"],
+    "table": ["--max-n", "--format"],
+    "enumerate": ["--n", "--orientable", "--matrices", "--format", "--enum-cap"],
+    "verify": ["--n-max", "--series-order", "--order", "--series", "--jobs",
+               "--enum-cap", "--format"],
+    "constants": ["--digits", "--format"],
+    "asymptotic": ["--n", "--digits", "--format"],
 }
 
 
@@ -110,3 +126,11 @@ def test_package_imports_follow_the_dictionary():
     assert set(modules) == set(IMPORT_GRAPH)
     for name, path in sorted(modules.items()):
         assert package_imports(path) == IMPORT_GRAPH[name], name
+
+
+def test_cli_options_are_pinned():
+    options = {
+        name: [opt for param in command.params for opt in param.opts]
+        for name, command in cli.main.commands.items()
+    }
+    assert options == CLI_OPTIONS
