@@ -10,6 +10,14 @@ checks V's arithmetic given D, because V is grown from the stored D by the
 same decomposition, so a wrong D passes it.  A wrong D fails the
 brute-force records and ``alternating-inverse``, and the V grown from it
 fails ``orientable-quotient``.
+
+The matrix records end in a per-graph pass over all ``2^(n(n-1))``
+digraphs: both maps, the round trip, the two orientability tests and a
+member lookup for each.  It runs on adjacency-row and matrix-row tuples,
+through the same kernels that :class:`~cubecovers.digraph.Digraph`,
+:class:`~cubecovers.gf2.BitMatrix` and the maps of
+:mod:`cubecovers.correspondence` delegate to, so a fault in a kernel shows
+in both, and it builds no value object per graph.
 """
 
 from __future__ import annotations
@@ -17,8 +25,9 @@ from __future__ import annotations
 from cubecovers import correspondence, counting, digraph, gf2, series
 
 # The matrix checks compare the grown member set with the image of every
-# one of the 2^(n(n-1)) digraphs.  That per-graph pass takes about 20 s at
-# n = 5 on one core of a 2-core VM with Python 3.11, so they stop at 4.
+# one of the 2^(n(n-1)) digraphs.  At n = 5 that per-graph pass takes 12 to
+# 14 s on one core of a 2-core VM with Python 3.11, against about 0.08 s
+# for all of ``verify --n-max 5``, so they stop at 4.
 MATRIX_BRUTEFORCE_CAP = 4
 
 
@@ -48,14 +57,19 @@ def verify_checks(n_max: int, series_order: int, series_only: bool,
             add("orientable-count-bruteforce", got.orientable == want_v,
                 f"brute={got.orientable} formula={want_v}", n=n)
 
+        # The kernels of the per-graph pass (see the module docstring).
+        forward = correspondence.characteristic_rows
+        inverse = correspondence.adjacency_rows
+        even = digraph.out_degrees_even
+        odd = gf2.odd_column_sums
         for n in range(min(n_max, MATRIX_BRUTEFORCE_CAP) + 1):
             # Grown on the matrix side alone; every matrix-side check below
             # reads this set.
-            members = set(gf2.unit_minor_matrices(n))
+            members = set(gf2.unit_minor_rows(n))
             m_all = len(members)
             add("matrix-count-bruteforce", m_all == counting.count_dags(n),
                 f"brute={m_all} formula={counting.count_dags(n)}", n=n)
-            m_orient = sum(1 for m in members if m.has_odd_column_sums())
+            m_orient = sum(odd(m, n) for m in members)
             add("orientable-matrix-count-bruteforce",
                 m_orient == counting.count_orientable_dags(n),
                 f"brute={m_orient} formula={counting.count_orientable_dags(n)}", n=n)
@@ -64,14 +78,12 @@ def verify_checks(n_max: int, series_order: int, series_only: bool,
             images = set()
             # The code of the first graph that breaks each per-graph check.
             round_trip = equivalence = transfer = None
-            # enumerate_digraphs yields the graphs in code order.
-            for code, graph in enumerate(digraph.enumerate_digraphs(n)):
-                matrix = correspondence.characteristic_matrix(graph)
-                if (round_trip is None
-                        and correspondence.digraph_from_characteristic(matrix) != graph):
+            # digraph_rows yields the graphs in code order.
+            for code, rows in enumerate(digraph.digraph_rows(n)):
+                matrix = forward(rows, n)
+                if round_trip is None and inverse(matrix, n) != rows:
                     round_trip = code
-                if (equivalence is None
-                        and graph.all_out_degrees_even() != matrix.has_odd_column_sums()):
+                if equivalence is None and even(rows) != odd(matrix, n):
                     equivalence = code
                 acyclic = code in acyclic_codes
                 if acyclic:

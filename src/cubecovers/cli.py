@@ -38,10 +38,33 @@ def _fmt_halved(x: float, n: int, digits: int) -> str:
     even like float formatting, so the bytes are ``_fmt``'s wherever the
     product is a normal float.
     """
-    value = decimal.Context(prec=digits).divide(decimal.Decimal(x), 1 << n)
+    return _fmt_decimal(_context(digits).divide(decimal.Decimal(x), 1 << n), digits)
+
+
+def _fmt_exp(x: float, digits: int) -> str:
+    """``_fmt(math.exp(x), digits)``, and past the float range, where
+    ``math.exp`` overflows, e^x computed in ``decimal`` and rounded once to
+    ``digits`` significant digits, half to even.
+    """
+    try:
+        return _fmt(math.exp(x), digits)
+    except OverflowError:
+        return _fmt_decimal(_context(digits).exp(decimal.Decimal(x)), digits)
+
+
+def _context(digits: int) -> decimal.Context:
+    # Exponents as wide as decimal allows: the counts outgrow 10^999999
+    # (the default bound) near n = 2600.
+    return decimal.Context(prec=digits, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
+
+
+def _fmt_decimal(value: decimal.Decimal, digits: int) -> str:
+    """A positive decimal of at most ``digits`` significant digits, in the
+    bytes of the float format ``_fmt``."""
+    value = value.normalize(_context(digits))
     if -4 <= value.adjusted() < digits:  # where the "g" format stays fixed
-        return f"{value.normalize():f}"
-    mantissa, exponent = f"{value.normalize():e}".split("e")
+        return f"{value:f}"
+    mantissa, exponent = f"{value:e}".split("e")
     return f"{mantissa}e{int(exponent):+03d}"
 
 
@@ -222,19 +245,12 @@ def asymptotic(n: int, digits: int, fmt: str) -> None:
     exact_v = counting.count_orientable_dags(n)
     log_d = asymptotics.log_dag_estimate(n)
     log_v = asymptotics.log_orientable_estimate(n)
-
-    def safe_exp(value: float) -> float:
-        try:
-            return math.exp(value)
-        except OverflowError:
-            return math.inf
-
     fields = {
         "n": n,
         "dags": _dec(exact_d),
         "orientable": _dec(exact_v),
-        "dag_estimate": _fmt(safe_exp(log_d), digits),
-        "orientable_estimate": _fmt(safe_exp(log_v), digits),
+        "dag_estimate": _fmt_exp(log_d, digits),
+        "orientable_estimate": _fmt_exp(log_v, digits),
         "log_dag_estimate": _fmt(log_d, digits),
         "log_orientable_estimate": _fmt(log_v, digits),
         # 2^n V(n)/D(n) lies in [1, 2] and K/C is 1.26..., so only the

@@ -14,7 +14,11 @@ too: the cover is orientable exactly when every column sum of the matrix is
 odd, equivalently when every vertex of G has even out-degree.
 
 This module holds the map, its inverse, and the brute-force counters that
-anchor the closed formulas in :mod:`cubecovers.counting`.  The digraph-side
+anchor the closed formulas in :mod:`cubecovers.counting`.  Each map is one
+kernel on row tuples, :func:`characteristic_rows` and
+:func:`adjacency_rows`; the value-type maps wrap them, and the per-graph
+pass of :mod:`cubecovers.checks` calls them on every digraph at small n
+without building a value per graph.  The digraph-side
 counter walks the canonical code range with the block kernel of
 :mod:`cubecovers.digraph` (its module docstring gives the argument), never
 uses the recurrences it checks and never materializes a graph list, so a
@@ -42,17 +46,19 @@ from cubecovers.digraph import (
     Digraph,
     _check_cap,
     count_acyclic_codes,
-    enumerate_digraphs,
+    digraph_rows,
 )
 from cubecovers.gf2 import BitMatrix, count_unit_minor_matrices, transpose_masks
 
 
 __all__ = [
     "DagCounts",
+    "adjacency_rows",
     "brute_counts",
     "brute_count_characteristic_matrices",
     "brute_count_orientable_characteristic_matrices",
     "characteristic_matrix",
+    "characteristic_rows",
     "digraph_from_characteristic",
     "unit_diagonal_matrices",
 ]
@@ -70,17 +76,29 @@ class DagCounts(NamedTuple):
 # ----------------------------------------------------------------------
 
 
+def characteristic_rows(adjacency: tuple[int, ...], n: int) -> tuple[int, ...]:
+    """The rows of A^t + I, for the ``n`` adjacency rows of a digraph.
+
+    The adjacency diagonal is zero, so adding the identity just sets the
+    diagonal to 1, and the transpose of A + I is A^t + I: one transposing
+    pass builds the result.
+    """
+    return transpose_masks((mask | 1 << u for u, mask in enumerate(adjacency)), n)
+
+
+def adjacency_rows(characteristic: tuple[int, ...], n: int) -> tuple[int, ...]:
+    """Invert :func:`characteristic_rows` on rows whose diagonal is all 1:
+    the diagonal is stripped and the matrix transposed in one pass."""
+    return transpose_masks((mask ^ 1 << i for i, mask in enumerate(characteristic)), n)
+
+
 def characteristic_matrix(graph: Digraph) -> BitMatrix:
     """Transpose of the adjacency matrix plus the identity, over GF(2).
 
     Total on digraphs (no acyclicity requirement): testing the equivalences
-    on the full graph space is deliberate.  The adjacency diagonal is zero,
-    so adding the identity just sets the diagonal to 1, and the transpose of
-    A + I is A^t + I: one transposing pass builds the result.
+    on the full graph space is deliberate.
     """
-    return BitMatrix(graph.n, transpose_masks(
-        (mask | (1 << u) for u, mask in enumerate(graph.rows)), graph.n
-    ))
+    return BitMatrix(graph.n, characteristic_rows(graph.rows, graph.n))
 
 
 def digraph_from_characteristic(matrix: BitMatrix) -> Digraph:
@@ -88,17 +106,14 @@ def digraph_from_characteristic(matrix: BitMatrix) -> Digraph:
 
     Requires every diagonal entry to be 1 (subtracting the identity must
     leave a loop-free adjacency matrix).  The result is acyclic exactly when
-    the input has all unit principal minors.  The diagonal is stripped and
-    the matrix transposed in one pass.
+    the input has all unit principal minors.
     """
     for i, mask in enumerate(matrix.rows):
         if not (mask >> i) & 1:
             raise ValueError(
                 f"diagonal entry ({i}, {i}) is 0; not a characteristic matrix"
             )
-    return Digraph(matrix.n, transpose_masks(
-        (mask ^ (1 << i) for i, mask in enumerate(matrix.rows)), matrix.n
-    ))
+    return Digraph(matrix.n, adjacency_rows(matrix.rows, matrix.n))
 
 
 # ----------------------------------------------------------------------
@@ -161,13 +176,13 @@ def unit_diagonal_matrices(n: int) -> Iterator[BitMatrix]:
     restricting to unit diagonals loses nothing when hunting for matrices
     with all unit principal minors.  Matrix number ``c`` is the adjacency
     matrix of the digraph with code ``c`` with its diagonal set, read off
-    :func:`~cubecovers.digraph.enumerate_digraphs` in the same order and
-    under the same cap.  Filtered through
+    :func:`~cubecovers.digraph.digraph_rows` in the same order and under
+    the same cap.  Filtered through
     :meth:`~cubecovers.gf2.BitMatrix.has_unit_principal_minors` they are
     the tests' reference for :func:`cubecovers.gf2.unit_minor_matrices`.
     """
-    for graph in enumerate_digraphs(n):
-        yield BitMatrix(n, tuple(mask | 1 << i for i, mask in enumerate(graph.rows)))
+    for rows in digraph_rows(n):
+        yield BitMatrix(n, tuple(mask | 1 << i for i, mask in enumerate(rows)))
 
 
 def brute_count_characteristic_matrices(

@@ -44,16 +44,18 @@ __all__ = [
     "Digraph",
     "EnumerationCapExceeded",
     "count_acyclic_codes",
+    "digraph_rows",
     "enumerate_acyclic",
     "enumerate_digraphs",
     "is_acyclic_dfs",
+    "out_degrees_even",
 ]
 
 # 2^(n(n-1)) graphs: n=5 is about a million, n=6 about a billion, n=7
 # about 4e12.  Measured on one core of a 2-core VM with Python 3.11, the
-# pruned walk counts n=5 in 0.04 s, n=6 in 3.3-3.9 s (936,992 of its 2^25
-# blocks have an acyclic shared part) and n=7 in about 20 minutes, as 64
-# equal code ranges of 5 s to 124 s each.  Callers may raise the cap.
+# pruned walk counts n=5 in 0.02 s, n=6 in 2.1-2.3 s (936,992 of its 2^25
+# blocks have an acyclic shared part) and n=7 in 973 s, measured before the
+# walk carried the row parity.  Callers may raise the cap.
 DEFAULT_ENUMERATION_CAP = 6
 
 
@@ -178,7 +180,13 @@ class Digraph:
         return sum((mask >> v) & 1 for mask in self.rows)
 
     def all_out_degrees_even(self) -> bool:
-        return all(mask.bit_count() % 2 == 0 for mask in self.rows)
+        return out_degrees_even(self.rows)
+
+
+def out_degrees_even(rows: Iterable[int]) -> bool:
+    """Whether every adjacency row has an even number of edges: the
+    orientability test on the graph side of the dictionary."""
+    return not any(mask.bit_count() & 1 for mask in rows)
 
 
 def is_acyclic_dfs(graph: Digraph) -> bool:
@@ -221,15 +229,25 @@ def _check_cap(n: int, cap: int) -> None:
         raise EnumerationCapExceeded(n, cap)
 
 
+def digraph_rows(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> Iterator[tuple[int, ...]]:
+    """Yield the adjacency rows of all ``2^(n(n-1))`` simple digraphs on
+    ``n`` labeled vertices, as tuples, in increasing order of their
+    canonical code; the walk under :func:`enumerate_digraphs`, without a
+    :class:`Digraph` per graph.
+    """
+    _check_cap(n, cap)
+    # Row 0 is the least significant chunk of a code, so it varies fastest.
+    for rows in itertools.product(*reversed(_row_decode_tables(n))):
+        yield rows[::-1]
+
+
 def enumerate_digraphs(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> Iterator[Digraph]:
     """Yield all ``2^(n(n-1))`` simple digraphs on ``n`` labeled vertices.
 
     Graphs appear exactly once, in increasing order of their canonical code.
     """
-    _check_cap(n, cap)
-    # Row 0 is the least significant chunk of a code, so it varies fastest.
-    for rows in itertools.product(*reversed(_row_decode_tables(n))):
-        yield Digraph(n, rows[::-1])
+    for rows in digraph_rows(n, cap):
+        yield Digraph(n, rows)
 
 
 def enumerate_acyclic(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> Iterator[Digraph]:
@@ -243,7 +261,7 @@ def enumerate_acyclic(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> Iterator[Di
     if n == 0:
         yield Digraph.empty(0)
         return
-    for _, rows, free in _acyclic_blocks(n, 0, 1 << ((n - 1) * (n - 1))):
+    for _, rows, free, _ in _acyclic_blocks(n, 0, 1 << ((n - 1) * (n - 1))):
         tail = tuple(rows[1:])
         chunk = 0
         while True:
@@ -270,15 +288,19 @@ def _row_decode_tables(n: int) -> list[list[int]]:
             for u in range(n)]
 
 
-def _acyclic_blocks(n: int, first: int, last: int) -> Iterator[tuple[int, list[int], int]]:
-    """Yield ``(block, rows, free)`` for each block in ``[first, last)`` whose
-    shared part H is acyclic, in increasing block order, for ``n >= 1`` and
-    ``0 <= first <= last <= 2^((n-1)^2)``.
+def _acyclic_blocks(
+    n: int, first: int, last: int
+) -> Iterator[tuple[int, list[int], int, int]]:
+    """Yield ``(block, rows, free, odd)`` for each block in ``[first, last)``
+    whose shared part H is acyclic, in increasing block order, for
+    ``n >= 1`` and ``0 <= first <= last <= 2^((n-1)^2)``.
 
     Block ``b`` holds the codes ``b * 2^(n-1) .. (b+1) * 2^(n-1) - 1``.
     ``rows`` are the adjacency rows of H (``rows[0]`` is 0).  ``free`` is the
     set of row-0 chunk bits that close no cycle: a code of the block is
-    acyclic exactly when its row-0 chunk is a submask of ``free``.
+    acyclic exactly when its row-0 chunk is a submask of ``free``.  ``odd``
+    is 1 when some row of H has an odd out-degree, else 0; the walk carries
+    it down, one bit per level from the popcount of the row's chunk.
 
     The block's digits are the chunks of rows ``n-1, n-2, .., 1``, most
     significant first, and the walk assigns them depth first in that order,
@@ -294,7 +316,7 @@ def _acyclic_blocks(n: int, first: int, last: int) -> Iterator[tuple[int, list[i
     if first >= last:
         return
     if n == 1:
-        yield 0, [0], 0
+        yield 0, [0], 0, 0
         return
     width = n - 1
     chunk_mask = (1 << width) - 1
@@ -304,8 +326,9 @@ def _acyclic_blocks(n: int, first: int, last: int) -> Iterator[tuple[int, list[i
     highs = [((last - 1) >> shift) & chunk_mask for shift in shifts]
     rows = [0] * n
 
-    def walk(u, reach, into0, block, on_low, on_high):
-        # into0: the assigned vertices with an edge to vertex 0.
+    def walk(u, reach, into0, odd, block, on_low, on_high):
+        # into0: the assigned vertices with an edge to vertex 0; odd: 1 if
+        # an assigned row has an odd out-degree.
         lo = lows[u] if on_low else 0
         hi = highs[u] if on_high else chunk_mask
         table = tables[u]
@@ -336,7 +359,8 @@ def _acyclic_blocks(n: int, first: int, last: int) -> Iterator[tuple[int, list[i
                     if lo <= chunk <= hi:
                         to_zero = reach0 | via1 if chunk & 1 or down & into0 else reach0
                         rows[1] = table[chunk]
-                        yield block | chunk, rows.copy(), chunk_mask & ~(to_zero >> 1)
+                        yield (block | chunk, rows.copy(), chunk_mask & ~(to_zero >> 1),
+                               odd | chunk.bit_count() & 1)
                 continue
             child = reach.copy()
             child[u] = down
@@ -348,11 +372,11 @@ def _acyclic_blocks(n: int, first: int, last: int) -> Iterator[tuple[int, list[i
                     rows[u] = table[chunk]
                     yield from walk(
                         u - 1, child, into0 | (chunk & 1) << u,
-                        block | chunk << shifts[u],
+                        odd | chunk.bit_count() & 1, block | chunk << shifts[u],
                         on_low and chunk == lo, on_high and chunk == hi,
                     )
 
-    yield from walk(n - 1, [0] * n, 0, 0, True, True)
+    yield from walk(n - 1, [0] * n, 0, 0, 0, True, True)
 
 
 def count_acyclic_codes(n: int, start: int, stop: int) -> tuple[int, int]:
@@ -373,18 +397,17 @@ def count_acyclic_codes(n: int, start: int, stop: int) -> tuple[int, int]:
     width = n - 1
     size = 1 << width
     dags = even = 0
-    for block, rows, free in _acyclic_blocks(n, start >> width, -(-stop >> width)):
+    for block, _, free, odd in _acyclic_blocks(n, start >> width, -(-stop >> width)):
         base = block << width
-        rows_even = not any(mask.bit_count() & 1 for mask in rows)
         if start <= base and base + size <= stop:
             k = free.bit_count()
             dags += 1 << k
-            if rows_even:
+            if not odd:
                 even += 1 << (k - 1) if k else 1
             continue
         for chunk in range(max(start - base, 0), min(stop - base, size)):
             if not chunk & ~free:
                 dags += 1
-                if rows_even and not chunk.bit_count() & 1:
+                if not odd and not chunk.bit_count() & 1:
                     even += 1
     return dags, even

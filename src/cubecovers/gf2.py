@@ -47,8 +47,10 @@ from operator import xor
 __all__ = [
     "BitMatrix",
     "count_unit_minor_matrices",
+    "odd_column_sums",
     "transpose_masks",
     "unit_minor_matrices",
+    "unit_minor_rows",
 ]
 
 
@@ -66,6 +68,16 @@ def transpose_masks(rows: Iterable[int], n: int) -> tuple[int, ...]:
             cols[low.bit_length() - 1] |= bit
             mask ^= low
     return tuple(cols)
+
+
+def odd_column_sums(rows: Iterable[int], n: int) -> bool:
+    """Whether every column of the ``n`` by ``n`` matrix whose rows are the
+    bitmasks ``rows`` has an odd integer sum.
+
+    Bit j of the XOR of all rows is the parity of column j, so every column
+    is odd exactly when that XOR is the all-ones mask.
+    """
+    return reduce(xor, rows, 0) == (1 << n) - 1
 
 
 @dataclass(frozen=True)
@@ -218,11 +230,9 @@ class BitMatrix:
         Applied to a reduced characteristic matrix this is the
         Nakayama-Nishimura orientability criterion: the identity block of
         the full characteristic matrix contributes columns of sum 1, so only
-        the reduced block needs testing.  Bit j of the XOR of all rows is
-        the parity of column j, so every column is odd exactly when that XOR
-        is the all-ones mask.
+        the reduced block needs testing (see :func:`odd_column_sums`).
         """
-        return reduce(xor, self.rows, 0) == (1 << self.n) - 1
+        return odd_column_sums(self.rows, self.n)
 
     def __str__(self) -> str:
         return self.to_text()
@@ -324,13 +334,18 @@ def _unit_minor_rows(n: int, rows: tuple[int, ...] = ()) -> Iterator[tuple[int, 
             ))
 
 
-def unit_minor_matrices(n: int) -> Iterator[BitMatrix]:
-    """Every ``n`` by ``n`` GF(2) matrix whose principal minors all equal 1,
-    each exactly once, grown one index at a time (see the module docstring).
-    """
+def unit_minor_rows(n: int) -> Iterator[tuple[int, ...]]:
+    """The row masks of every ``n`` by ``n`` GF(2) matrix whose principal
+    minors all equal 1, each exactly once, grown one index at a time (see
+    the module docstring)."""
     if n < 0:
         raise ValueError("matrix dimension must be nonnegative")
-    for rows in _unit_minor_rows(n):
+    yield from _unit_minor_rows(n)
+
+
+def unit_minor_matrices(n: int) -> Iterator[BitMatrix]:
+    """The matrices of :func:`unit_minor_rows`, as :class:`BitMatrix` values."""
+    for rows in unit_minor_rows(n):
         yield BitMatrix(n, rows)
 
 

@@ -1,11 +1,14 @@
 import json
+import math
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 from click.testing import CliRunner
 
 from cubecovers import (
-    Digraph, IdentityCheck, cli, correspondence, counting, digraph, series,
+    Digraph, IdentityCheck, cli, correspondence, counting, digraph, is_acyclic_dfs,
+    series,
 )
 
 
@@ -209,27 +212,41 @@ def test_verify_text_format_failure_names_the_check(runner, corrupted_dag_count)
 
 
 def _break_codes_12_and_48(check, monkeypatch):
-    """Make ``check`` fail on the n = 3 graphs with codes 12 and 48 only."""
+    """Make ``check`` fail on the n = 3 graphs with codes 12 and 48 only.
 
-    def broken(graph):
-        return graph.n == 3 and graph.code() in (12, 48)
+    The fault goes into the function that both the per-graph pass of
+    ``verify`` and a public member call.  Returns a test of that member on
+    one graph: true when it still answers right.
+    """
+
+    def broken(rows):
+        return len(rows) == 3 and Digraph(3, rows).code() in (12, 48)
 
     if check == "round-trip":
-        original = correspondence.digraph_from_characteristic
+        inverse = correspondence.adjacency_rows
 
-        def wrong_inverse(matrix):
-            graph = original(matrix)
-            return Digraph.empty(3) if broken(graph) else graph
+        def wrong_inverse(characteristic, n):
+            rows = inverse(characteristic, n)
+            return (0,) * n if broken(rows) else rows
 
-        monkeypatch.setattr(correspondence, "digraph_from_characteristic", wrong_inverse)
-    elif check == "orientability-equivalence":
-        even = Digraph.all_out_degrees_even
-        monkeypatch.setattr(Digraph, "all_out_degrees_even",
-                            lambda graph: even(graph) != broken(graph))
-    else:
-        acyclic = digraph.enumerate_acyclic
-        monkeypatch.setattr(digraph, "enumerate_acyclic", lambda n: (
-            graph for graph in acyclic(n) if not broken(graph)))
+        monkeypatch.setattr(correspondence, "adjacency_rows", wrong_inverse)
+        return lambda graph: graph == correspondence.digraph_from_characteristic(
+            correspondence.characteristic_matrix(graph))
+    if check == "orientability-equivalence":
+        even = digraph.out_degrees_even
+
+        def wrong_even(rows):
+            rows = tuple(rows)
+            return even(rows) != broken(rows)
+
+        monkeypatch.setattr(digraph, "out_degrees_even", wrong_even)
+        return lambda graph: graph.all_out_degrees_even() == all(
+            graph.out_degree(v) % 2 == 0 for v in range(graph.n))
+    acyclic = digraph.enumerate_acyclic
+    monkeypatch.setattr(digraph, "enumerate_acyclic", lambda n: (
+        graph for graph in acyclic(n) if not broken(graph.rows)))
+    return lambda graph: (graph in set(digraph.enumerate_acyclic(graph.n))) == (
+        is_acyclic_dfs(graph))
 
 
 @pytest.mark.parametrize(
@@ -238,7 +255,11 @@ def _break_codes_12_and_48(check, monkeypatch):
 def test_verify_names_the_first_graph_that_breaks_a_per_graph_check(
     runner, monkeypatch, check
 ):
-    _break_codes_12_and_48(check, monkeypatch)
+    member_is_right = _break_codes_12_and_48(check, monkeypatch)
+    assert not member_is_right(Digraph.from_code(3, 12))
+    assert not member_is_right(Digraph.from_code(3, 48))
+    assert all(member_is_right(Digraph.from_code(3, code))
+               for code in range(64) if code not in (12, 48))
     args = ("verify", "--n-max", "3", "--series-order", "4")
     result = invoke(runner, *args)
     assert result.exit_code == 1
@@ -362,11 +383,25 @@ def test_asymptotic_side_by_side(runner):
 
 
 def test_asymptotic_survives_huge_n(runner):
-    result = invoke(runner, "asymptotic", "--n", "60", "--format", "json")
-    assert result.exit_code == 0
-    payload = json.loads(result.output)
-    assert payload["dag_estimate"] == "inf"  # past double range, logs still finite
-    assert float(payload["log_dag_estimate"]) > 0
+    # math.exp overflows from a log of about 709.8: n = 43 for D, 44 for V.
+    for n in (43, 44, 60):
+        result = invoke(runner, "asymptotic", "--n", str(n), "--format", "json")
+        assert result.exit_code == 0
+        payload = json.loads(result.output)
+        for field in ("dag", "orientable"):
+            value = Decimal(payload[f"{field}_estimate"])
+            assert value.is_finite() and len(value.as_tuple().digits) <= 6
+            # Both fields print six significant digits, so the estimate's
+            # log matches the printed log to within 1e-5, relative.
+            log = float(payload[f"log_{field}_estimate"])
+            assert abs(float(value.ln()) - log) < 1e-5 * log, (n, field, value)
+    assert payload["dag_estimate"] == "4.23185e+604"
+
+
+def test_asymptotic_estimates_render_beyond_the_default_decimal_range():
+    # e^x past 10^999999, the default exponent bound of decimal.
+    x = 2_000_000 * math.log(10) + 1
+    assert cli._fmt_exp(x, 6) == "2.71828e+2000000"
 
 
 def test_asymptotic_ratios_survive_below_the_smallest_double(runner, monkeypatch):

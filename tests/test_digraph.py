@@ -205,8 +205,8 @@ def test_cap_error_is_a_value_error_with_context():
 @functools.cache
 def _linear_scan(n):
     # Every block in turn: test the shared part H (the graph with row 0
-    # empty) by depth-first search, then grow the set of vertices reaching
-    # 0 to a fixed point.
+    # empty) by depth-first search, grow the set of vertices reaching 0 to
+    # a fixed point, and read the parity flag off H's rows by popcount.
     width = n - 1
     found = []
     for block in range(1 << (width * width)):
@@ -223,7 +223,8 @@ def _linear_scan(n):
             if grown == reach:
                 break
             reach = grown
-        found.append((block, rows, ((1 << width) - 1) & ~(reach >> 1)))
+        odd = int(any(mask.bit_count() % 2 for mask in rows))
+        found.append((block, rows, ((1 << width) - 1) & ~(reach >> 1), odd))
     return found
 
 

@@ -15,6 +15,11 @@ package are pinned in ``IMPORT_GRAPH``.
 Every option of the command line is a setting that the tests and the
 benchmark must cover, so the options of each subcommand are pinned in
 ``CLI_OPTIONS``: adding or dropping one is an edit there.
+
+The per-graph pass of ``verify`` walks every digraph at n <= 4 on
+adjacency-row tuples; building a value object per graph doubled the time
+of a ``verify --n-max 5`` run, so the number of objects it builds is
+bounded here, without timing anything.
 """
 
 import ast
@@ -23,7 +28,7 @@ import pkgutil
 from pathlib import Path
 
 import cubecovers
-from cubecovers import cli
+from cubecovers import BitMatrix, Digraph, checks, cli, counting
 
 ROOT = Path(__file__).resolve().parent.parent
 SPANS = ROOT / "perfbench" / "spans.py"
@@ -134,3 +139,22 @@ def test_cli_options_are_pinned():
         for name, command in cli.main.commands.items()
     }
     assert options == CLI_OPTIONS
+
+
+def test_verify_builds_no_value_object_per_graph(monkeypatch):
+    built = []
+    for cls in (Digraph, BitMatrix):
+        init = cls.__post_init__
+
+        def counted(self, init=init):
+            built.append(type(self))
+            init(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    records = checks.verify_checks(4, 4, False, 1, 6)
+    assert all(record["pass"] for record in records)
+    # The acyclic graphs plus the grown members, at most; the graphs number
+    # 4,166 at n <= 4.
+    bound = 2 * sum(counting.count_dags(n) for n in range(5))
+    assert bound == 1146
+    assert len(built) <= bound, (built.count(Digraph), built.count(BitMatrix))
