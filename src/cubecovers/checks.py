@@ -17,7 +17,10 @@ member lookup for each.  It runs on adjacency-row and matrix-row tuples,
 through the same kernels that :class:`~cubecovers.digraph.Digraph`,
 :class:`~cubecovers.gf2.BitMatrix` and the maps of
 :mod:`cubecovers.correspondence` delegate to, so a fault in a kernel shows
-in both, and it builds no value object per graph.
+in both.  Acyclicity is read from the code set of
+:func:`~cubecovers.digraph.acyclic_codes`, which
+:func:`~cubecovers.digraph.enumerate_acyclic` also decodes, so the pass
+builds no value object at all.
 """
 
 from __future__ import annotations
@@ -25,8 +28,8 @@ from __future__ import annotations
 from cubecovers import correspondence, counting, digraph, gf2, series
 
 # The matrix checks compare the grown member set with the image of every
-# one of the 2^(n(n-1)) digraphs.  At n = 5 that per-graph pass takes 12 to
-# 14 s on one core of a 2-core VM with Python 3.11, against about 0.08 s
+# one of the 2^(n(n-1)) digraphs.  At n = 5 that per-graph pass takes 8 to
+# 10 s on one core of a 2-core VM with Python 3.11, against about 0.06 s
 # for all of ``verify --n-max 5``, so they stop at 4.
 MATRIX_BRUTEFORCE_CAP = 4
 
@@ -74,7 +77,7 @@ def verify_checks(n_max: int, series_order: int, series_only: bool,
                 m_orient == counting.count_orientable_dags(n),
                 f"brute={m_orient} formula={counting.count_orientable_dags(n)}", n=n)
 
-            acyclic_codes = {g.code() for g in digraph.enumerate_acyclic(n)}
+            acyclic_codes = set(digraph.acyclic_codes(n))
             images = set()
             # The code of the first graph that breaks each per-graph check.
             round_trip = equivalence = transfer = None

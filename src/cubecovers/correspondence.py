@@ -16,9 +16,11 @@ odd, equivalently when every vertex of G has even out-degree.
 This module holds the map, its inverse, and the brute-force counters that
 anchor the closed formulas in :mod:`cubecovers.counting`.  Each map is one
 kernel on row tuples, :func:`characteristic_rows` and
-:func:`adjacency_rows`; the value-type maps wrap them, and the per-graph
-pass of :mod:`cubecovers.checks` calls them on every digraph at small n
-without building a value per graph.  The digraph-side
+:func:`adjacency_rows`: a single :func:`cubecovers.gf2.transpose_masks`
+that ORs (forward) or XORs (inverse) the identity into the packed rows
+before it transposes them.  The value-type maps wrap them, and the
+per-graph pass of :mod:`cubecovers.checks` calls them on every digraph at
+small n without building a value per graph.  The digraph-side
 counter walks the canonical code range with the block kernel of
 :mod:`cubecovers.digraph` (its module docstring gives the argument), never
 uses the recurrences it checks and never materializes a graph list, so a
@@ -36,9 +38,9 @@ candidates as the tests' reference for that walk.
 
 from __future__ import annotations
 
-import concurrent.futures
 import os
 from collections.abc import Iterator
+from operator import or_, xor
 from typing import NamedTuple
 
 from cubecovers.digraph import (
@@ -80,16 +82,17 @@ def characteristic_rows(adjacency: tuple[int, ...], n: int) -> tuple[int, ...]:
     """The rows of A^t + I, for the ``n`` adjacency rows of a digraph.
 
     The adjacency diagonal is zero, so adding the identity just sets the
-    diagonal to 1, and the transpose of A + I is A^t + I: one transposing
-    pass builds the result.
+    diagonal to 1, and the transpose of A + I is A^t + I: the identity is
+    ORed into the packed rows and one transpose builds the result.
     """
-    return transpose_masks((mask | 1 << u for u, mask in enumerate(adjacency)), n)
+    return transpose_masks(adjacency, n, or_)
 
 
 def adjacency_rows(characteristic: tuple[int, ...], n: int) -> tuple[int, ...]:
     """Invert :func:`characteristic_rows` on rows whose diagonal is all 1:
-    the diagonal is stripped and the matrix transposed in one pass."""
-    return transpose_masks((mask ^ 1 << i for i, mask in enumerate(characteristic)), n)
+    the identity is XORed into the packed rows, which strips the diagonal,
+    and one transpose builds the result."""
+    return transpose_masks(characteristic, n, xor)
 
 
 def characteristic_matrix(graph: Digraph) -> BitMatrix:
@@ -153,6 +156,8 @@ def brute_counts(
     if jobs > 1:
         size = 1 << ((n - 2) * (n - 1))  # codes sharing the top two row chunks
         cuts = [start, *range(start - start % size + size, stop, size), stop]
+        import concurrent.futures  # only here: it costs every start-up otherwise
+
         try:
             with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
                 partials = list(pool.map(

@@ -43,6 +43,7 @@ __all__ = [
     "DEFAULT_ENUMERATION_CAP",
     "Digraph",
     "EnumerationCapExceeded",
+    "acyclic_codes",
     "count_acyclic_codes",
     "digraph_rows",
     "enumerate_acyclic",
@@ -121,9 +122,9 @@ class Digraph:
         if not 0 <= code < (1 << (n * width if n else 0)):
             raise ValueError(f"code {code} out of range for n={n}")
         chunk_mask = (1 << width) - 1 if n else 0
-        return cls(n, tuple(
+        return cls(n, tuple([
             _splice_diagonal((code >> (u * width)) & chunk_mask, u) for u in range(n)
-        ))
+        ]))
 
     def code(self) -> int:
         """Canonical encoding: off-diagonal bits, row major, as one integer."""
@@ -186,7 +187,10 @@ class Digraph:
 def out_degrees_even(rows: Iterable[int]) -> bool:
     """Whether every adjacency row has an even number of edges: the
     orientability test on the graph side of the dictionary."""
-    return not any(mask.bit_count() & 1 for mask in rows)
+    for mask in rows:
+        if mask.bit_count() & 1:
+            return False
+    return True
 
 
 def is_acyclic_dfs(graph: Digraph) -> bool:
@@ -250,8 +254,9 @@ def enumerate_digraphs(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> Iterator[D
         yield Digraph(n, rows)
 
 
-def enumerate_acyclic(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> Iterator[Digraph]:
-    """Yield the acyclic digraphs on ``n`` labeled vertices, in code order.
+def acyclic_codes(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> Iterator[int]:
+    """Yield the codes of the acyclic digraphs on ``n`` labeled vertices,
+    in increasing order.
 
     Output-sensitive: the pruned walk visits only the blocks of ``2^(n-1)``
     codes whose shared rows are acyclic, then yields only the row-0 chunks
@@ -259,16 +264,24 @@ def enumerate_acyclic(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> Iterator[Di
     """
     _check_cap(n, cap)
     if n == 0:
-        yield Digraph.empty(0)
+        yield 0
         return
-    for _, rows, free, _ in _acyclic_blocks(n, 0, 1 << ((n - 1) * (n - 1))):
-        tail = tuple(rows[1:])
+    width = n - 1
+    for block, free, _ in _acyclic_blocks(n, 0, 1 << (width * width)):
+        base = block << width
         chunk = 0
         while True:
-            yield Digraph(n, (chunk << 1, *tail))
+            yield base | chunk
             if chunk == free:
                 break
             chunk = (chunk - free) & free  # next submask of free, increasing
+
+
+def enumerate_acyclic(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> Iterator[Digraph]:
+    """Yield the acyclic digraphs on ``n`` labeled vertices, in code order:
+    the graphs of :func:`acyclic_codes`."""
+    for code in acyclic_codes(n, cap):
+        yield Digraph.from_code(n, code)
 
 
 # ----------------------------------------------------------------------
@@ -290,17 +303,17 @@ def _row_decode_tables(n: int) -> list[list[int]]:
 
 def _acyclic_blocks(
     n: int, first: int, last: int
-) -> Iterator[tuple[int, list[int], int, int]]:
-    """Yield ``(block, rows, free, odd)`` for each block in ``[first, last)``
+) -> Iterator[tuple[int, int, int]]:
+    """Yield ``(block, free, odd)`` for each block in ``[first, last)``
     whose shared part H is acyclic, in increasing block order, for
     ``n >= 1`` and ``0 <= first <= last <= 2^((n-1)^2)``.
 
     Block ``b`` holds the codes ``b * 2^(n-1) .. (b+1) * 2^(n-1) - 1``.
-    ``rows`` are the adjacency rows of H (``rows[0]`` is 0).  ``free`` is the
-    set of row-0 chunk bits that close no cycle: a code of the block is
-    acyclic exactly when its row-0 chunk is a submask of ``free``.  ``odd``
-    is 1 when some row of H has an odd out-degree, else 0; the walk carries
-    it down, one bit per level from the popcount of the row's chunk.
+    ``free`` is the set of row-0 chunk bits that close no cycle: a code of
+    the block is acyclic exactly when its row-0 chunk is a submask of
+    ``free``.  ``odd`` is 1 when some row of H has an odd out-degree, else
+    0; the walk carries it down, one bit per level from the popcount of the
+    row's chunk.
 
     The block's digits are the chunks of rows ``n-1, n-2, .., 1``, most
     significant first, and the walk assigns them depth first in that order,
@@ -316,7 +329,7 @@ def _acyclic_blocks(
     if first >= last:
         return
     if n == 1:
-        yield 0, [0], 0, 0
+        yield 0, 0, 0
         return
     width = n - 1
     chunk_mask = (1 << width) - 1
@@ -324,7 +337,6 @@ def _acyclic_blocks(
     shifts = [0, *range(0, width * width, width)]  # shifts[u]: digit of row u
     lows = [(first >> shift) & chunk_mask for shift in shifts]
     highs = [((last - 1) >> shift) & chunk_mask for shift in shifts]
-    rows = [0] * n
 
     def walk(u, reach, into0, odd, block, on_low, on_high):
         # into0: the assigned vertices with an edge to vertex 0; odd: 1 if
@@ -358,8 +370,7 @@ def _acyclic_blocks(
                 for chunk in (pair, pair + 1):
                     if lo <= chunk <= hi:
                         to_zero = reach0 | via1 if chunk & 1 or down & into0 else reach0
-                        rows[1] = table[chunk]
-                        yield (block | chunk, rows.copy(), chunk_mask & ~(to_zero >> 1),
+                        yield (block | chunk, chunk_mask & ~(to_zero >> 1),
                                odd | chunk.bit_count() & 1)
                 continue
             child = reach.copy()
@@ -369,7 +380,6 @@ def _acyclic_blocks(
                     child[v] |= down
             for chunk in (pair, pair + 1):
                 if lo <= chunk <= hi:
-                    rows[u] = table[chunk]
                     yield from walk(
                         u - 1, child, into0 | (chunk & 1) << u,
                         odd | chunk.bit_count() & 1, block | chunk << shifts[u],
@@ -397,7 +407,7 @@ def count_acyclic_codes(n: int, start: int, stop: int) -> tuple[int, int]:
     width = n - 1
     size = 1 << width
     dags = even = 0
-    for block, _, free, odd in _acyclic_blocks(n, start >> width, -(-stop >> width)):
+    for block, free, odd in _acyclic_blocks(n, start >> width, -(-stop >> width)):
         base = block << width
         if start <= base and base + size <= stop:
             k = free.bit_count()

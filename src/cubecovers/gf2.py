@@ -2,7 +2,9 @@
 
 Rows are packed into integer bitmasks (bit ``j`` of ``rows[i]`` is the entry
 in row ``i``, column ``j``), so row elimination is a single XOR per row and
-the same code path works for any dimension.  Values are immutable: every
+the same code path works for any dimension.  :func:`transpose_masks` packs
+a whole matrix into one integer and transposes it with one delta swap per
+halving of its side.  Values are immutable: every
 operation returns a new matrix or a plain value, which makes them safe to
 share between concurrent tasks.
 
@@ -38,10 +40,13 @@ minor test is the tests' reference for the grown walk at n <= 4.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 from operator import xor
+from struct import Struct
+from struct import error as struct_error
+from typing import NamedTuple
 
 
 __all__ = [
@@ -54,20 +59,101 @@ __all__ = [
 ]
 
 
-def transpose_masks(rows: Iterable[int], n: int) -> tuple[int, ...]:
-    """The rows of the transpose of the ``n`` by ``n`` matrix whose rows are
-    the bitmasks ``rows``.
+class _Packing(NamedTuple):
+    """How :func:`transpose_masks` lays out ``m`` rows of ``n`` columns in
+    one int: row i at bit ``i * stride``, so entry (i, j) is bit
+    ``i * stride + j``."""
 
-    Walks the set bits only, so the cost is the number of ones, not n^2.
+    swaps: tuple[tuple[int, int], ...]  # (delta, mask) of each delta swap
+    rows_struct: Struct | None  # packs the m rows, for strides of 8 to 64 bits
+    cols_struct: Struct | None  # unpacks the n columns
+    nbytes: int  # bytes of the n packed columns
+    shifts: tuple[int, ...]  # bit offset of each row or column
+    unit: int  # one row's bits
+    invalid: int  # every bit outside the n columns of the m rows
+    identity: int  # bit (i, i) for i < min(m, n)
+
+
+_FIELDS = {8: "B", 16: "H", 32: "I", 64: "Q"}
+
+
+@lru_cache(maxsize=256)  # bounded: one entry per shape, masks of side^2 bits
+def _packing(m: int, n: int) -> _Packing:
+    side = 1 << (max(m, n, 1) - 1).bit_length()  # the square block transposed
+    stride = max(side, 8)
+    # Transposing the side by side block swaps, for each h = side/2 .. 1,
+    # the entries (i, j) with bit h clear in i and set in j with (i+h, j-h),
+    # h * (stride - 1) bits higher.
+    swaps = []
+    h = side >> 1
+    while h:
+        row = sum(1 << j for j in range(side) if j & h)
+        mask = sum(row << i * stride for i in range(side) if not i & h)
+        swaps.append((h * (stride - 1), mask))
+        h >>= 1
+    field = _FIELDS.get(stride)
+    shifts = tuple(range(0, max(m, n) * stride, stride))
+    return _Packing(
+        tuple(swaps),
+        field and Struct(f"<{m}{field}"),
+        field and Struct(f"<{n}{field}"),
+        n * stride // 8,
+        shifts,
+        (1 << stride) - 1,
+        ~sum(((1 << n) - 1) << shift for shift in shifts[:m]),
+        sum(1 << shift + i for i, shift in enumerate(shifts[:min(m, n)])),
+    )
+
+
+def transpose_masks(
+    rows: Sequence[int], n: int,
+    with_identity: Callable[[int, int], int] | None = None,
+) -> tuple[int, ...]:
+    """The ``n`` columns, as bitmasks, of the matrix whose rows are the
+    bitmasks ``rows``: the rows of its transpose.  ``rows`` may have any
+    length; each must be a mask on ``n`` columns.
+
+    With ``with_identity``, the matrix transposed is ``with_identity(A,
+    I)``, for the packed rows A and the packed identity I (bit i of row i,
+    for each i below both dimensions): :func:`operator.or_` sets the
+    diagonal, :func:`operator.xor` adds the identity over GF(2).
+
+    The rows are packed into one int at a power-of-two stride of at least 8
+    bits, through :class:`struct.Struct` when the stride is at most 64.
+    The leading square block of power-of-two side is transposed in place by
+    one delta swap per halving of the side, with the masks cached for each
+    shape, and the n columns are unpacked from the result.
     """
-    cols = [0] * n
+    (swaps, rows_struct, cols_struct, nbytes, shifts, unit, invalid,
+     identity) = _packing(len(rows), n)
+    if rows_struct is not None:
+        try:
+            word = int.from_bytes(rows_struct.pack(*rows), "little")
+        except struct_error:
+            word = -1  # a row below 0 or past the stride: named below
+    else:
+        word = 0
+        for shift, mask in zip(shifts, rows):
+            word |= mask << shift
+    if word & invalid:
+        raise _out_of_range(rows, n)
+    if with_identity is not None:
+        word = with_identity(word, identity)
+    for delta, mask in swaps:
+        swapped = (word ^ word >> delta) & mask
+        word ^= swapped | swapped << delta
+    if cols_struct is not None:
+        return cols_struct.unpack(word.to_bytes(nbytes, "little"))
+    return tuple([word >> shift & unit for shift in shifts[:n]])
+
+
+def _out_of_range(rows: Sequence[int], n: int) -> ValueError:
+    """The error for the first row of ``rows`` that is not a mask on ``n``
+    columns (a packed bit outside them would land in another row)."""
     for i, mask in enumerate(rows):
-        bit = 1 << i
-        while mask:
-            low = mask & -mask
-            cols[low.bit_length() - 1] |= bit
-            mask ^= low
-    return tuple(cols)
+        if not (isinstance(mask, int) and 0 <= mask < 1 << n):
+            break
+    return ValueError(f"row {i} is {mask!r}, not a mask on {n} columns")
 
 
 def odd_column_sums(rows: Iterable[int], n: int) -> bool:

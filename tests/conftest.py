@@ -1,4 +1,4 @@
-"""Shared fixtures.
+"""Shared fixtures, and the reference transpose.
 
 The 4-vertex pair below is hand-checked: transpose-plus-identity applied to
 the graph's adjacency matrix gives exactly the matrix, the graph is acyclic,
@@ -41,3 +41,17 @@ def corrupted_dag_count(monkeypatch):
     monkeypatch.setattr(
         counting, "_COUNTS", ([1, 1, 3, 26], [1, 1, 1, 4], [1, 3, 9, 26])
     )
+
+
+def set_bit_transpose(rows, n):
+    """The columns of the matrix whose rows are the bitmasks ``rows``, by a
+    walk over the set bits: the reference for ``gf2.transpose_masks``,
+    which packs the rows into one int instead."""
+    cols = [0] * n
+    for i, mask in enumerate(rows):
+        bit = 1 << i
+        while mask:
+            low = mask & -mask
+            cols[low.bit_length() - 1] |= bit
+            mask ^= low
+    return tuple(cols)

@@ -4,6 +4,10 @@ import os
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import set_bit_transpose
 
 from cubecovers import (
     BitMatrix,
@@ -18,13 +22,31 @@ from cubecovers import (
     digraph_from_characteristic,
     is_acyclic_dfs,
 )
-from cubecovers.correspondence import unit_diagonal_matrices
+from cubecovers.correspondence import (
+    adjacency_rows,
+    characteristic_rows,
+    unit_diagonal_matrices,
+)
 from cubecovers.digraph import enumerate_acyclic, enumerate_digraphs, is_acyclic_dfs
 
 
 # ----------------------------------------------------------------------
 # the map and its inverse
 # ----------------------------------------------------------------------
+
+
+@given(st.integers(0, 12).flatmap(
+    lambda n: st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n)))
+@settings(max_examples=300)
+def test_row_maps_equal_their_literal_formulas(rows):
+    # Any rows, loop bits included: the forward map sets the diagonal, the
+    # inverse flips it, and both then transpose.
+    n = len(rows)
+    rows = tuple(rows)
+    assert characteristic_rows(rows, n) == set_bit_transpose(
+        [mask | 1 << i for i, mask in enumerate(rows)], n)
+    assert adjacency_rows(rows, n) == set_bit_transpose(
+        [mask ^ 1 << i for i, mask in enumerate(rows)], n)
 
 
 def test_empty_graph_maps_to_identity():

@@ -14,6 +14,7 @@ from cubecovers import (
 )
 from cubecovers.digraph import (
     _acyclic_blocks,
+    acyclic_codes,
     count_acyclic_codes,
     enumerate_acyclic,
     enumerate_digraphs,
@@ -175,6 +176,7 @@ def test_enumerate_acyclic_equals_dfs_filter_in_order(n):
     # The block kernel against the independent depth-first test, order included.
     expected = [g for g in enumerate_digraphs(n) if is_acyclic_dfs(g)]
     assert list(enumerate_acyclic(n)) == expected
+    assert list(acyclic_codes(n)) == [g.code() for g in expected]
 
 
 def test_enumeration_is_in_code_order_without_repeats():
@@ -190,6 +192,8 @@ def test_enumeration_cap():
     with pytest.raises(EnumerationCapExceeded):
         next(enumerate_digraphs(3, cap=2))
     assert sum(1 for _ in enumerate_digraphs(3, cap=3)) == 64
+    with pytest.raises(EnumerationCapExceeded):
+        next(acyclic_codes(3, cap=2))
 
 
 def test_cap_error_is_a_value_error_with_context():
@@ -224,7 +228,7 @@ def _linear_scan(n):
                 break
             reach = grown
         odd = int(any(mask.bit_count() % 2 for mask in rows))
-        found.append((block, rows, ((1 << width) - 1) & ~(reach >> 1), odd))
+        found.append((block, ((1 << width) - 1) & ~(reach >> 1), odd))
     return found
 
 

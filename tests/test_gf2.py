@@ -1,10 +1,13 @@
 import ast
 import itertools
+import random
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+from conftest import set_bit_transpose
 
 from cubecovers import BitMatrix, count_dags, gf2
 from cubecovers.correspondence import unit_diagonal_matrices
@@ -266,6 +269,37 @@ def test_transpose_and_column_parity_match_their_entrywise_definition(n):
         )
         assert m.transpose().rows == columns
         assert m.has_odd_column_sums() == all(c.bit_count() % 2 for c in columns)
+
+
+@given(st.integers(0, 40).flatmap(lambda n: st.tuples(
+    st.lists(st.integers(0, (1 << n) - 1), max_size=40), st.just(n))))
+@settings(max_examples=300)
+def test_transpose_masks_matches_the_set_bit_walk(case):
+    rows, n = case
+    assert gf2.transpose_masks(tuple(rows), n) == set_bit_transpose(rows, n)
+
+
+@pytest.mark.parametrize("m,n", [(0, 65), (65, 0), (65, 65), (100, 70), (3, 129),
+                                 (128, 128)])
+def test_transpose_masks_beyond_a_64_bit_stride(m, n):
+    # Strides above 64 bits are packed by shifts, not by struct fields.
+    rng = random.Random(m * 1000 + n)
+    rows = tuple(rng.getrandbits(n) for _ in range(m))
+    assert gf2.transpose_masks(rows, n) == set_bit_transpose(rows, n)
+
+
+@pytest.mark.parametrize("rows,n,row", [
+    ((1 << 5,), 2, 0),
+    ((1, 4), 2, 1),
+    ((0, -1), 2, 1),
+    ((0, 1 << 64), 64, 1),
+    ((0,) * 70 + (1 << 100,), 100, 70),
+], ids=["past-the-columns", "next-column", "negative", "past-a-64-bit-stride",
+        "past-the-columns-at-a-128-bit-stride"])
+def test_transpose_masks_names_a_row_outside_its_columns(rows, n, row):
+    # Packed, such a bit would land in another row instead of failing.
+    with pytest.raises(ValueError, match=f"^row {row} is "):
+        gf2.transpose_masks(rows, n)
 
 
 def test_identity_columns_all_odd():

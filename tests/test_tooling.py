@@ -17,18 +17,25 @@ benchmark must cover, so the options of each subcommand are pinned in
 ``CLI_OPTIONS``: adding or dropping one is an edit there.
 
 The per-graph pass of ``verify`` walks every digraph at n <= 4 on
-adjacency-row tuples; building a value object per graph doubled the time
-of a ``verify --n-max 5`` run, so the number of objects it builds is
-bounded here, without timing anything.
+adjacency-row tuples and reads acyclicity as codes; building a value
+object per graph doubled the time of a ``verify --n-max 5`` run, so the
+pass is required here to build none, without timing anything.
+
+Every run of the command line pays for what ``cubecovers.cli`` imports, so
+the worker pool, which only ``verify --jobs`` above 1 uses, is required to
+stay off that path.
 """
 
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import cubecovers
-from cubecovers import BitMatrix, Digraph, checks, cli, counting
+from cubecovers import BitMatrix, Digraph, checks, cli
 
 ROOT = Path(__file__).resolve().parent.parent
 SPANS = ROOT / "perfbench" / "spans.py"
@@ -153,8 +160,16 @@ def test_verify_builds_no_value_object_per_graph(monkeypatch):
         monkeypatch.setattr(cls, "__post_init__", counted)
     records = checks.verify_checks(4, 4, False, 1, 6)
     assert all(record["pass"] for record in records)
-    # The acyclic graphs plus the grown members, at most; the graphs number
-    # 4,166 at n <= 4.
-    bound = 2 * sum(counting.count_dags(n) for n in range(5))
-    assert bound == 1146
-    assert len(built) <= bound, (built.count(Digraph), built.count(BitMatrix))
+    # Neither the 4,166 graphs at n <= 4, nor the acyclic ones, nor the
+    # grown members.
+    assert built == []
+
+
+def test_the_worker_pool_is_not_imported_at_start_up():
+    # concurrent.futures also pulls in logging; only brute_counts(jobs > 1)
+    # needs it.
+    probe = "import sys, cubecovers.cli; print('concurrent.futures' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    result = subprocess.run([sys.executable, "-c", probe], env=env, cwd=ROOT,
+                            capture_output=True, text=True, timeout=60, check=True)
+    assert result.stdout.strip() == "False"
