@@ -17,21 +17,46 @@ member lookup for each.  It runs on adjacency-row and matrix-row tuples,
 through the same kernels that :class:`~cubecovers.digraph.Digraph`,
 :class:`~cubecovers.gf2.BitMatrix` and the maps of
 :mod:`cubecovers.correspondence` delegate to, so a fault in a kernel shows
-in both.  Acyclicity is read from the code set of
-:func:`~cubecovers.digraph.acyclic_codes`, which
+in both.  The graphs of one n come from
+:func:`~cubecovers.digraph.digraph_rows` in chunks of ``PASS_CHUNK``, and
+each map takes a whole chunk stacked, in one call; the round trip compares
+the chunk's rows as one tuple, and the orientability tests and the member
+lookup run graph by graph on the stacked output.  Acyclicity is read from
+the code set of :func:`~cubecovers.digraph.acyclic_codes`, which
 :func:`~cubecovers.digraph.enumerate_acyclic` also decodes, so the pass
 builds no value object at all.
 """
 
 from __future__ import annotations
 
+from itertools import chain, compress, islice, repeat
+
 from cubecovers import correspondence, counting, digraph, gf2, series
 
 # The matrix checks compare the grown member set with the image of every
-# one of the 2^(n(n-1)) digraphs.  At n = 5 that per-graph pass takes 8 to
-# 10 s on one core of a 2-core VM with Python 3.11, against about 0.06 s
-# for all of ``verify --n-max 5``, so they stop at 4.
+# one of the 2^(n(n-1)) digraphs.  At n = 5 that per-graph pass takes 2.0
+# to 2.5 s on one core of a 2-core VM with Python 3.11, against about
+# 0.05 s for all of ``verify --n-max 5``, so they stop at 4.
 MATRIX_BRUTEFORCE_CAP = 4
+
+# Graphs per call of each map in the per-graph pass.  Past a few hundred
+# graphs a bigger call is no faster, but its word, its cached masks and the
+# chunk's row tuples all grow with it: 4,096 graphs a call raised the peak
+# RSS of ``verify --n-max 5`` by about 0.9 MB, 256 by about 0.15 MB.
+PASS_CHUNK = 1 << 8
+
+
+def _first_failure(code: int | None, start: int, got: list | tuple,
+                   want: list | tuple, per_graph: int = 1) -> int | None:
+    """``code`` if a failure is already known, else the code of the first
+    graph of a chunk, whose first graph has code ``start``, on which ``got``
+    and ``want`` differ, with ``per_graph`` entries each; None when they
+    agree."""
+    if code is None and got != want:
+        i = next((i for i, pair in enumerate(zip(got, want)) if pair[0] != pair[1]),
+                 min(len(got), len(want)))
+        code = start + i // per_graph
+    return code
 
 
 def verify_checks(n_max: int, series_order: int, series_only: bool,
@@ -81,18 +106,28 @@ def verify_checks(n_max: int, series_order: int, series_only: bool,
             images = set()
             # The code of the first graph that breaks each per-graph check.
             round_trip = equivalence = transfer = None
-            # digraph_rows yields the graphs in code order.
-            for code, rows in enumerate(digraph.digraph_rows(n)):
-                matrix = forward(rows, n)
-                if round_trip is None and inverse(matrix, n) != rows:
-                    round_trip = code
-                if equivalence is None and even(rows) != odd(matrix, n):
-                    equivalence = code
-                acyclic = code in acyclic_codes
-                if acyclic:
-                    images.add(matrix)
-                if transfer is None and acyclic != (matrix in members):
-                    transfer = code
+            # digraph_rows yields the graphs in code order; each map takes
+            # a chunk of them stacked, in one call, and the tests below
+            # run graph by graph on the chunk.
+            graphs = digraph.digraph_rows(n)
+            start = 0  # the code of the chunk's first graph
+            while chunk := list(islice(graphs, PASS_CHUNK)):
+                stacked = tuple(chain.from_iterable(chunk))
+                matrices = forward(stacked, n)
+                round_trip = _first_failure(round_trip, start,
+                                            inverse(matrices, n), stacked, n or 1)
+                # Each graph's matrix, as its own tuple of n rows.
+                matrices = (list(zip(*[iter(matrices)] * n)) if n
+                            else [()] * len(chunk))
+                equivalence = _first_failure(equivalence, start,
+                                             list(map(even, chunk)),
+                                             list(map(odd, matrices, repeat(n))))
+                acyclic = list(map(acyclic_codes.__contains__,
+                                   range(start, start + len(chunk))))
+                images.update(compress(matrices, acyclic))
+                transfer = _first_failure(transfer, start, acyclic,
+                                          list(map(members.__contains__, matrices)))
+                start += len(chunk)
             add("bijection-image", images == members,
                 f"images={len(images)} members={len(members)}", n=n)
             for check, code in (("round-trip", round_trip),

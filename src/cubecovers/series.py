@@ -173,18 +173,28 @@ def chrom_mul(a: ChromaticSeries, b: ChromaticSeries) -> ChromaticSeries:
     )
 
 
+def _check_order(order: int) -> None:
+    """Refuse a negative truncation order, which would otherwise pass as an
+    empty or order-0 series."""
+    if order < 0:
+        raise ValueError("order must be nonnegative")
+
+
 def unit_series(order: int) -> ChromaticSeries:
     """The multiplicative identity: constant coefficient 1, rest 0."""
+    _check_order(order)
     return ChromaticSeries((Fraction(1),) + (Fraction(0),) * order)
 
 
 def deformed_exp_series(order: int) -> ChromaticSeries:
     """E(x): every chromatic coefficient is 1."""
+    _check_order(order)
     return ChromaticSeries((Fraction(1),) * (order + 1))
 
 
 def dag_series(order: int) -> ChromaticSeries:
     """D(x): chromatic coefficients are the exact DAG counts."""
+    _check_order(order)
     return ChromaticSeries(tuple(Fraction(count_dags(n)) for n in range(order + 1)))
 
 
@@ -194,6 +204,7 @@ def orientable_series(order: int) -> ChromaticSeries:
     The zero constant term is what the identities in the module docstring
     require; the combinatorial count at n = 0 is 1.
     """
+    _check_order(order)
     coeffs = [Fraction(0)]
     coeffs.extend(Fraction(count_orientable_dags(n)) for n in range(1, order + 1))
     return ChromaticSeries(tuple(coeffs))
@@ -212,6 +223,7 @@ def orientable_from_quotient(order: int) -> ChromaticSeries:
     The solution is produced without consulting the orientable counting
     formula, which makes it an independent route to the same integers.
     """
+    _check_order(order)
     signs = [(-1) ** k for k in range(order + 1)]  # E(-x)
     scaled = [0]
     for n in range(1, order + 1):
@@ -252,6 +264,7 @@ def verify_identities(order: int) -> list[IdentityCheck]:
     passes it.  That D fails ``alternating-inverse``, and the V grown from
     it fails the ``orientable-quotient`` record of :mod:`cubecovers.checks`.
     """
+    _check_order(order)
     alternating = deformed_exp_series(order).scale_argument(-1)
     dags = dag_series(order)
     results = []
@@ -281,6 +294,7 @@ def derivative_identity_first_failure(max_n: int) -> int | None:
     the check compares their denominators.  Returns the first n in
     ``1 .. max_n`` where they differ, or None.
     """
+    _check_order(max_n)
     factorial = 1  # (n-1)!
     for n in range(1, max_n + 1):
         derived = factorial << (n * (n - 1) // 2)

@@ -1,6 +1,7 @@
 import ast
 import itertools
 import random
+from operator import or_, xor
 from pathlib import Path
 
 import pytest
@@ -300,6 +301,62 @@ def test_transpose_masks_names_a_row_outside_its_columns(rows, n, row):
     # Packed, such a bit would land in another row instead of failing.
     with pytest.raises(ValueError, match=f"^row {row} is "):
         gf2.transpose_masks(rows, n)
+
+
+def _one_block_at_a_time(rows, n, fold, blocks):
+    """The stacked columns of each block, by one call per block and by the
+    set-bit walk, with the identity folded in by ``fold`` (or not)."""
+    height = len(rows) // blocks if blocks else 0
+    calls, walks = [], []
+    for c in range(blocks):
+        block = rows[c * height:(c + 1) * height]
+        calls.extend(gf2.transpose_masks(block, n, fold))
+        if fold is not None:
+            block = [fold(mask, 1 << i if i < n else 0) for i, mask in enumerate(block)]
+        walks.extend(set_bit_transpose(block, n))
+    return tuple(calls), tuple(walks)
+
+
+@given(st.integers(0, 9), st.integers(0, 9), st.integers(0, 64),
+       st.sampled_from([None, or_, xor]), st.randoms(use_true_random=False))
+@settings(max_examples=300)
+def test_stacked_blocks_transpose_as_one_call_per_block(height, n, blocks, fold, rng):
+    # Heights and widths 0-9: a block of 3, 5 or 9 rows is padded to 4, 8
+    # or 16 lanes, and a block of 0 rows or 0 columns to one.
+    rows = tuple(rng.getrandbits(n) if n else 0 for _ in range(height * blocks))
+    calls, walks = _one_block_at_a_time(rows, n, fold, blocks)
+    assert gf2.transpose_masks(rows, n, fold, blocks) == calls == walks
+
+
+@pytest.mark.parametrize("height,n,blocks", [(65, 3, 2), (3, 65, 3), (70, 70, 2),
+                                             (100, 65, 3), (2, 129, 2)])
+@pytest.mark.parametrize("fold", [None, or_, xor], ids=["plain", "or", "xor"])
+def test_stacked_blocks_beyond_a_64_bit_stride(height, n, blocks, fold):
+    # Strides above 64 bits are packed by shifts, block after block.
+    rng = random.Random(height * 1000 + n * 10 + blocks)
+    rows = tuple(rng.getrandbits(n) for _ in range(height * blocks))
+    calls, walks = _one_block_at_a_time(rows, n, fold, blocks)
+    assert gf2.transpose_masks(rows, n, fold, blocks) == calls == walks
+
+
+@pytest.mark.parametrize("rows,n,blocks,row", [
+    ((1, 2, 3, 1 << 2), 2, 2, 3),
+    ((0, 0, 0, 1 << 3, 0, 0), 3, 2, 3),
+    ((0,) * 8 + (-1,), 3, 3, 8),
+    ((0,) * 5 + (1 << 70,), 70, 2, 5),
+], ids=["last-block", "first-row-of-the-second-block", "negative", "shift-path"])
+def test_stacked_blocks_name_a_row_outside_its_columns(rows, n, blocks, row):
+    # The row is named by its index in the stack; packed, its stray bit
+    # would land in the next row or the next block.
+    with pytest.raises(ValueError, match=f"^row {row} is "):
+        gf2.transpose_masks(rows, n, None, blocks)
+
+
+@pytest.mark.parametrize("length,blocks", [(3, 2), (7, 4), (1, 0), (0, -1)])
+def test_stacked_blocks_must_be_of_equal_height(length, blocks):
+    with pytest.raises(ValueError, match=f"^cannot split {length} rows into "
+                                         f"{blocks} blocks of equal height$"):
+        gf2.transpose_masks((0,) * length, 3, None, blocks)
 
 
 def test_identity_columns_all_odd():

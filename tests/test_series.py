@@ -199,6 +199,18 @@ def test_alternating_series_inverts_the_dag_series(order):
     assert product == unit_series(order)
 
 
+@pytest.mark.parametrize("build", [
+    unit_series, deformed_exp_series, dag_series, orientable_series,
+    orientable_from_quotient, verify_identities, derivative_identity_first_failure,
+], ids=lambda build: build.__name__)
+@pytest.mark.parametrize("order", [-1, -5])
+def test_a_negative_order_is_refused(build, order):
+    # Each used to answer: an order-0 series, a pass (None), or the
+    # misleading "a series needs at least its constant coefficient".
+    with pytest.raises(ValueError, match="^order must be nonnegative$"):
+        build(order)
+
+
 @pytest.mark.parametrize("order", [0, 7, 12])
 def test_verify_identities_pass(order):
     for check in verify_identities(order):

@@ -19,7 +19,9 @@ benchmark must cover, so the options of each subcommand are pinned in
 The per-graph pass of ``verify`` walks every digraph at n <= 4 on
 adjacency-row tuples and reads acyclicity as codes; building a value
 object per graph doubled the time of a ``verify --n-max 5`` run, so the
-pass is required here to build none, without timing anything.
+pass is required here to build none, without timing anything.  It hands
+each dictionary map a chunk of graphs stacked, one call per n and chunk;
+a call per graph was most of the pass, so the calls are counted too.
 
 Every run of the command line pays for what ``cubecovers.cli`` imports, so
 the worker pool, which only ``verify --jobs`` above 1 uses, is required to
@@ -35,7 +37,7 @@ import sys
 from pathlib import Path
 
 import cubecovers
-from cubecovers import BitMatrix, Digraph, checks, cli
+from cubecovers import BitMatrix, Digraph, checks, cli, correspondence
 
 ROOT = Path(__file__).resolve().parent.parent
 SPANS = ROOT / "perfbench" / "spans.py"
@@ -163,6 +165,24 @@ def test_verify_builds_no_value_object_per_graph(monkeypatch):
     # Neither the 4,166 graphs at n <= 4, nor the acyclic ones, nor the
     # grown members.
     assert built == []
+
+
+def test_verify_calls_each_map_once_per_n_and_chunk(monkeypatch):
+    calls = {"characteristic_rows": 0, "adjacency_rows": 0}
+    for name in calls:
+        def counted(rows, n, name=name, kernel=getattr(correspondence, name)):
+            calls[name] += 1
+            return kernel(rows, n)
+
+        monkeypatch.setattr(correspondence, name, counted)
+    records = checks.verify_checks(4, 4, False, 1, 6)
+    assert all(record["pass"] for record in records)
+    # One call per chunk of each n <= 4 (20 with chunks of 256 graphs), not
+    # one for each of the 4,166 graphs.
+    chunks = sum(-(-(1 << n * (n - 1)) // checks.PASS_CHUNK) for n in range(5))
+    assert chunks < 100
+    for name, count in calls.items():
+        assert 0 < count <= chunks, name
 
 
 def test_the_worker_pool_is_not_imported_at_start_up():
