@@ -11,52 +11,27 @@ same decomposition, so a wrong D passes it.  A wrong D fails the
 brute-force records and ``alternating-inverse``, and the V grown from it
 fails ``orientable-quotient``.
 
-The matrix records end in a per-graph pass over all ``2^(n(n-1))``
-digraphs: both maps, the round trip, the two orientability tests and a
-member lookup for each.  It runs on adjacency-row and matrix-row tuples,
-through the same kernels that :class:`~cubecovers.digraph.Digraph`,
-:class:`~cubecovers.gf2.BitMatrix` and the maps of
-:mod:`cubecovers.correspondence` delegate to, so a fault in a kernel shows
-in both.  The graphs of one n come from
-:func:`~cubecovers.digraph.digraph_rows` in chunks of ``PASS_CHUNK``, and
-each map takes a whole chunk stacked, in one call; the round trip compares
-the chunk's rows as one tuple, and the orientability tests and the member
-lookup run graph by graph on the stacked output.  Acyclicity is read from
-the code set of :func:`~cubecovers.digraph.acyclic_codes`, which
-:func:`~cubecovers.digraph.enumerate_acyclic` also decodes, so the pass
-builds no value object at all.
+The matrix records quantify over the D(n) acyclic digraphs, read as codes
+from :func:`~cubecovers.digraph.acyclic_codes`, and over the members grown
+by :func:`~cubecovers.gf2.unit_minor_rows`.  Each DAG must come back from
+its image, pass or fail both orientability tests together, and map to a
+member; each member must be the image of a DAG.  That is the paper's
+dictionary: injective on the DAGs, onto the members, even out-degrees to
+odd column sums.  The claims about all digraphs stay in the unit tests.
+The records run on row tuples through the kernels that
+:class:`~cubecovers.digraph.Digraph`, :class:`~cubecovers.gf2.BitMatrix`
+and :mod:`cubecovers.correspondence` delegate to, build no value object,
+and name the smallest failing code.
 """
 
 from __future__ import annotations
 
-from itertools import chain, compress, islice, repeat
-
 from cubecovers import correspondence, counting, digraph, gf2, series
 
-# The matrix checks compare the grown member set with the image of every
-# one of the 2^(n(n-1)) digraphs.  At n = 5 that per-graph pass takes 2.0
-# to 2.5 s on one core of a 2-core VM with Python 3.11, against about
-# 0.05 s for all of ``verify --n-max 5``, so they stop at 4.
+# ``perfbench/expected.json`` pins the records of ``verify --n-max 5``, and
+# growing the 29,281 members at n = 5 takes about 0.2 s, several times a
+# whole ``verify --n-max 5`` run, so the matrix checks stop at 4.
 MATRIX_BRUTEFORCE_CAP = 4
-
-# Graphs per call of each map in the per-graph pass.  Past a few hundred
-# graphs a bigger call is no faster, but its word, its cached masks and the
-# chunk's row tuples all grow with it: 4,096 graphs a call raised the peak
-# RSS of ``verify --n-max 5`` by about 0.9 MB, 256 by about 0.15 MB.
-PASS_CHUNK = 1 << 8
-
-
-def _first_failure(code: int | None, start: int, got: list | tuple,
-                   want: list | tuple, per_graph: int = 1) -> int | None:
-    """``code`` if a failure is already known, else the code of the first
-    graph of a chunk, whose first graph has code ``start``, on which ``got``
-    and ``want`` differ, with ``per_graph`` entries each; None when they
-    agree."""
-    if code is None and got != want:
-        i = next((i for i, pair in enumerate(zip(got, want)) if pair[0] != pair[1]),
-                 min(len(got), len(want)))
-        code = start + i // per_graph
-    return code
 
 
 def verify_checks(n_max: int, series_order: int, series_only: bool,
@@ -85,7 +60,7 @@ def verify_checks(n_max: int, series_order: int, series_only: bool,
             add("orientable-count-bruteforce", got.orientable == want_v,
                 f"brute={got.orientable} formula={want_v}", n=n)
 
-        # The kernels of the per-graph pass (see the module docstring).
+        # The kernels of the matrix records (see the module docstring).
         forward = correspondence.characteristic_rows
         inverse = correspondence.adjacency_rows
         even = digraph.out_degrees_even
@@ -102,32 +77,26 @@ def verify_checks(n_max: int, series_order: int, series_only: bool,
                 m_orient == counting.count_orientable_dags(n),
                 f"brute={m_orient} formula={counting.count_orientable_dags(n)}", n=n)
 
-            acyclic_codes = set(digraph.acyclic_codes(n))
             images = set()
-            # The code of the first graph that breaks each per-graph check.
+            # The code of the first DAG that breaks each check; the codes
+            # come in increasing order.
             round_trip = equivalence = transfer = None
-            # digraph_rows yields the graphs in code order; each map takes
-            # a chunk of them stacked, in one call, and the tests below
-            # run graph by graph on the chunk.
-            graphs = digraph.digraph_rows(n)
-            start = 0  # the code of the chunk's first graph
-            while chunk := list(islice(graphs, PASS_CHUNK)):
-                stacked = tuple(chain.from_iterable(chunk))
-                matrices = forward(stacked, n)
-                round_trip = _first_failure(round_trip, start,
-                                            inverse(matrices, n), stacked, n or 1)
-                # Each graph's matrix, as its own tuple of n rows.
-                matrices = (list(zip(*[iter(matrices)] * n)) if n
-                            else [()] * len(chunk))
-                equivalence = _first_failure(equivalence, start,
-                                             list(map(even, chunk)),
-                                             list(map(odd, matrices, repeat(n))))
-                acyclic = list(map(acyclic_codes.__contains__,
-                                   range(start, start + len(chunk))))
-                images.update(compress(matrices, acyclic))
-                transfer = _first_failure(transfer, start, acyclic,
-                                          list(map(members.__contains__, matrices)))
-                start += len(chunk)
+            for code in digraph.acyclic_codes(n):
+                rows = digraph.code_to_rows(n, code)
+                matrix = forward(rows, n)
+                if round_trip is None and inverse(matrix, n) != rows:
+                    round_trip = code
+                if equivalence is None and even(rows) != odd(matrix, n):
+                    equivalence = code
+                images.add(matrix)
+                if transfer is None and matrix not in members:
+                    transfer = code
+            # A member that no DAG hits fails the transfer too, named by the
+            # code of its preimage.
+            misses = [digraph.rows_to_code(inverse(m, n)) for m in members - images]
+            if transfer is not None:
+                misses.append(transfer)
+            transfer = min(misses, default=None)
             add("bijection-image", images == members,
                 f"images={len(images)} members={len(members)}", n=n)
             for check, code in (("round-trip", round_trip),

@@ -15,14 +15,12 @@ odd, equivalently when every vertex of G has even out-degree.
 
 This module holds the map, its inverse, and the brute-force counters that
 anchor the closed formulas in :mod:`cubecovers.counting`.  Each map is one
-kernel on row tuples, :func:`characteristic_rows` and
+kernel on the row tuple of one graph, :func:`characteristic_rows` and
 :func:`adjacency_rows`: a single :func:`cubecovers.gf2.transpose_masks`
 that ORs (forward) or XORs (inverse) the identity into the packed rows
-before it transposes them.  Each takes the rows of any number of n-vertex
-graphs stacked and maps all of them in that one call.  The value-type maps
-wrap them with one graph, and the per-graph pass of
-:mod:`cubecovers.checks` calls each once per chunk of digraphs at small n,
-without building a value per graph.  The digraph-side
+before it transposes them.  The value-type maps wrap them, and the matrix
+records of :mod:`cubecovers.checks` call them on the acyclic digraphs at
+small n without building a value per graph.  The digraph-side
 counter walks the canonical code range with the block kernel of
 :mod:`cubecovers.digraph` (its module docstring gives the argument), never
 uses the recurrences it checks and never materializes a graph list, so a
@@ -81,29 +79,29 @@ class DagCounts(NamedTuple):
 
 
 def characteristic_rows(adjacency: tuple[int, ...], n: int) -> tuple[int, ...]:
-    """The rows of A^t + I, for the adjacency rows of any number of
-    ``n``-vertex digraphs stacked, graph after graph: the K matrices come
-    back stacked in the same order, K * n rows.
+    """The rows of A^t + I, for the ``n`` adjacency rows of a digraph.
 
     The adjacency diagonal is zero, so adding the identity just sets the
     diagonal to 1, and the transpose of A + I is A^t + I: the identity is
-    ORed into the packed rows and one transpose of all K blocks builds the
-    result.
+    ORed into the packed rows and one transpose builds the result.
     """
-    return transpose_masks(adjacency, n, or_, _graph_count(adjacency, n))
+    _check_rows(adjacency, n)
+    return transpose_masks(adjacency, n, or_)
 
 
 def adjacency_rows(characteristic: tuple[int, ...], n: int) -> tuple[int, ...]:
-    """Invert :func:`characteristic_rows` on stacked rows whose diagonals
-    are all 1: the identity is XORed into the packed rows, which strips
-    each diagonal, and one transpose of all the blocks builds the result."""
-    return transpose_masks(characteristic, n, xor, _graph_count(characteristic, n))
+    """Invert :func:`characteristic_rows` on rows whose diagonal is all 1:
+    the identity is XORed into the packed rows, which strips the diagonal,
+    and one transpose builds the result."""
+    _check_rows(characteristic, n)
+    return transpose_masks(characteristic, n, xor)
 
 
-def _graph_count(rows: tuple[int, ...], n: int) -> int:
-    """How many ``n``-vertex graphs or matrices the stacked ``rows`` hold;
-    the kernel refuses a count of rows that is not a multiple of ``n``."""
-    return len(rows) // n if n else 0
+def _check_rows(rows: tuple[int, ...], n: int) -> None:
+    """Refuse a row count other than ``n``, which the transpose would take
+    as a matrix that is not square."""
+    if len(rows) != n:
+        raise ValueError(f"expected {n} rows, got {len(rows)}")
 
 
 def characteristic_matrix(graph: Digraph) -> BitMatrix:

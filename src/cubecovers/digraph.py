@@ -44,12 +44,14 @@ __all__ = [
     "Digraph",
     "EnumerationCapExceeded",
     "acyclic_codes",
+    "code_to_rows",
     "count_acyclic_codes",
     "digraph_rows",
     "enumerate_acyclic",
     "enumerate_digraphs",
     "is_acyclic_dfs",
     "out_degrees_even",
+    "rows_to_code",
 ]
 
 # 2^(n(n-1)) graphs: n=5 is about a million, n=6 about a billion, n=7
@@ -116,24 +118,11 @@ class Digraph:
     @classmethod
     def from_code(cls, n: int, code: int) -> Digraph:
         """Decode the canonical integer encoding (inverse of :meth:`code`)."""
-        if n < 0:
-            raise ValueError("vertex count must be nonnegative")
-        width = n - 1
-        if not 0 <= code < (1 << (n * width if n else 0)):
-            raise ValueError(f"code {code} out of range for n={n}")
-        chunk_mask = (1 << width) - 1 if n else 0
-        return cls(n, tuple([
-            _splice_diagonal((code >> (u * width)) & chunk_mask, u) for u in range(n)
-        ]))
+        return cls(n, code_to_rows(n, code))
 
     def code(self) -> int:
         """Canonical encoding: off-diagonal bits, row major, as one integer."""
-        width = self.n - 1
-        code = 0
-        for u, mask in enumerate(self.rows):
-            chunk = (mask & ((1 << u) - 1)) | ((mask >> (u + 1)) << u)
-            code |= chunk << (u * width)
-        return code
+        return rows_to_code(self.rows)
 
     @classmethod
     def from_text(cls, text: str) -> Digraph:
@@ -182,6 +171,32 @@ class Digraph:
 
     def all_out_degrees_even(self) -> bool:
         return out_degrees_even(self.rows)
+
+
+def code_to_rows(n: int, code: int) -> tuple[int, ...]:
+    """The adjacency rows of the ``n``-vertex digraph with canonical code
+    ``code``: row u is the u-th ``(n-1)``-bit chunk with its diagonal zero
+    spliced in."""
+    if n < 0:
+        raise ValueError("vertex count must be nonnegative")
+    width = n - 1
+    if not 0 <= code < (1 << (n * width if n else 0)):
+        raise ValueError(f"code {code} out of range for n={n}")
+    chunk_mask = (1 << width) - 1 if n else 0
+    return tuple([
+        _splice_diagonal((code >> (u * width)) & chunk_mask, u) for u in range(n)
+    ])
+
+
+def rows_to_code(rows: tuple[int, ...]) -> int:
+    """The canonical code of a loop-free digraph given by its adjacency
+    rows: the off-diagonal bits, row major, as one integer."""
+    width = len(rows) - 1
+    code = 0
+    for u, mask in enumerate(rows):
+        chunk = (mask & ((1 << u) - 1)) | ((mask >> (u + 1)) << u)
+        code |= chunk << (u * width)
+    return code
 
 
 def out_degrees_even(rows: Iterable[int]) -> bool:

@@ -2,14 +2,11 @@
 
 Rows are packed into integer bitmasks (bit ``j`` of ``rows[i]`` is the entry
 in row ``i``, column ``j``), so row elimination is a single XOR per row and
-the same code path works for any dimension.  :func:`transpose_masks` is
-the one transpose: it packs a stack of equal matrices into one integer and
-transposes all of them with one delta swap per halving of their side, so
-:meth:`BitMatrix.transpose` and the inverse planes of the grown walk call
-it with one matrix, and the dictionary maps of
-:mod:`cubecovers.correspondence` with a chunk of graphs.  Values are
-immutable: every operation returns a new matrix or a plain value, which
-makes them safe to share between concurrent tasks.
+the same code path works for any dimension.  :func:`transpose_masks` packs
+a whole matrix into one integer and transposes it with one delta swap per
+halving of its side.  Values are immutable: every
+operation returns a new matrix or a plain value, which makes them safe to
+share between concurrent tasks.
 
 The one domain-specific test here is :meth:`BitMatrix.has_unit_principal_minors`:
 a square GF(2) matrix is the reduced characteristic matrix of a small cover
@@ -63,110 +60,72 @@ __all__ = [
 
 
 class _Packing(NamedTuple):
-    """How :func:`transpose_masks` lays out ``blocks`` blocks of ``m`` rows
-    of ``n`` columns in one int.  Block c takes ``side`` lanes of ``stride``
-    bits from bit ``c * side * stride``, and its row i is lane i, so entry
-    (i, j) of block c is bit ``(c * side + i) * stride + j``.  Lanes m to
-    side - 1 of a block are padding and stay 0."""
+    """How :func:`transpose_masks` lays out ``m`` rows of ``n`` columns in
+    one int: row i at bit ``i * stride``, so entry (i, j) is bit
+    ``i * stride + j``."""
 
     swaps: tuple[tuple[int, int], ...]  # (delta, mask) of each delta swap
-    rows_struct: Struct | None  # packs the rows, for strides of 8 to 64 bits
-    cols_struct: Struct | None  # unpacks the n columns of each block
-    nbytes: int  # bytes of the packed blocks
-    row_shifts: tuple[int, ...]  # bit offset of each row, for wider strides
-    col_shifts: tuple[int, ...]  # and of each column
-    unit: int  # one lane's bits
-    invalid: int  # every bit outside the n columns of the rows
-    identity: int  # bit (i, i) of each block, for i < min(m, n)
+    rows_struct: Struct | None  # packs the m rows, for strides of 8 to 64 bits
+    cols_struct: Struct | None  # unpacks the n columns
+    nbytes: int  # bytes of the n packed columns
+    shifts: tuple[int, ...]  # bit offset of each row or column
+    unit: int  # one row's bits
+    invalid: int  # every bit outside the n columns of the m rows
+    identity: int  # bit (i, i) for i < min(m, n)
 
 
 _FIELDS = {8: "B", 16: "H", 32: "I", 64: "Q"}
 
 
-def _lanes_struct(used: int, side: int, stride: int, blocks: int) -> Struct | None:
-    """A struct for the first ``used`` of every block's ``side`` lanes, the
-    rest skipped as zero pad bytes; None when no struct field has
-    ``stride`` bits."""
-    field = _FIELDS.get(stride)
-    if field is None:
-        return None
-    if used == side:
-        return Struct(f"<{used * blocks}{field}")
-    return Struct("<" + f"{used}{field}{(side - used) * stride // 8}x" * blocks)
-
-
-@lru_cache(maxsize=256)  # bounded: one entry per shape, masks of blocks * side^2 bits
-def _packing(m: int, n: int, blocks: int) -> _Packing:
-    side = 1 << (max(m, n, 1) - 1).bit_length()  # each square block transposed
+@lru_cache(maxsize=256)  # bounded: one entry per shape, masks of side^2 bits
+def _packing(m: int, n: int) -> _Packing:
+    side = 1 << (max(m, n, 1) - 1).bit_length()  # the square block transposed
     stride = max(side, 8)
-    span = side * stride  # the bits of one block
-    # Bit c * span for every block c: a block's mask times this repeats it
-    # in each block.
-    repeat = ((1 << span * blocks) - 1) // ((1 << span) - 1)
-    # Transposing a side by side block swaps, for each h = side/2 .. 1, the
-    # entries (i, j) with bit h clear in i and set in j with (i+h, j-h),
-    # h * (stride - 1) bits higher, inside the same block.
+    # Transposing the side by side block swaps, for each h = side/2 .. 1,
+    # the entries (i, j) with bit h clear in i and set in j with (i+h, j-h),
+    # h * (stride - 1) bits higher.
     swaps = []
     h = side >> 1
     while h:
         row = sum(1 << j for j in range(side) if j & h)
         mask = sum(row << i * stride for i in range(side) if not i & h)
-        swaps.append((h * (stride - 1), mask * repeat))
+        swaps.append((h * (stride - 1), mask))
         h >>= 1
-    rows_struct = _lanes_struct(m, side, stride, blocks)
-    wide = rows_struct is None
+    field = _FIELDS.get(stride)
+    shifts = tuple(range(0, max(m, n) * stride, stride))
     return _Packing(
         tuple(swaps),
-        rows_struct,
-        _lanes_struct(n, side, stride, blocks),
-        blocks * span // 8,
-        tuple(c * span + i * stride for c in range(blocks) for i in range(m)) if wide else (),
-        tuple(c * span + j * stride for c in range(blocks) for j in range(n)) if wide else (),
+        field and Struct(f"<{m}{field}"),
+        field and Struct(f"<{n}{field}"),
+        n * stride // 8,
+        shifts,
         (1 << stride) - 1,
-        ~(sum(((1 << n) - 1) << i * stride for i in range(m)) * repeat),
-        sum(1 << i * stride + i for i in range(min(m, n))) * repeat,
+        ~sum(((1 << n) - 1) << shift for shift in shifts[:m]),
+        sum(1 << shift + i for i, shift in enumerate(shifts[:min(m, n)])),
     )
 
 
 def transpose_masks(
     rows: Sequence[int], n: int,
     with_identity: Callable[[int, int], int] | None = None,
-    blocks: int = 1,
 ) -> tuple[int, ...]:
     """The ``n`` columns, as bitmasks, of the matrix whose rows are the
     bitmasks ``rows``: the rows of its transpose.  ``rows`` may have any
     length; each must be a mask on ``n`` columns.
 
-    With ``blocks`` = K, ``rows`` is a stack of K matrices of equal height
-    (``len(rows)`` must be a multiple of K), and the result is their K
-    transposes stacked: K * n columns, block by block.  One call transposes
-    every block, so a caller with many small matrices pays the call once.
-
-    With ``with_identity``, each matrix transposed is ``with_identity(A,
-    I)``, for its packed rows A and the packed identity I (bit i of row i,
+    With ``with_identity``, the matrix transposed is ``with_identity(A,
+    I)``, for the packed rows A and the packed identity I (bit i of row i,
     for each i below both dimensions): :func:`operator.or_` sets the
     diagonal, :func:`operator.xor` adds the identity over GF(2).
 
-    The blocks are packed into one int: each takes a power-of-two side of
-    lanes, at a stride of at least 8 bits, so a block of 3 rows fills 4
-    lanes.  Packing goes through :class:`struct.Struct` when the stride is
-    at most 64 bits, with zero pad bytes for the spare lanes.  Every block
-    is transposed in place at once, by one delta swap per halving of the
-    side with its mask repeated in each block, the masks cached for each
-    shape and block count, and the columns are unpacked from the result.
-    The per-graph pass of :mod:`cubecovers.checks` reaches it through the
-    dictionary maps with a few hundred graphs a call, so the Python work of
-    a call is paid once per chunk, not once per graph.
+    The rows are packed into one int at a power-of-two stride of at least 8
+    bits, through :class:`struct.Struct` when the stride is at most 64.
+    The leading square block of power-of-two side is transposed in place by
+    one delta swap per halving of the side, with the masks cached for each
+    shape, and the n columns are unpacked from the result.
     """
-    if blocks > 0:
-        m, extra = divmod(len(rows), blocks)
-    else:
-        m, extra = 0, len(rows) or blocks
-    if extra:
-        raise ValueError(
-            f"cannot split {len(rows)} rows into {blocks} blocks of equal height")
-    (swaps, rows_struct, cols_struct, nbytes, row_shifts, col_shifts, unit,
-     invalid, identity) = _packing(m, n, blocks)
+    (swaps, rows_struct, cols_struct, nbytes, shifts, unit, invalid,
+     identity) = _packing(len(rows), n)
     if rows_struct is not None:
         try:
             word = int.from_bytes(rows_struct.pack(*rows), "little")
@@ -174,7 +133,7 @@ def transpose_masks(
             word = -1  # a row below 0 or past the stride: named below
     else:
         word = 0
-        for shift, mask in zip(row_shifts, rows):
+        for shift, mask in zip(shifts, rows):
             word |= mask << shift
     if word & invalid:
         raise _out_of_range(rows, n)
@@ -185,7 +144,7 @@ def transpose_masks(
         word ^= swapped | swapped << delta
     if cols_struct is not None:
         return cols_struct.unpack(word.to_bytes(nbytes, "little"))
-    return tuple([word >> shift & unit for shift in col_shifts])
+    return tuple([word >> shift & unit for shift in shifts[:n]])
 
 
 def _out_of_range(rows: Sequence[int], n: int) -> ValueError:
@@ -260,10 +219,8 @@ class BitMatrix:
 
     def to_text(self) -> str:
         """Render as ``n`` lines of ``n`` characters, bit exact."""
-        return "\n".join(
-            "".join(str(self.entry(i, j)) for j in range(self.n))
-            for i in range(self.n)
-        )
+        # Column j is bit j of a row, so a row is its binary form reversed.
+        return "\n".join(f"{mask:0{self.n}b}"[::-1] for mask in self.rows)
 
     # ------------------------------------------------------------------
     # entry access

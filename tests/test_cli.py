@@ -214,7 +214,7 @@ def test_verify_text_format_failure_names_the_check(runner, corrupted_dag_count)
 def _break_codes_12_and_48(check, monkeypatch):
     """Make ``check`` fail on the n = 3 graphs with codes 12 and 48 only.
 
-    The fault goes into the function that both the per-graph pass of
+    The fault goes into the function that both the matrix records of
     ``verify`` and a public member call.  Returns a test of that member on
     one graph: true when it still answers right.
     """
@@ -226,12 +226,8 @@ def _break_codes_12_and_48(check, monkeypatch):
         inverse = correspondence.adjacency_rows
 
         def wrong_inverse(characteristic, n):
-            # The pass hands over all 64 graphs at n = 3 stacked, the
-            # member one graph: zero the rows of the two broken blocks only.
             rows = inverse(characteristic, n)
-            blocks = [rows[k:k + n] for k in range(0, len(rows), n or 1)]
-            return tuple(mask for block in blocks
-                         for mask in ((0,) * n if broken(block) else block))
+            return (0,) * n if broken(rows) else rows
 
         monkeypatch.setattr(correspondence, "adjacency_rows", wrong_inverse)
         return lambda graph: graph == correspondence.digraph_from_characteristic(
@@ -281,6 +277,24 @@ def test_verify_names_the_first_graph_that_breaks_a_per_graph_check(
     assert text.exit_code == 1
     assert f"FAIL {check} (n=3)  [first failure at code=12]" in text.output.splitlines()
     assert "[None]" not in text.output
+
+
+def test_verify_names_a_cyclic_code_among_the_acyclic_ones(runner, monkeypatch):
+    # Code 5 at n = 3 is the 2-cycle 0 <-> 1: its image is no member.
+    codes = digraph.acyclic_codes
+
+    def with_code_5(n, cap=digraph.DEFAULT_ENUMERATION_CAP):
+        return iter(sorted({*codes(n, cap), *([5] if n == 3 else [])}))
+
+    monkeypatch.setattr(digraph, "acyclic_codes", with_code_5)
+    result = invoke(runner, "verify", "--n-max", "3", "--series-order", "4")
+    assert result.exit_code == 1
+    failing = [(c["check"], c["n"], c["detail"])
+               for c in json.loads(result.output)["checks"] if not c["pass"]]
+    assert failing == [
+        ("bijection-image", 3, "images=26 members=25"),
+        ("acyclicity-transfer", 3, "first failure at code=5"),
+    ]
 
 
 def test_verify_text_shows_a_first_failure_at_zero(runner, monkeypatch):

@@ -49,6 +49,18 @@ def test_row_maps_equal_their_literal_formulas(rows):
         [mask ^ 1 << i for i, mask in enumerate(rows)], n)
 
 
+@pytest.mark.parametrize("rows,n", [((1, 2, 4, 0, 0), 3), ((1, 2, 4, 1), 3),
+                                    ((0, 0), 3), ((0,), 0)],
+                         ids=["two-zero-rows-extra", "one-row-extra", "one-row-short",
+                              "a-row-at-n-0"])
+@pytest.mark.parametrize("row_map", [characteristic_rows, adjacency_rows])
+def test_row_maps_refuse_a_row_count_other_than_n(row_map, rows, n):
+    # The transpose takes any number of rows, so only the maps can tell
+    # that a graph on n vertices has n rows.
+    with pytest.raises(ValueError, match=f"^expected {n} rows, got {len(rows)}$"):
+        row_map(rows, n)
+
+
 def test_empty_graph_maps_to_identity():
     for n in range(5):
         assert characteristic_matrix(Digraph.empty(n)) == BitMatrix.identity(n)

@@ -16,12 +16,11 @@ Every option of the command line is a setting that the tests and the
 benchmark must cover, so the options of each subcommand are pinned in
 ``CLI_OPTIONS``: adding or dropping one is an edit there.
 
-The per-graph pass of ``verify`` walks every digraph at n <= 4 on
-adjacency-row tuples and reads acyclicity as codes; building a value
-object per graph doubled the time of a ``verify --n-max 5`` run, so the
-pass is required here to build none, without timing anything.  It hands
-each dictionary map a chunk of graphs stacked, one call per n and chunk;
-a call per graph was most of the pass, so the calls are counted too.
+The matrix records of ``verify`` walk the acyclic digraphs at n <= 4 on
+adjacency-row tuples decoded from their codes; building a value object per
+graph doubled the time of a ``verify --n-max 5`` run, so they are required
+here to build none, without timing anything.  They map each DAG once and
+no other graph, so the calls of each dictionary map are counted too.
 
 Every run of the command line pays for what ``cubecovers.cli`` imports, so
 the worker pool, which only ``verify --jobs`` above 1 uses, is required to
@@ -37,7 +36,8 @@ import sys
 from pathlib import Path
 
 import cubecovers
-from cubecovers import BitMatrix, Digraph, checks, cli, correspondence
+from cubecovers import (BitMatrix, Digraph, checks, cli, correspondence, count_dags,
+                        is_acyclic_dfs)
 
 ROOT = Path(__file__).resolve().parent.parent
 SPANS = ROOT / "perfbench" / "spans.py"
@@ -162,27 +162,28 @@ def test_verify_builds_no_value_object_per_graph(monkeypatch):
         monkeypatch.setattr(cls, "__post_init__", counted)
     records = checks.verify_checks(4, 4, False, 1, 6)
     assert all(record["pass"] for record in records)
-    # Neither the 4,166 graphs at n <= 4, nor the acyclic ones, nor the
-    # grown members.
+    # Neither the 573 DAGs at n <= 4 nor the grown members.
     assert built == []
 
 
-def test_verify_calls_each_map_once_per_n_and_chunk(monkeypatch):
-    calls = {"characteristic_rows": 0, "adjacency_rows": 0}
+def test_verify_maps_each_dag_once_and_no_other_graph(monkeypatch):
+    calls = {"characteristic_rows": [], "adjacency_rows": []}
     for name in calls:
         def counted(rows, n, name=name, kernel=getattr(correspondence, name)):
-            calls[name] += 1
-            return kernel(rows, n)
+            out = kernel(rows, n)
+            # The graph side of the call: its input forward, its output back.
+            calls[name].append(Digraph(n, rows if name == "characteristic_rows" else out))
+            return out
 
         monkeypatch.setattr(correspondence, name, counted)
     records = checks.verify_checks(4, 4, False, 1, 6)
     assert all(record["pass"] for record in records)
-    # One call per chunk of each n <= 4 (20 with chunks of 256 graphs), not
-    # one for each of the 4,166 graphs.
-    chunks = sum(-(-(1 << n * (n - 1)) // checks.PASS_CHUNK) for n in range(5))
-    assert chunks < 100
-    for name, count in calls.items():
-        assert 0 < count <= chunks, name
+    for name, graphs in calls.items():
+        assert len(graphs) == 573, name  # D(0) + .. + D(4)
+        for n in range(5):
+            assert sum(g.n == n for g in graphs) == count_dags(n), (name, n)
+        assert len(set(graphs)) == 573, name
+        assert all(map(is_acyclic_dfs, graphs)), name
 
 
 def test_the_worker_pool_is_not_imported_at_start_up():
