@@ -11,6 +11,12 @@ same decomposition, so a wrong D passes it.  A wrong D fails the
 brute-force records and ``alternating-inverse``, and the V grown from it
 fails ``orientable-quotient``.
 
+The series records read the counts only through the public counters:
+:func:`~cubecovers.series.verify_identities` checks both product
+identities in one integer pass, and ``orientable-quotient`` compares each
+coefficient of :func:`~cubecovers.series.orientable_from_quotient` with
+V(n), and with 0 at n = 0, naming the first that differs.
+
 The matrix records quantify over the D(n) acyclic digraphs, read as codes
 from :func:`~cubecovers.digraph.acyclic_codes`, and over the members grown
 by :func:`~cubecovers.gf2.unit_minor_rows`.  Each DAG must come back from
@@ -109,10 +115,11 @@ def verify_checks(n_max: int, series_order: int, series_only: bool,
         add("series-identity", result.passed, result.first_failure,
             key="first_failure", identity=result.name, order=result.order)
 
-    # A non-integer coefficient differs from the integer V(n), and both
-    # series have constant term 0.
-    bad = series._first_mismatch(series.orientable_from_quotient(series_order),
-                                 series.orientable_series(series_order))
+    # A non-integer coefficient differs from the integer V(n); the series
+    # normalization puts 0 at n = 0 (see the series module docstring).
+    quotient = series.orientable_from_quotient(series_order).coeffs
+    bad = next((n for n, c in enumerate(quotient)
+                if c != (counting.count_orientable_dags(n) if n else 0)), None)
     add("orientable-quotient", bad is None,
         None if bad is None else f"first mismatch at n={bad}", order=series_order)
 

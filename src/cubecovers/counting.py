@@ -34,8 +34,9 @@ It is faster beyond: 8.6 s against 9.2 s at 850 and 16.5 s against
 against 1.6 s for the two separate sums, through 700 3.8 s against 7.4 s
 (2-core VM, Python 3.11.7, fresh processes).
 
-The chromatic series products in :mod:`cubecovers.series` keep their own
-kernel, which multiplies by the binomial in place.  The identity
+The series code in :mod:`cubecovers.series` keeps its own arithmetic: its
+product kernel and its pass over the identities step C(n,k) along the
+row and multiply it into each D(k) in place.  The identity
 E(-x) * D(x) = 1 there thus checks these counts through different
 arithmetic, not a restatement of this pass.  D(n) grows like 2^(n^2/2) and
 leaves 64-bit range near n = 11.

@@ -9,15 +9,25 @@ the integer-friendly convolution
 because C(n,2) = C(k,2) + C(n-k,2) + k(n-k).  Working in this basis keeps
 every identity below in integer numerators over power-of-two denominators
 instead of the astronomically scaled plain power-series coefficients.
-Coefficients are stored as :class:`~fractions.Fraction`, but products and
-the quotient run on integer numerators through one kernel,
-:func:`chromatic_sum`, and build one ``Fraction`` per output coefficient.
-The kernel takes terms k and n - k together, since they share C(n,k) and
-the shift k(n-k).
 
-The kernel serves only this module.  :mod:`cubecovers.counting` grows
-D and V from products C(n,j) * D(j) that it advances by exact division;
-here every term multiplies by a binomial stepped along the row.  So the
+Two kinds of code serve two kinds of caller:
+
+* :class:`ChromaticSeries` and :func:`chrom_mul` are the public product
+  API, with coefficients stored as :class:`~fractions.Fraction`.  Products
+  run on integer numerators through one kernel, :func:`chromatic_sum`, and
+  build one ``Fraction`` per output coefficient.  The kernel takes terms k
+  and n - k together, since they share C(n,k) and the shift k(n-k).
+  :func:`orientable_from_quotient` solves its recurrence through the same
+  kernel.
+* :func:`verify_identities` builds no series and no ``Fraction``: it
+  checks both product identities in one pass of integers, which steps each
+  binomial once and multiplies it into D(k) and D(n-k) for both identities.
+
+Nothing here reads :mod:`cubecovers.counting` but through
+:func:`~cubecovers.counting.count_dags` and
+:func:`~cubecovers.counting.count_orientable_dags`.  Counting grows D and
+V from products C(n,j) * D(j) that it advances by exact division; here
+every term multiplies by a binomial stepped along the row.  So the
 identities below recompute nothing of the counting pass: they check its
 integers through different arithmetic.
 
@@ -218,8 +228,8 @@ def orientable_from_quotient(order: int) -> ChromaticSeries:
 
         W_n = (-1)^(n+1) 2^n - sum_{k<n} (-1)^(n-k) C(n,k) 2^(k(n-k)) W_k,
 
-    solved by forward substitution with one division by 2^n at the end.  A
-    coefficient that is not an integer comes back as a proper fraction.
+    solved by forward substitution with one division by 2^n at the end: a
+    shift when 2^n divides W_n, and a proper fraction when it does not.
     The solution is produced without consulting the orientable counting
     formula, which makes it an independent route to the same integers.
     """
@@ -229,9 +239,10 @@ def orientable_from_quotient(order: int) -> ChromaticSeries:
     for n in range(1, order + 1):
         forcing = 1 << n if n % 2 else -(1 << n)
         scaled.append(forcing - chromatic_sum(n, signs, scaled, start=1))
-    return ChromaticSeries(
-        tuple(Fraction(w, 1 << n) for n, w in enumerate(scaled))
-    )
+    return ChromaticSeries(tuple(
+        Fraction(w >> n) if w & ((1 << n) - 1) == 0 else Fraction(w, 1 << n)
+        for n, w in enumerate(scaled)
+    ))
 
 
 @dataclass(frozen=True)
@@ -244,19 +255,25 @@ class IdentityCheck:
     first_failure: int | None
 
 
-def _first_mismatch(a: ChromaticSeries, b: ChromaticSeries) -> int | None:
-    for n in range(min(a.order, b.order) + 1):
-        if a.coeffs[n] != b.coeffs[n]:
-            return n
-    return None
-
-
 def verify_identities(order: int) -> list[IdentityCheck]:
     """Check both product identities exactly up to the given order.
 
     The DAG and orientable coefficients come from the closed-form counters
     in :mod:`cubecovers.counting`, so a failure here indicts either those
     formulas or the convolution rule.  Failures are reported, not raised.
+
+    Both identities are checked in integers, the second multiplied through
+    by 2^n, coefficient n of each reading
+
+        alternating-inverse:
+            sum_k (-1)^k C(n,k) 2^(k(n-k)) D(n-k) = [n == 0],
+        half-argument-decomposition:
+            sum_k (-1)^(n-k) C(n,k) 2^((k+1)(n-k)) D(k) + 2^n V(n) = D(n),
+
+    with V(0) = 0.  One pass over k <= n/2 serves both: it steps C(n,k)
+    along the row and forms P = C(n,k) D(k) and Q = C(n,k) D(n-k) once.
+    Terms k and n - k then share a sign (-1)^(n-k) and pair up as
+    (P + (-1)^n Q) << k(n-k) and ((P << (n-2k)) + (-1)^n Q) << (k(n-k)+k).
 
     ``alternating-inverse`` checks D.  ``half-argument-decomposition``
     checks V's arithmetic given D, not D: counting grows V from the stored
@@ -265,23 +282,36 @@ def verify_identities(order: int) -> list[IdentityCheck]:
     it fails the ``orientable-quotient`` record of :mod:`cubecovers.checks`.
     """
     _check_order(order)
-    alternating = deformed_exp_series(order).scale_argument(-1)
-    dags = dag_series(order)
-    results = []
-
-    lhs = chrom_mul(alternating, dags)
-    miss = _first_mismatch(lhs, unit_series(order))
-    results.append(
-        IdentityCheck("alternating-inverse", order, miss is None, miss)
-    )
-
-    halved = dags.scale_argument(Fraction(1, 2))
-    lhs = chrom_mul(halved, alternating) + orientable_series(order)
-    miss = _first_mismatch(lhs, halved)
-    results.append(
-        IdentityCheck("half-argument-decomposition", order, miss is None, miss)
-    )
-    return results
+    dags = [count_dags(n) for n in range(order + 1)]
+    orientable = [0] + [count_orientable_dags(n) for n in range(1, order + 1)]
+    alt_miss = half_miss = None
+    for n in range(order + 1):
+        alt = half = 0
+        c = 1  # C(n,k)
+        for k in range(n // 2 + 1):
+            mirror = n - k
+            p = c * dags[k]
+            pair, half_pair = p, p  # k == mirror: the middle term alone
+            if k < mirror:
+                q = (-c if n % 2 else c) * dags[mirror]
+                pair, half_pair = p + q, (p << (mirror - k)) + q
+            shift = k * mirror
+            if mirror % 2:
+                alt -= pair << shift
+                half -= half_pair << (shift + k)
+            else:
+                alt += pair << shift
+                half += half_pair << (shift + k)
+            c = c * mirror // (k + 1)
+        if alt_miss is None and alt != (n == 0):
+            alt_miss = n
+        if half_miss is None and half + (orientable[n] << n) != dags[n]:
+            half_miss = n
+    return [
+        IdentityCheck("alternating-inverse", order, alt_miss is None, alt_miss),
+        IdentityCheck("half-argument-decomposition", order,
+                      half_miss is None, half_miss),
+    ]
 
 
 def derivative_identity_first_failure(max_n: int) -> int | None:

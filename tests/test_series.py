@@ -16,7 +16,7 @@ from cubecovers import (
     unit_series,
     verify_identities,
 )
-from cubecovers import series
+from cubecovers import counting, series
 from cubecovers.series import derivative_identity_first_failure, orientable_series
 
 small_rationals = st.fractions(
@@ -226,6 +226,56 @@ def test_verify_identities_reports_first_failure(corrupted_dag_count):
     # arithmetic of V, not the value of D.
     checks = verify_identities(5)
     assert [(c.passed, c.first_failure) for c in checks] == [(False, 3), (True, None)]
+
+
+def reference_identities(order):
+    # Both identities as series products, in Fractions: the formulation
+    # that verify_identities replaced, which it must agree with exactly.
+    def first_mismatch(a, b):
+        return next((n for n, (x, y) in enumerate(zip(a.coeffs, b.coeffs)) if x != y),
+                    None)
+
+    alternating = deformed_exp_series(order).scale_argument(-1)
+    dags = dag_series(order)
+    halved = dags.scale_argument(Fraction(1, 2))
+    lhs = chrom_mul(halved, alternating) + orientable_series(order)
+    misses = [
+        first_mismatch(chrom_mul(alternating, dags), unit_series(order)),
+        first_mismatch(lhs, halved),
+    ]
+    return [(miss is None, miss) for miss in misses]
+
+
+def outcomes(order):
+    return [(c.passed, c.first_failure) for c in verify_identities(order)]
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 3, 12, 40])
+def test_integer_pass_agrees_with_the_series_products(order):
+    assert outcomes(order) == reference_identities(order) == [(True, None)] * 2
+
+
+@pytest.mark.parametrize("order", [3, 12])
+def test_integer_pass_agrees_on_a_corrupted_memo(corrupted_dag_count, order):
+    assert outcomes(order) == reference_identities(order) == [(False, 3), (True, None)]
+
+
+@pytest.mark.parametrize("which,index,expected", [
+    (0, 17, [(False, 17), (False, 18)]),
+    (1, 30, [(True, None), (False, 30)]),
+], ids=["dag-17", "orientable-30"])
+def test_integer_pass_agrees_on_a_stored_count_off_by_one(
+    monkeypatch, which, index, expected
+):
+    # Written into the memo after growth, so no later count grows from it:
+    # a wrong D(17) enters D(17) on both sides of the decomposition, and
+    # first shows there at n = 18.
+    order = 40
+    count_dags(order)
+    memo = [list(values) for values in counting._COUNTS]
+    memo[which][index] += 1
+    monkeypatch.setattr(counting, "_COUNTS", tuple(memo))
+    assert outcomes(order) == reference_identities(order) == expected
 
 
 def test_half_argument_decomposition_by_hand():

@@ -10,7 +10,10 @@ parsed here, never imported or executed.
 
 The two sides of the graph/matrix dictionary are independent oracles only
 while they share no code, so the modules each module imports from the
-package are pinned in ``IMPORT_GRAPH``.
+package are pinned in ``IMPORT_GRAPH``.  The series identities are an
+oracle for the counts only while they read nothing of the counting pass
+but its results, so ``series.py`` may import from ``cubecovers.counting``
+the two counters and nothing else: not the memo, not the module.
 
 Every option of the command line is a setting that the tests and the
 benchmark must cover, so the options of each subcommand are pinned in
@@ -140,6 +143,25 @@ def test_package_imports_follow_the_dictionary():
     assert set(modules) == set(IMPORT_GRAPH)
     for name, path in sorted(modules.items()):
         assert package_imports(path) == IMPORT_GRAPH[name], name
+
+
+def test_series_reads_counting_only_through_the_two_counters():
+    imported = set()
+    for node in ast.walk(ast.parse((PACKAGE / "series.py").read_text())):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names
+                            if alias.name.startswith("cubecovers.counting"))
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level:
+                module = f"cubecovers.{module}" if module else "cubecovers"
+            if module == "cubecovers.counting":
+                imported.update(alias.name for alias in node.names)
+            elif module == "cubecovers":
+                # ``from cubecovers import counting`` takes the whole module.
+                imported.update(f"cubecovers.{alias.name}" for alias in node.names
+                                if alias.name == "counting")
+    assert imported == {"count_dags", "count_orientable_dags"}
 
 
 def test_cli_options_are_pinned():
