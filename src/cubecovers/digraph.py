@@ -9,23 +9,25 @@ adjacency bits read in row-major order.  Enumeration walks that integer
 range in order, which makes streams deterministic, resumable, and trivially
 partitionable into disjoint code ranges for parallel counting.
 
-The acyclic graphs are found a block of codes at a time.  Row 0 is the
-lowest ``n-1`` bits of a code, so each aligned block of ``2^(n-1)``
-consecutive codes shares rows ``1 .. n-1``.  Call that shared part H, with
-vertex 0 given no out-edges.  Any cycle of a graph G in the block either
-lies in H or leaves vertex 0 along a row-0 edge and returns to 0 inside H.
-So G is acyclic exactly when H is acyclic and row 0 avoids R, the set of
-vertices that reach 0 in H.  One acyclic H and its R therefore decide all
-``2^(n-1)`` codes of the block: it holds ``2^(n-|R|)`` acyclic graphs,
-exactly the row-0 chunks that are submasks of the complement of R.
+The acyclic graphs are found a block of codes at a time.  Rows 0 and 1
+are the lowest ``2(n-1)`` bits of a code, so each aligned block of
+``2^(2(n-1))`` consecutive codes shares rows ``2 .. n-1``.  Call that
+shared part H, with vertices 0 and 1 given no out-edges, and in H let A be
+the vertices that reach 1 and R the vertices that reach 0, 0 included.
+Every cycle of a graph G in the block lies in H, passes through 1 or
+passes through 0.  So G is acyclic exactly when H is acyclic, row 1 avoids
+A, and row 0 avoids R, and also A and 1 when vertex 1 reaches 0; vertex 1
+reaches 0 when row 1 has its edge to 0 or points into R.  One acyclic H
+with its A and R therefore decides all the codes of its block, and their
+number is a closed form in four set sizes (:func:`count_acyclic_codes`).
 
 The blocks themselves are walked depth first, one row chunk at a time from
-row ``n-1`` down to row 1, which visits them in increasing code order.  A
+row ``n-1`` down to row 2, which visits them in increasing code order.  A
 cycle among the rows assigned so far is a cycle of every completion, so a
 chunk that closes one is dropped with every block below it, and only
 prefixes that are still acyclic are extended.  The edge into vertex 0 (bit
 0 of a chunk) closes no cycle in H, so it is decided once for both of its
-values.  Each assignment of rows ``1 .. n-1`` is thus either visited or
+values.  Each assignment of rows ``2 .. n-1`` is thus either visited or
 skipped on a cycle witness, and counts made this way remain a brute-force
 oracle, independent of the recurrences in :mod:`cubecovers.counting`.
 
@@ -56,9 +58,9 @@ __all__ = [
 
 # 2^(n(n-1)) graphs: n=5 is about a million, n=6 about a billion, n=7
 # about 4e12.  Measured on one core of a 2-core VM with Python 3.11, the
-# pruned walk counts n=5 in 0.02 s, n=6 in 2.1-2.3 s (936,992 of its 2^25
-# blocks have an acyclic shared part) and n=7 in 973 s, measured before the
-# walk carried the row parity.  Callers may raise the cap.
+# pruned walk counts n=5 in 2-4 ms, n=6 in 0.21-0.37 s (139,008 of its
+# 2^20 blocks have an acyclic shared part) and n=7 in 79 s.  Callers may
+# raise the cap.
 DEFAULT_ENUMERATION_CAP = 6
 
 
@@ -273,23 +275,32 @@ def acyclic_codes(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> Iterator[int]:
     """Yield the codes of the acyclic digraphs on ``n`` labeled vertices,
     in increasing order.
 
-    Output-sensitive: the pruned walk visits only the blocks of ``2^(n-1)``
-    codes whose shared rows are acyclic, then yields only the row-0 chunks
-    that avoid the block's reach set, in increasing order.
+    Output-sensitive: the pruned walk visits only the blocks of
+    ``2^(2(n-1))`` codes whose shared rows are acyclic.  In each, the row-1
+    chunks that avoid A come in increasing order, and for each of them the
+    row-0 chunks that close no cycle.
     """
     _check_cap(n, cap)
     if n == 0:
         yield 0
         return
     width = n - 1
-    for block, free, _ in _acyclic_blocks(n, 0, 1 << (width * width)):
-        base = block << width
-        chunk = 0
+    for block, to1, to0, _ in _acyclic_blocks(n, 0, 1 << (width * (n - 2))):
+        free1, stay1, far, near = _free_chunks(width, to1, to0)
+        base = block << (2 * width)
+        row1 = 0
         while True:
-            yield base | chunk
-            if chunk == free:
+            free0 = near if row1 & ~stay1 else far
+            head = base | row1 << width
+            row0 = 0
+            while True:
+                yield head | row0
+                if row0 == free0:
+                    break
+                row0 = (row0 - free0) & free0  # next submask, increasing
+            if row1 == free1:
                 break
-            chunk = (chunk - free) & free  # next submask of free, increasing
+            row1 = (row1 - free1) & free1
 
 
 def enumerate_acyclic(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> Iterator[Digraph]:
@@ -318,60 +329,53 @@ def _row_decode_tables(n: int) -> list[list[int]]:
 
 def _acyclic_blocks(
     n: int, first: int, last: int
-) -> Iterator[tuple[int, int, int]]:
-    """Yield ``(block, free, odd)`` for each block in ``[first, last)``
+) -> Iterator[tuple[int, int, int, int]]:
+    """Yield ``(block, to1, to0, odd)`` for each block in ``[first, last)``
     whose shared part H is acyclic, in increasing block order, for
-    ``n >= 1`` and ``0 <= first <= last <= 2^((n-1)^2)``.
+    ``n >= 1`` and ``0 <= first <= last <= 2^((n-1)(n-2))``.
 
-    Block ``b`` holds the codes ``b * 2^(n-1) .. (b+1) * 2^(n-1) - 1``.
-    ``free`` is the set of row-0 chunk bits that close no cycle: a code of
-    the block is acyclic exactly when its row-0 chunk is a submask of
-    ``free``.  ``odd`` is 1 when some row of H has an odd out-degree, else
-    0; the walk carries it down, one bit per level from the popcount of the
-    row's chunk.
+    Block ``b`` holds the codes ``b * 2^(2(n-1)) .. (b+1) * 2^(2(n-1)) - 1``.
+    ``to1`` is the vertex set A of H that reaches vertex 1 and ``to0`` the
+    set R that reaches vertex 0, 0 included.  ``odd`` is 1 when some row of
+    H has an odd out-degree, else 0; the walk carries it down, one bit per
+    level from the popcount of the row's chunk.
 
-    The block's digits are the chunks of rows ``n-1, n-2, .., 1``, most
+    The block's digits are the chunks of rows ``n-1, n-2, .., 2``, most
     significant first, and the walk assigns them depth first in that order,
     each digit in increasing value, clamped to the digits of ``first`` and
     ``last - 1`` while the prefix is on either bound.  ``reach[v]`` holds,
     for each assigned vertex ``v``, the vertices of ``1 .. n-1`` that ``v``
     reaches along paths whose inner vertices are all assigned.  A new row
     ``u`` whose edges lead back to ``u`` closes a cycle that every
-    completion keeps, so the chunk is dropped with its whole subtree.  Bit
-    0 of a chunk (the edge into vertex 0) never closes a cycle in H, so each
-    chunk pair ``2k, 2k + 1`` is decided once.
+    completion keeps, so the chunk is dropped with its whole subtree.
+    Otherwise ``u`` and the assigned vertices that reach it join A when
+    ``u`` reaches 1, and R when it reaches 0.  Bit 0 of a chunk (the edge
+    into vertex 0) never closes a cycle in H, so each chunk pair
+    ``2k, 2k + 1`` is decided once.
     """
     if first >= last:
         return
-    if n == 1:
-        yield 0, 0, 0
+    if n <= 2:
+        yield 0, 0, 1, 0
         return
     width = n - 1
     chunk_mask = (1 << width) - 1
     tables = _row_decode_tables(n)
-    shifts = [0, *range(0, width * width, width)]  # shifts[u]: digit of row u
+    shifts = [0, 0, *range(0, width * (n - 2), width)]  # shifts[u]: digit of row u
     lows = [(first >> shift) & chunk_mask for shift in shifts]
     highs = [((last - 1) >> shift) & chunk_mask for shift in shifts]
 
-    def walk(u, reach, into0, odd, block, on_low, on_high):
-        # into0: the assigned vertices with an edge to vertex 0; odd: 1 if
-        # an assigned row has an odd out-degree.
+    def walk(u, reach, to1, to0, odd, block, on_low, on_high):
+        # to1, to0: A and R over the rows assigned so far.
         lo = lows[u] if on_low else 0
         hi = highs[u] if on_high else chunk_mask
         table = tables[u]
         bit = 1 << u
         assigned = ((1 << n) - 1) ^ ((bit << 1) - 1)
-        if u == 1:
-            # Every other row is set, so R is vertex 0, the vertices with an
-            # edge to 0, and those whose reach meets them; vertex 1 adds
-            # itself and the vertices reaching it when it reaches 0.
-            reach0 = 1 | into0
-            via1 = 2
-            for v in range(2, n):
-                if reach[v] & into0:
-                    reach0 |= 1 << v
-                if reach[v] & 2:
-                    via1 |= 1 << v
+        up = bit  # u and the assigned vertices that reach it
+        for v in range(u + 1, n):
+            if reach[v] & bit:
+                up |= 1 << v
         for pair in range(lo & ~1, hi + 1, 2):
             down = table[pair]  # row u without its edge to 0
             scan = down & assigned
@@ -381,58 +385,84 @@ def _acyclic_blocks(
                 scan ^= low
             if down & bit:
                 continue  # u reaches itself: a cycle in every completion
-            if u == 1:
+            into1 = to1 | up if down & 2 else to1
+            into0 = to0 | up if down & to0 else to0
+            if u == 2:
                 for chunk in (pair, pair + 1):
                     if lo <= chunk <= hi:
-                        to_zero = reach0 | via1 if chunk & 1 or down & into0 else reach0
-                        yield (block | chunk, chunk_mask & ~(to_zero >> 1),
+                        yield (block | chunk, into1, into0 | up if chunk & 1 else into0,
                                odd | chunk.bit_count() & 1)
                 continue
             child = reach.copy()
-            child[u] = down
-            for v in range(u + 1, n):
-                if reach[v] & bit:
-                    child[v] |= down
+            scan = up
+            while scan:
+                low = scan & -scan
+                child[low.bit_length() - 1] |= down
+                scan ^= low
             for chunk in (pair, pair + 1):
                 if lo <= chunk <= hi:
                     yield from walk(
-                        u - 1, child, into0 | (chunk & 1) << u,
+                        u - 1, child, into1, into0 | up if chunk & 1 else into0,
                         odd | chunk.bit_count() & 1, block | chunk << shifts[u],
                         on_low and chunk == lo, on_high and chunk == hi,
                     )
 
-    yield from walk(n - 1, [0] * n, 0, 0, 0, True, True)
+    yield from walk(n - 1, [0] * n, 0, 1, 0, 0, True, True)
+
+
+def _free_chunks(width: int, to1: int, to0: int) -> tuple[int, int, int, int]:
+    """The chunk masks of a block with reach sets A and R: the row-1 bits
+    ``free1`` close no cycle, ``stay1`` of them leave vertex 1 short of 0,
+    and row 0 may use ``far`` when vertex 1 does not reach 0, ``near`` when
+    it does.  Chunk bit ``j - 1`` is vertex ``j``; row 1's bit 0 is 0."""
+    chunk_mask = (1 << width) - 1
+    free1 = chunk_mask & ~(to1 >> 1)
+    far = chunk_mask & ~(to0 >> 1)
+    return free1, free1 & far & ~1, far, far & ~(to1 >> 1) & ~1
 
 
 def count_acyclic_codes(n: int, start: int, stop: int) -> tuple[int, int]:
     """Count the codes in ``[start, stop)`` whose digraph is acyclic, and
     those that are acyclic with every out-degree even.
 
-    A block wholly inside the range with ``k`` free bits adds ``2^k``
-    acyclic codes; when rows ``1 .. n-1`` all have even out-degree, the
-    even-size submasks of ``free`` add ``2^(k-1)`` orientable ones (1 when
-    ``k = 0``).  The at most two blocks cut by the range ends are scanned
-    chunk by chunk.  A pure function of its arguments, so disjoint ranges
-    can be counted in separate processes and added in any order.  The range
-    is not checked here; :func:`cubecovers.correspondence.brute_counts` is
-    the validating entry point.
+    A block wholly inside the range counts in closed form.  Let m, h, k0
+    and k1 be the sizes of ``free1``, ``stay1``, ``far`` and ``near``
+    (:func:`_free_chunks`).  Its row-1 chunks that reach 0 each leave
+    ``2^k1`` row-0 chunks and the others ``2^k0``, so it adds ``(2^m - 2^h)
+    2^k1 + 2^h 2^k0`` acyclic codes.  When rows ``2 .. n-1`` all have even
+    out-degree it adds ``(ev(m) - ev(h)) ev(k1) + ev(h) ev(k0)`` orientable
+    ones, where ``ev(j) = 2^(j-1)`` (1 when ``j = 0``) counts the even
+    submasks of a j-set.  The at most
+    two blocks cut by the range ends are scanned code by code.  A pure
+    function of its arguments, so disjoint ranges can be counted in
+    separate processes and added in any order.  The range is not checked
+    here; :func:`cubecovers.correspondence.brute_counts` is the validating
+    entry point.
     """
     if n == 0:
         return stop - start, stop - start  # code 0, the empty graph
     width = n - 1
-    size = 1 << width
+    chunk_mask = (1 << width) - 1
+    shift = 2 * width
+    size = 1 << shift
     dags = even = 0
-    for block, free, odd in _acyclic_blocks(n, start >> width, -(-stop >> width)):
-        base = block << width
+    for block, to1, to0, odd in _acyclic_blocks(n, start >> shift, -(-stop >> shift)):
+        free1, stay1, far, near = _free_chunks(width, to1, to0)
+        base = block << shift
         if start <= base and base + size <= stop:
-            k = free.bit_count()
-            dags += 1 << k
-            if not odd:
-                even += 1 << (k - 1) if k else 1
+            m, h = 1 << free1.bit_count(), 1 << stay1.bit_count()  # 2^m, 2^h
+            k0, k1 = 1 << far.bit_count(), 1 << near.bit_count()
+            dags += (m - h) * k1 + h * k0
+            if not odd:  # ev(j) = (2^j + 1) >> 1
+                h = h + 1 >> 1
+                even += ((m + 1 >> 1) - h) * (k1 + 1 >> 1) + h * (k0 + 1 >> 1)
             continue
-        for chunk in range(max(start - base, 0), min(stop - base, size)):
-            if not chunk & ~free:
-                dags += 1
-                if not odd and not chunk.bit_count() & 1:
-                    even += 1
+        for code in range(max(start - base, 0), min(stop - base, size)):
+            row1 = code >> width
+            row0 = code & chunk_mask
+            if row1 & ~free1 or row0 & ~(near if row1 & ~stay1 else far):
+                continue
+            dags += 1
+            if not odd and not (row1.bit_count() | row0.bit_count()) & 1:
+                even += 1
     return dags, even

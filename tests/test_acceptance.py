@@ -5,7 +5,7 @@ lines.  Criteria 2, 4, 5 and 6 assert on the records that ``cubecovers
 verify`` prints (:func:`cubecovers.checks.verify_checks`).  The deep check
 counts all 2^30 digraphs at n = 6 in this process, with no worker pool;
 the pruned block walk of :mod:`cubecovers.digraph` drops every prefix of
-rows that already holds a cycle, so it takes a few seconds on one core.
+rows that already holds a cycle, so it takes under a second on one core.
 """
 
 import math

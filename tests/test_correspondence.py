@@ -206,6 +206,10 @@ def test_brute_counts_match_dfs_on_code_ranges(n):
     ranges += [(b * block, (b + 1) * block) for b in (0, 2, 7)]  # exactly one block
     ranges += [(b * block - 1, b * block + 1) for b in (1, 6)]  # across one block edge
     ranges += [(b * block + 2, (b + 3) * block - 2) for b in (0, 4)]  # across several
+    pair = 1 << 2 * (n - 1)  # codes sharing rows 2 .. n-1
+    ranges += [(b * pair + 3, b * pair + pair - 5) for b in (0, 1, 3)]  # inside one block
+    ranges += [(b * pair, (b + 1) * pair) for b in (0, 2, 3)]  # exactly one block
+    ranges += [(b * pair - 7, b * pair + 7) for b in (1, 2, 3)]  # across one block edge
     for _ in range(40):
         a, b = sorted(rng.randrange(total + 1) for _ in range(2))
         ranges.append((a, b))
