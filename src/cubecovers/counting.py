@@ -22,24 +22,16 @@ So one pass grows both sequences together.  It keeps the products T_j and
 advances each from n - 1 to n with the exact ``T_j * n // (n - j)``, two
 small-integer steps in place of a big multiply by an n-bit binomial.  In
 each sum, j and its mirror (n - j for D, n - 1 - j for V) share a shift,
-so the pair is added before the one shift.  The D list, the V list and the
-T_j are published together; any query grows all three.
+so the pair is added first, and the pairs are summed in Horner order
+from the middle down.  The D list, the V list and the T_j are published
+together; any query grows all three.
 
-A cold single query therefore also pays for V.  Against a D-only sum that
-multiplies each D(j) by its binomial, a cold ``count_dags(n)`` is slower
-from small n up to about n = 800: 0.14-0.16 s against 0.09 s at n = 300,
-1.07-1.11 s against 0.77-0.84 s at 500 and 3.9 s against 3.7 s at 700.
-It is faster beyond: 8.6 s against 9.2 s at 850 and 16.5 s against
-20.8 s at 1000.  Growing D and V together through n = 500 takes 1.0 s
-against 1.6 s for the two separate sums, through 700 3.8 s against 7.4 s
-(2-core VM, Python 3.11.7, fresh processes).
-
-The series code in :mod:`cubecovers.series` keeps its own arithmetic: its
-product kernel and its pass over the identities step C(n,k) along the
-row and multiply it into each D(k) in place.  The identity
-E(-x) * D(x) = 1 there thus checks these counts through different
-arithmetic, not a restatement of this pass.  D(n) grows like 2^(n^2/2) and
-leaves 64-bit range near n = 11.
+A cold single query therefore also pays for V.  Against a D-only sum
+with binomial products, a cold ``count_dags(n)`` is slower up to about
+n = 800 and faster beyond, and growing D and V together through n = 700
+takes half the time of two separate sums.  :mod:`cubecovers.series`
+checks these counts through its own arithmetic.  D(n) grows like
+2^(n^2/2) and leaves 64-bit range near n = 11.
 """
 
 from __future__ import annotations
@@ -64,19 +56,24 @@ _COUNTS_LOCK = threading.Lock()
 
 def _mirror_sum(terms: list[int], width: int) -> int:
     """sum_j (-1)^j * terms[j] << j(width - j), with j added to its mirror
-    width - j (when that index exists) before their shared shift."""
+    width - j (when that index exists) before their shared shift, in
+    Horner order: j falls from width/2, and the total moves by the gap to
+    the next shift."""
     total = 0
     top = len(terms) - 1
     same_sign = width % 2 == 0  # (-1)^(width - j) == (-1)^j
-    for j in range(width // 2 + 1):
+    prev = (width // 2) * (width - width // 2)
+    for j in range(width // 2, -1, -1):
         mirror = width - j
         x = terms[j]
         if j < mirror <= top:
             x = x + terms[mirror] if same_sign else x - terms[mirror]
+        shift = j * mirror
         if j % 2:
-            total -= x << (j * mirror)
+            total = (total << (prev - shift)) - x
         else:
-            total += x << (j * mirror)
+            total = (total << (prev - shift)) + x
+        prev = shift
     return total
 
 
@@ -116,9 +113,8 @@ def count_orientable_dags(n: int) -> int:
     out-degree even, which is the number of orientable small covers over the
     n-cube up to Davis-Januszkiewicz equivalence (memoized).
 
-    For ``n = 0`` the answer is 1: the empty digraph qualifies vacuously.
-    (The chromatic-series normalization in :mod:`cubecovers.series` instead
-    gives the constant term 0; see the note there.)
+    For ``n = 0`` the answer is 1: the empty digraph qualifies vacuously
+    (the series in :mod:`cubecovers.series` have constant term 0 instead).
     """
     if n < 0:
         raise ValueError("n must be nonnegative")

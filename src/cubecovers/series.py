@@ -15,21 +15,16 @@ Two kinds of code serve two kinds of caller:
 * :class:`ChromaticSeries` and :func:`chrom_mul` are the public product
   API, with coefficients stored as :class:`~fractions.Fraction`.  Products
   run on integer numerators through one kernel, :func:`chromatic_sum`, and
-  build one ``Fraction`` per output coefficient.  The kernel takes terms k
-  and n - k together, since they share C(n,k) and the shift k(n-k).
-  :func:`orientable_from_quotient` solves its recurrence through the same
-  kernel.
-* :func:`verify_identities` builds no series and no ``Fraction``: it
-  checks both product identities in one pass of integers, which steps each
-  binomial once and multiplies it into D(k) and D(n-k) for both identities.
+  build one ``Fraction`` per output coefficient.
+* :func:`verify_identities` and :func:`orientable_from_quotient` sum
+  their terms in integers, k and n - k paired under one binomial stepped
+  along the row, in Horner order from the middle pair down, so no term
+  is shifted by its whole k(n-k).
 
-Nothing here reads :mod:`cubecovers.counting` but through
-:func:`~cubecovers.counting.count_dags` and
-:func:`~cubecovers.counting.count_orientable_dags`.  Counting grows D and
-V from products C(n,j) * D(j) that it advances by exact division; here
-every term multiplies by a binomial stepped along the row.  So the
-identities below recompute nothing of the counting pass: they check its
-integers through different arithmetic.
+Nothing here reads :mod:`cubecovers.counting` but through its two
+counters.  Counting advances its products C(n,j) * D(j) by exact
+division; here each term takes a binomial of the row, so the identities
+check its integers through different arithmetic.
 
 Notation used throughout this module:
 
@@ -46,12 +41,10 @@ Two exact identities tie them together at every order:
 and eliminating D gives V(x) = (1 - E(-x)) / E(-x/2), which
 :func:`orientable_from_quotient` solves coefficient by coefficient.
 
-Note on the constant term: both identities, and the quotient, force
-V_0 = 0, while the combinatorial count of zero-vertex digraphs is 1 (the
-empty digraph, see :func:`cubecovers.counting.count_orientable_dags`).
-The constant coefficient is the single index where the series
-normalization and the combinatorial count differ; every coefficient with
-n >= 1 agrees exactly.
+Note on the constant term: the identities and the quotient force V_0 = 0,
+while the count of zero-vertex digraphs is 1 (see
+:func:`cubecovers.counting.count_orientable_dags`); every coefficient
+with n >= 1 agrees exactly.
 """
 
 from __future__ import annotations
@@ -220,28 +213,52 @@ def orientable_series(order: int) -> ChromaticSeries:
     return ChromaticSeries(tuple(coeffs))
 
 
+def _scaled_quotient(order: int) -> list[int]:
+    """W_0 .. W_order with W_n = 2^n V_n, from
+
+        W_n = (-1)^(n+1) 2^n - sum_{0<k<n} (-1)^(n-k) C(n,k) 2^(k(n-k)) W_k.
+
+    Terms k and n - k share C(n,k), the shift and the sign (-1)^(n-k): the
+    pair W_k + (-1)^n W_(n-k) takes the binomial once, and the pairs are
+    summed in Horner order, k falling from n/2.
+    """
+    scaled = [0]
+    for n in range(1, order + 1):
+        odd = n % 2
+        mid = n // 2
+        c = math.comb(n, mid)
+        total = 0
+        prev = mid * (n - mid)
+        for k in range(mid, 0, -1):
+            mirror = n - k
+            w = scaled[k]
+            if k < mirror:
+                w = w - scaled[mirror] if odd else w + scaled[mirror]
+            shift = k * mirror
+            if mirror % 2:
+                total = (total << (prev - shift)) - c * w
+            else:
+                total = (total << (prev - shift)) + c * w
+            prev = shift
+            c = c * k // (mirror + 1)
+        forcing = 1 << n if odd else -(1 << n)
+        scaled.append(forcing - (total << prev))
+    return scaled
+
+
 def orientable_from_quotient(order: int) -> ChromaticSeries:
     """Solve V(x) * E(-x/2) = 1 - E(-x) for V, coefficient by coefficient.
 
     The divisor's coefficients are (-1/2)^j, so W_n = 2^n V_n obeys an
-    integer recurrence,
-
-        W_n = (-1)^(n+1) 2^n - sum_{k<n} (-1)^(n-k) C(n,k) 2^(k(n-k)) W_k,
-
-    solved by forward substitution with one division by 2^n at the end: a
-    shift when 2^n divides W_n, and a proper fraction when it does not.
-    The solution is produced without consulting the orientable counting
-    formula, which makes it an independent route to the same integers.
+    integer recurrence (:func:`_scaled_quotient`), and V_n is W_n / 2^n: a
+    shift when 2^n divides W_n, else a proper fraction.  The solve never
+    consults the orientable counting formula, so it is an independent
+    route to the same integers.
     """
     _check_order(order)
-    signs = [(-1) ** k for k in range(order + 1)]  # E(-x)
-    scaled = [0]
-    for n in range(1, order + 1):
-        forcing = 1 << n if n % 2 else -(1 << n)
-        scaled.append(forcing - chromatic_sum(n, signs, scaled, start=1))
     return ChromaticSeries(tuple(
         Fraction(w >> n) if w & ((1 << n) - 1) == 0 else Fraction(w, 1 << n)
-        for n, w in enumerate(scaled)
+        for n, w in enumerate(_scaled_quotient(order))
     ))
 
 
@@ -258,9 +275,8 @@ class IdentityCheck:
 def verify_identities(order: int) -> list[IdentityCheck]:
     """Check both product identities exactly up to the given order.
 
-    The DAG and orientable coefficients come from the closed-form counters
-    in :mod:`cubecovers.counting`, so a failure here indicts either those
-    formulas or the convolution rule.  Failures are reported, not raised.
+    A failure indicts the closed-form counters of :mod:`cubecovers.counting`
+    or the convolution rule; failures are reported, not raised.
 
     Both identities are checked in integers, the second multiplied through
     by 2^n, coefficient n of each reading
@@ -270,39 +286,46 @@ def verify_identities(order: int) -> list[IdentityCheck]:
         half-argument-decomposition:
             sum_k (-1)^(n-k) C(n,k) 2^((k+1)(n-k)) D(k) + 2^n V(n) = D(n),
 
-    with V(0) = 0.  One pass over k <= n/2 serves both: it steps C(n,k)
-    along the row and forms P = C(n,k) D(k) and Q = C(n,k) D(n-k) once.
-    Terms k and n - k then share a sign (-1)^(n-k) and pair up as
-    (P + (-1)^n Q) << k(n-k) and ((P << (n-2k)) + (-1)^n Q) << (k(n-k)+k).
+    with V(0) = 0.  One pass over k <= n/2 serves both: it forms
+    P = C(n,k) D(k) and Q = C(n,k) D(n-k) once, and terms k and n - k pair
+    up as P +- Q and (P << (n-2k)) +- Q, the sign (-1)^n.  Both residues
+    run in Horner order, k falling from n/2: ``alt`` moves by
+    s_(k+1) - s_k, s_k = k(n-k), and ``half`` by one more, as its terms
+    carry a further << k.
 
-    ``alternating-inverse`` checks D.  ``half-argument-decomposition``
-    checks V's arithmetic given D, not D: counting grows V from the stored
-    D by that same decomposition, so a wrong D (say D(3) = 26 in the memo)
-    passes it.  That D fails ``alternating-inverse``, and the V grown from
-    it fails the ``orientable-quotient`` record of :mod:`cubecovers.checks`.
+    ``alternating-inverse`` checks D; ``half-argument-decomposition``
+    checks V's arithmetic given D, not D (see :mod:`cubecovers.checks`).
     """
     _check_order(order)
     dags = [count_dags(n) for n in range(order + 1)]
     orientable = [0] + [count_orientable_dags(n) for n in range(1, order + 1)]
     alt_miss = half_miss = None
     for n in range(order + 1):
+        odd = n % 2
+        mid = n // 2
+        c = math.comb(n, mid)
         alt = half = 0
-        c = 1  # C(n,k)
-        for k in range(n // 2 + 1):
+        prev = mid * (n - mid)
+        for k in range(mid, -1, -1):
             mirror = n - k
             p = c * dags[k]
-            pair, half_pair = p, p  # k == mirror: the middle term alone
+            pair = half_pair = p  # k == mirror: the middle term alone
             if k < mirror:
-                q = (-c if n % 2 else c) * dags[mirror]
-                pair, half_pair = p + q, (p << (mirror - k)) + q
+                q = c * dags[mirror]
+                if odd:
+                    pair, half_pair = p - q, (p << (mirror - k)) - q
+                else:
+                    pair, half_pair = p + q, (p << (mirror - k)) + q
             shift = k * mirror
+            step = prev - shift
             if mirror % 2:
-                alt -= pair << shift
-                half -= half_pair << (shift + k)
+                alt = (alt << step) - pair
+                half = (half << (step + 1)) - half_pair
             else:
-                alt += pair << shift
-                half += half_pair << (shift + k)
-            c = c * mirror // (k + 1)
+                alt = (alt << step) + pair
+                half = (half << (step + 1)) + half_pair
+            prev = shift
+            c = c * k // (mirror + 1)
         if alt_miss is None and alt != (n == 0):
             alt_miss = n
         if half_miss is None and half + (orientable[n] << n) != dags[n]:

@@ -3,6 +3,8 @@ import sys
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cubecovers import counting, series
 from cubecovers import (
@@ -132,6 +134,26 @@ def test_stepwise_growth_equals_one_shot_growth_and_the_literal_formulas(
         assert count_dags(n) == dags[n]
         assert counting._COUNTS[0] == dags[: n + 1]
     assert counting._COUNTS == one_shot
+
+
+@st.composite
+def mirror_sum_inputs(draw):
+    # Both shapes growth uses: the D sum of row m has m products and width
+    # m, so j = 0 has no mirror; the V sum has width m - 1 over all m.  A D
+    # sum starts at m = 1, so its shape has no width 0.
+    width = draw(st.integers(min_value=0, max_value=12))
+    size = draw(st.sampled_from([width, width + 1] if width else [1]))
+    entries = st.sampled_from([0, 1, -1]) | st.integers(-(1 << 90), 1 << 90)
+    return draw(st.lists(entries, min_size=size, max_size=size)), width
+
+
+@given(mirror_sum_inputs())
+@settings(max_examples=300)
+def test_mirror_sum_equals_the_literal_sum(inputs):
+    terms, width = inputs
+    assert counting._mirror_sum(terms, width) == sum(
+        (-1) ** j * terms[j] * 2 ** (j * (width - j)) for j in range(len(terms))
+    )
 
 
 def _count_growth_steps(monkeypatch):

@@ -261,9 +261,11 @@ def test_integer_pass_agrees_on_a_corrupted_memo(corrupted_dag_count, order):
 
 
 @pytest.mark.parametrize("which,index,expected", [
+    (0, 16, [(False, 16), (False, 17)]),
     (0, 17, [(False, 17), (False, 18)]),
+    (1, 29, [(True, None), (False, 29)]),
     (1, 30, [(True, None), (False, 30)]),
-], ids=["dag-17", "orientable-30"])
+], ids=["dag-16", "dag-17", "orientable-29", "orientable-30"])
 def test_integer_pass_agrees_on_a_stored_count_off_by_one(
     monkeypatch, which, index, expected
 ):
@@ -327,13 +329,35 @@ def test_quotient_matches_the_counts_through_sixty():
 
 
 def test_quotient_returns_a_non_integer_coefficient_as_a_fraction(monkeypatch):
-    # Off by one in the scaled recurrence, 2^n V_n is odd: the division at
-    # the end must leave a proper fraction for the check to see.
-    kernel = series.chromatic_sum
-    monkeypatch.setattr(series, "chromatic_sum", lambda *args, **kw: kernel(*args, **kw) + 1)
+    # Off by one in every scaled coefficient W_n = 2^n V_n past the first,
+    # W_1 is odd: the division at the end must leave a proper fraction for
+    # the check to see.
+    solve = series._scaled_quotient
+    monkeypatch.setattr(series, "_scaled_quotient",
+                        lambda order: [w - (n > 0) for n, w in enumerate(solve(order))])
     q = orientable_from_quotient(5)
     assert q.coefficient(1) == Fraction(1, 2)
     assert any(c.denominator != 1 for c in q.coeffs)
+
+
+def kernel_quotient(order):
+    # The solve as it stood before the Horner pairing: W_n from the product
+    # kernel against the signs of E(-x) as a list of +-1.
+    signs = [(-1) ** k for k in range(order + 1)]
+    scaled = [0]
+    for n in range(1, order + 1):
+        forcing = 1 << n if n % 2 else -(1 << n)
+        scaled.append(forcing - series.chromatic_sum(n, signs, scaled, start=1))
+    return scaled
+
+
+def test_quotient_equals_the_kernel_solve_through_sixty():
+    scaled = kernel_quotient(60)
+    assert series._scaled_quotient(60) == scaled
+    for order in range(61):
+        assert orientable_from_quotient(order) == ChromaticSeries(tuple(
+            Fraction(w, 1 << n) for n, w in enumerate(scaled[: order + 1])
+        ))
 
 
 def test_quotient_times_divisor_recovers_numerator():
