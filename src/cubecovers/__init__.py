@@ -13,7 +13,7 @@ out-degrees are all even.  This package makes that dictionary executable:
 * :mod:`cubecovers.counting` computes both counting sequences exactly, to
   any index, in arbitrary-precision integers.
 * :mod:`cubecovers.series` proves the generating-function identities
-  coefficientwise in exact arithmetic, on the same integer kernel.
+  coefficientwise in exact integer arithmetic.
 * :mod:`cubecovers.asymptotics` locates the dominant zero of the deformed
   exponential and evaluates the growth constants, including the orientable
   fraction estimate 1.2617.../2^n.

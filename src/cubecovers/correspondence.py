@@ -33,7 +33,8 @@ sides share no code in either direction: neither :mod:`cubecovers.digraph`
 nor :mod:`cubecovers.gf2` imports anything from the package, so only this
 module and :mod:`cubecovers.checks` know both.
 :func:`unit_diagonal_matrices` keeps the full scan of ``2^(n(n-1))``
-candidates as the tests' reference for that walk.
+candidates as the tests' reference for that walk,
+:func:`cubecovers.gf2.unit_minor_rows`.
 """
 
 from __future__ import annotations
@@ -193,7 +194,7 @@ def unit_diagonal_matrices(n: int) -> Iterator[BitMatrix]:
     :func:`~cubecovers.digraph.digraph_rows` in the same order and under
     the same cap.  Filtered through
     :meth:`~cubecovers.gf2.BitMatrix.has_unit_principal_minors` they are
-    the tests' reference for :func:`cubecovers.gf2.unit_minor_matrices`.
+    the tests' reference for :func:`cubecovers.gf2.unit_minor_rows`.
     """
     for rows in digraph_rows(n):
         yield BitMatrix(n, tuple(mask | 1 << i for i, mask in enumerate(rows)))

@@ -103,10 +103,6 @@ class Digraph:
     # ------------------------------------------------------------------
 
     @classmethod
-    def empty(cls, n: int) -> Digraph:
-        return cls(n, (0,) * n)
-
-    @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> Digraph:
         masks = [0] * n
         for u, v in edges:
@@ -125,27 +121,6 @@ class Digraph:
     def code(self) -> int:
         """Canonical encoding: off-diagonal bits, row major, as one integer."""
         return rows_to_code(self.rows)
-
-    @classmethod
-    def from_text(cls, text: str) -> Digraph:
-        """Parse the fixture format: first line ``n``, then one ``u v`` per edge."""
-        lines = [line.strip() for line in text.strip().splitlines() if line.strip()]
-        if not lines:
-            raise ValueError("empty digraph fixture")
-        n = int(lines[0])
-        edges = []
-        for line in lines[1:]:
-            parts = line.split()
-            if len(parts) != 2:
-                raise ValueError(f"malformed edge line {line!r}")
-            edges.append((int(parts[0]), int(parts[1])))
-        return cls.from_edges(n, edges)
-
-    def to_text(self) -> str:
-        """Render the fixture format, edges in lexicographic order."""
-        lines = [str(self.n)]
-        lines.extend(f"{u} {v}" for u, v in self.edges())
-        return "\n".join(lines) + "\n"
 
     # ------------------------------------------------------------------
     # structure

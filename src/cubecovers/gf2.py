@@ -16,7 +16,7 @@ complements over a depth-first walk of the index subsets.
 :meth:`BitMatrix.principal_minor` and :meth:`BitMatrix.det` keep the
 per-subset definition the walk is tested against.
 
-:func:`unit_minor_matrices` and :func:`count_unit_minor_matrices` produce the
+:func:`unit_minor_rows` and :func:`count_unit_minor_matrices` produce the
 members themselves, without testing candidates, by growing the leading
 block one index at a time.  Every leading block of a member is a member.
 Border a k by k member B with a row r, a column c and a diagonal 1: the
@@ -54,7 +54,6 @@ __all__ = [
     "count_unit_minor_matrices",
     "odd_column_sums",
     "transpose_masks",
-    "unit_minor_matrices",
     "unit_minor_rows",
 ]
 
@@ -193,48 +192,10 @@ class BitMatrix:
     def identity(cls, n: int) -> BitMatrix:
         return cls(n, tuple(1 << i for i in range(n)))
 
-    @classmethod
-    def from_rows(cls, bits: Iterable[Iterable[int]]) -> BitMatrix:
-        """Build a matrix from nested 0/1 entries (row major)."""
-        packed = []
-        for row in bits:
-            mask = 0
-            width = 0
-            for j, entry in enumerate(row):
-                if entry not in (0, 1):
-                    raise ValueError(f"entry {entry!r} is not a bit")
-                mask |= entry << j
-                width += 1
-            packed.append((mask, width))
-        n = len(packed)
-        if any(width != n for _, width in packed):
-            raise ValueError("matrix must be square")
-        return cls(n, tuple(mask for mask, _ in packed))
-
-    @classmethod
-    def from_text(cls, text: str) -> BitMatrix:
-        """Parse the fixture format: ``n`` lines of ``n`` characters in {0,1}."""
-        lines = [line for line in text.strip().splitlines() if line.strip()]
-        return cls.from_rows([[int(ch) for ch in line.strip()] for line in lines])
-
     def to_text(self) -> str:
         """Render as ``n`` lines of ``n`` characters, bit exact."""
         # Column j is bit j of a row, so a row is its binary form reversed.
         return "\n".join(f"{mask:0{self.n}b}"[::-1] for mask in self.rows)
-
-    # ------------------------------------------------------------------
-    # entry access
-    # ------------------------------------------------------------------
-
-    def entry(self, i: int, j: int) -> int:
-        if not (0 <= i < self.n and 0 <= j < self.n):
-            raise IndexError(f"entry ({i}, {j}) out of range for n={self.n}")
-        return (self.rows[i] >> j) & 1
-
-    def to_bits(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(
-            tuple((mask >> j) & 1 for j in range(self.n)) for mask in self.rows
-        )
 
     def transpose(self) -> BitMatrix:
         return BitMatrix(self.n, transpose_masks(self.rows, self.n))
@@ -427,19 +388,13 @@ def unit_minor_rows(n: int) -> Iterator[tuple[int, ...]]:
     yield from _unit_minor_rows(n)
 
 
-def unit_minor_matrices(n: int) -> Iterator[BitMatrix]:
-    """The matrices of :func:`unit_minor_rows`, as :class:`BitMatrix` values."""
-    for rows in unit_minor_rows(n):
-        yield BitMatrix(n, rows)
-
-
 def count_unit_minor_matrices(n: int, odd_columns: bool = False) -> int:
     """Number of ``n`` by ``n`` GF(2) matrices with all principal minors 1,
     or, with ``odd_columns``, of those whose column sums are also all odd.
 
     The last border is counted, not listed: for each (n-1) by (n-1) member
     B and new row r, the admissible columns form a subspace of dimension
-    n - 1 - rank of the forms (see :func:`unit_minor_matrices`).  Odd
+    n - 1 - rank of the forms (see :func:`unit_minor_rows`).  Odd
     column sums fix r and add the all-ones form on c (module docstring).
     """
     if n < 0:

@@ -71,27 +71,25 @@ __all__ = [
 ]
 
 
-def chromatic_sum(n: int, a: list[int], b: list[int], start: int = 0) -> int:
-    """The exact integer sum over ``k = start .. n`` of
+def chromatic_sum(n: int, a: list[int], b: list[int]) -> int:
+    """The exact integer sum over ``k = 0 .. n`` of
 
         C(n,k) * a[k] * b[n-k] * 2^(k(n-k)),
 
-    the n-th coefficient of the chromatic convolution of ``a`` and ``b``
-    when ``start`` is 0.  Terms k and n - k share C(n,k) and the shift
-    k(n-k), so their products a[k] * b[n-k] and a[n-k] * b[k] are added
-    first, and the pair is multiplied by the binomial and shifted once; no
-    k(n-k)-bit power of two is ever built.  No big-by-big product is taken
-    when ``a`` holds the small numbers.  The binomial is stepped along the
-    row, over k <= n/2 only.
+    the n-th coefficient of the chromatic convolution of ``a`` and ``b``.
+    Terms k and n - k share C(n,k) and the shift k(n-k), so their products
+    a[k] * b[n-k] and a[n-k] * b[k] are added first, and the pair is
+    multiplied by the binomial and shifted once; no k(n-k)-bit power of two
+    is ever built.  No big-by-big product is taken when ``a`` holds the
+    small numbers.  The binomial is stepped along the row, over k <= n/2
+    only.
     """
     total = 0
     c = 1
     for k in range(n // 2 + 1):
         mirror = n - k
-        if mirror < start:
-            break  # so is every later k, and every later mirror
         x = a[mirror] * b[k]
-        if start <= k < mirror:
+        if k < mirror:
             x += a[k] * b[mirror]
         if x:
             total += (c * x) << (k * mirror)

@@ -26,9 +26,13 @@ def sample_graph() -> Digraph:
     return Digraph.from_edges(4, SAMPLE_EDGES)
 
 
+def _mask(bits) -> int:
+    return sum(bit << j for j, bit in enumerate(bits))
+
+
 @pytest.fixture
 def sample_matrix() -> BitMatrix:
-    return BitMatrix.from_rows(SAMPLE_MATRIX_BITS)
+    return BitMatrix(4, tuple(map(_mask, SAMPLE_MATRIX_BITS)))
 
 
 @pytest.fixture

@@ -136,17 +136,16 @@ def kernel_inputs(draw):
     entries = st.sampled_from([0, 1, -1]) | st.integers(-(1 << 80), 1 << 80)
     a = draw(st.lists(entries, min_size=n + 1, max_size=n + 1))
     b = draw(st.lists(entries, min_size=n + 1, max_size=n + 1))
-    start = draw(st.sampled_from([0, 1, n // 2, n]))
-    return n, a, b, start
+    return n, a, b
 
 
 @given(kernel_inputs())
 @settings(max_examples=200)
 def test_paired_kernel_equals_the_literal_sum(inputs):
-    n, a, b, start = inputs
-    assert series.chromatic_sum(n, a, b, start) == sum(
+    n, a, b = inputs
+    assert series.chromatic_sum(n, a, b) == sum(
         math.comb(n, k) * a[k] * b[n - k] * 2 ** (k * (n - k))
-        for k in range(start, n + 1)
+        for k in range(n + 1)
     )
 
 
@@ -342,12 +341,14 @@ def test_quotient_returns_a_non_integer_coefficient_as_a_fraction(monkeypatch):
 
 def kernel_quotient(order):
     # The solve as it stood before the Horner pairing: W_n from the product
-    # kernel against the signs of E(-x) as a list of +-1.
+    # kernel against the signs of E(-x) as a list of +-1.  A placeholder
+    # W_n = 0 makes the kernel's k = 0 term, the unknown itself, vanish.
     signs = [(-1) ** k for k in range(order + 1)]
     scaled = [0]
     for n in range(1, order + 1):
         forcing = 1 << n if n % 2 else -(1 << n)
-        scaled.append(forcing - series.chromatic_sum(n, signs, scaled, start=1))
+        scaled.append(0)
+        scaled[n] = forcing - series.chromatic_sum(n, signs, scaled)
     return scaled
 
 
