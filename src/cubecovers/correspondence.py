@@ -33,8 +33,9 @@ sides share no code in either direction: neither :mod:`cubecovers.digraph`
 nor :mod:`cubecovers.gf2` imports anything from the package, so only this
 module and :mod:`cubecovers.checks` know both.
 :func:`unit_diagonal_matrices` keeps the full scan of ``2^(n(n-1))``
-candidates as the tests' reference for that walk,
-:func:`cubecovers.gf2.unit_minor_rows`.
+candidates, each decoded from its code by
+:func:`cubecovers.digraph.code_to_rows`, as the tests' reference for that
+walk, :func:`cubecovers.gf2.unit_minor_rows`.
 """
 
 from __future__ import annotations
@@ -48,8 +49,8 @@ from cubecovers.digraph import (
     DEFAULT_ENUMERATION_CAP,
     Digraph,
     _check_cap,
+    code_to_rows,
     count_acyclic_codes,
-    digraph_rows,
 )
 from cubecovers.gf2 import BitMatrix, count_unit_minor_matrices, transpose_masks
 
@@ -190,13 +191,15 @@ def unit_diagonal_matrices(n: int) -> Iterator[BitMatrix]:
     A matrix with a zero diagonal entry fails its 1x1 principal minor, so
     restricting to unit diagonals loses nothing when hunting for matrices
     with all unit principal minors.  Matrix number ``c`` is the adjacency
-    matrix of the digraph with code ``c`` with its diagonal set, read off
-    :func:`~cubecovers.digraph.digraph_rows` in the same order and under
-    the same cap.  Filtered through
+    matrix of the digraph with code ``c`` with its diagonal set, decoded by
+    :func:`~cubecovers.digraph.code_to_rows` under the cap of
+    :func:`~cubecovers.digraph.enumerate_digraphs`.  Filtered through
     :meth:`~cubecovers.gf2.BitMatrix.has_unit_principal_minors` they are
     the tests' reference for :func:`cubecovers.gf2.unit_minor_rows`.
     """
-    for rows in digraph_rows(n):
+    _check_cap(n, DEFAULT_ENUMERATION_CAP)
+    for code in range(1 << (n * (n - 1))):
+        rows = code_to_rows(n, code)
         yield BitMatrix(n, tuple(mask | 1 << i for i, mask in enumerate(rows)))
 
 

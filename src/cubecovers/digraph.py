@@ -37,7 +37,6 @@ the dictionary shares no code with the matrix side in :mod:`cubecovers.gf2`.
 
 from __future__ import annotations
 
-import itertools
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
@@ -48,7 +47,6 @@ __all__ = [
     "acyclic_codes",
     "code_to_rows",
     "count_acyclic_codes",
-    "digraph_rows",
     "enumerate_acyclic",
     "enumerate_digraphs",
     "is_acyclic_dfs",
@@ -225,25 +223,14 @@ def _check_cap(n: int, cap: int) -> None:
         raise EnumerationCapExceeded(n, cap)
 
 
-def digraph_rows(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> Iterator[tuple[int, ...]]:
-    """Yield the adjacency rows of all ``2^(n(n-1))`` simple digraphs on
-    ``n`` labeled vertices, as tuples, in increasing order of their
-    canonical code; the walk under :func:`enumerate_digraphs`, without a
-    :class:`Digraph` per graph.
-    """
-    _check_cap(n, cap)
-    # Row 0 is the least significant chunk of a code, so it varies fastest.
-    for rows in itertools.product(*reversed(_row_decode_tables(n))):
-        yield rows[::-1]
-
-
 def enumerate_digraphs(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> Iterator[Digraph]:
     """Yield all ``2^(n(n-1))`` simple digraphs on ``n`` labeled vertices.
 
     Graphs appear exactly once, in increasing order of their canonical code.
     """
-    for rows in digraph_rows(n, cap):
-        yield Digraph(n, rows)
+    _check_cap(n, cap)
+    for code in range(1 << (n * (n - 1))):
+        yield Digraph.from_code(n, code)
 
 
 def acyclic_codes(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> Iterator[int]:

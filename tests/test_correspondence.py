@@ -27,7 +27,12 @@ from cubecovers.correspondence import (
     characteristic_rows,
     unit_diagonal_matrices,
 )
-from cubecovers.digraph import enumerate_acyclic, enumerate_digraphs, is_acyclic_dfs
+from cubecovers.digraph import (
+    enumerate_acyclic,
+    enumerate_digraphs,
+    is_acyclic_dfs,
+    rows_to_code,
+)
 
 
 # ----------------------------------------------------------------------
@@ -107,13 +112,22 @@ def test_maps_match_their_entrywise_definition(n):
 
 @pytest.mark.parametrize("n", range(5))
 def test_unit_diagonal_matrices_follow_the_code_order(n):
-    # Matrix number c has the off-diagonal bits of code c: its rows are the
-    # rows of the digraph with that code, plus the diagonal.
+    # Matrix number c has a unit diagonal and the off-diagonal bits of code
+    # c, read back by the encoder rather than the decoder the scan uses.
     matrices = list(unit_diagonal_matrices(n))
     assert len(matrices) == 1 << (n * (n - 1))
     for code, m in enumerate(matrices):
-        g = Digraph.from_code(n, code)
-        assert m.rows == tuple(mask | (1 << i) for i, mask in enumerate(g.rows))
+        assert all(m.rows[i] >> i & 1 for i in range(n))
+        assert rows_to_code(m.rows) == code
+
+
+def test_full_scans_refuse_n_above_the_cap_and_negative_n():
+    with pytest.raises(EnumerationCapExceeded, match="n = 7: the cap is 6") as caught:
+        next(unit_diagonal_matrices(7))
+    assert (caught.value.n, caught.value.cap) == (7, 6)
+    for scan in (unit_diagonal_matrices, enumerate_digraphs):
+        with pytest.raises(ValueError, match="nonnegative"):
+            next(scan(-1))
 
 
 @pytest.mark.parametrize("n", range(5))

@@ -20,15 +20,14 @@ ORIENTABLE_COUNTS = [1, 1, 4, 43, 1156, 74581, 11226874]
 
 
 # ----------------------------------------------------------------------
-# the series kernel's incremental binomial
+# the series kernel's binomial
 # ----------------------------------------------------------------------
 
 
 def kernel_binomial(n, k):
-    # With a and b the indicators of k and n - k, the only term of the
-    # chromatic sum is C(n,k) * 1 * 1 << k(n-k), reached after the
-    # incremental binomial has stepped through every index below
-    # min(k, n - k).
+    # With a and b the indicators of k and n - k, the only nonzero term of
+    # the chromatic sum is C(n,k) * 1 * 1 << k(n-k), so the sum reads back
+    # the binomial the kernel takes for term k.
     a = [int(i == k) for i in range(n + 1)]
     b = [int(i == n - k) for i in range(n + 1)]
     return series.chromatic_sum(n, a, b) >> (k * (n - k))

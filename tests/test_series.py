@@ -142,6 +142,8 @@ def kernel_inputs(draw):
 @given(kernel_inputs())
 @settings(max_examples=200)
 def test_paired_kernel_equals_the_literal_sum(inputs):
+    # The kernel shifts where this sum multiplies by a power of two, and a
+    # negative product must shift like a positive one.
     n, a, b = inputs
     assert series.chromatic_sum(n, a, b) == sum(
         math.comb(n, k) * a[k] * b[n - k] * 2 ** (k * (n - k))
@@ -340,9 +342,10 @@ def test_quotient_returns_a_non_integer_coefficient_as_a_fraction(monkeypatch):
 
 
 def kernel_quotient(order):
-    # The solve as it stood before the Horner pairing: W_n from the product
-    # kernel against the signs of E(-x) as a list of +-1.  A placeholder
-    # W_n = 0 makes the kernel's k = 0 term, the unknown itself, vanish.
+    # The solve by its definition: W_n from the term-by-term product
+    # kernel against the signs of E(-x) as a list of +-1, with no pairing
+    # and no Horner order.  A placeholder W_n = 0 makes the kernel's k = 0
+    # term, the unknown itself, vanish.
     signs = [(-1) ** k for k in range(order + 1)]
     scaled = [0]
     for n in range(1, order + 1):
