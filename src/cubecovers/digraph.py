@@ -91,8 +91,8 @@ class Digraph:
             raise ValueError(f"expected {self.n} adjacency rows, got {len(self.rows)}")
         limit = 1 << self.n
         for u, mask in enumerate(self.rows):
-            if not 0 <= mask < limit:
-                raise ValueError("adjacency mask out of range for vertex count")
+            if not (isinstance(mask, int) and 0 <= mask < limit):
+                raise ValueError(f"row {u} is {mask!r}, not a mask on {self.n} columns")
             if (mask >> u) & 1:
                 raise ValueError(f"loop at vertex {u}: graphs here are simple")
 

@@ -190,7 +190,12 @@ def test_enumeration_is_in_code_order_without_repeats():
     for n in range(5):
         graphs = list(enumerate_digraphs(n))
         assert [g.code() for g in graphs] == list(range(1 << (n * (n - 1))))
-        assert graphs == [Digraph.from_code(n, code) for code in range(len(graphs))]
+        # Entrywise, edge (u, v) is bit u (n - 1) + v - [v > u] of the code.
+        for code, g in enumerate(graphs):
+            assert g.edges() == [
+                (u, v) for u in range(n) for v in range(n)
+                if u != v and code >> (u * (n - 1) + v - (v > u)) & 1
+            ]
 
 
 def test_enumeration_cap():

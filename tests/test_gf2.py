@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import set_bit_transpose
 
-from cubecovers import BitMatrix, count_dags, gf2
+from cubecovers import BitMatrix, Digraph, count_dags, gf2
 from cubecovers.correspondence import unit_diagonal_matrices
 
 
@@ -138,15 +138,18 @@ def test_sample_matrix_is_member(sample_matrix):
 
 
 def all_minors_unit(m):
-    # The per-subset definition, one elimination per nonempty subset.
+    # The per-subset definition, each minor by cofactor expansion of its
+    # principal submatrix: no rank, no elimination.
+    bits = entries(m)
     return all(
-        m.principal_minor([i for i in range(m.n) if (s >> i) & 1]) == 1
-        for s in range(1, 1 << m.n)
+        cofactor_det([[bits[i][j] for j in subset] for i in subset])
+        for size in range(1, m.n + 1)
+        for subset in itertools.combinations(range(m.n), size)
     )
 
 
 @pytest.mark.parametrize("n", range(5))
-def test_schur_walk_matches_every_subset_minor_exhaustively(n):
+def test_rank_test_matches_every_cofactor_minor_exhaustively(n):
     # Every n x n matrix for n <= 4 (2^16 of them at n = 4), zero diagonals
     # included; at n = 4 exactly D(4) = 543 pass.
     members = 0
@@ -170,7 +173,7 @@ def unit_upper_conjugate(n, strict_upper, perm):
 
 @given(st.data())
 @settings(max_examples=150, deadline=None)
-def test_schur_walk_matches_every_subset_minor_at_five_to_seven(data):
+def test_rank_test_matches_every_cofactor_minor_at_five_to_seven(data):
     n = data.draw(st.integers(5, 7))
     if data.draw(st.booleans()):
         # Permuted unit upper triangular matrices are all members: each
@@ -185,7 +188,7 @@ def test_schur_walk_matches_every_subset_minor_at_five_to_seven(data):
         masks = data.draw(st.lists(
             st.integers(0, (1 << n) - 1), min_size=n, max_size=n))
         # Forcing some diagonal entries to 1 (3/4 of them end up 1) lets
-        # more walks get past the 1x1 minors.
+        # more matrices get past the 1x1 minors.
         unit = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
         m = BitMatrix(n, tuple(
             mask | (1 << i) if flag else mask
@@ -233,7 +236,7 @@ def test_membership_closed_under_transpose(n):
 @pytest.mark.parametrize("n", range(5))
 def test_grown_walk_equals_the_full_scan(n):
     # The reference is the full scan: every unit-diagonal matrix through the
-    # Schur-walk oracle.
+    # rank-test oracle.
     members = {
         m.rows for m in unit_diagonal_matrices(n) if m.has_unit_principal_minors()
     }
@@ -334,6 +337,15 @@ def test_constructor_validates_masks():
         BitMatrix(2, (4, 0))
     with pytest.raises(ValueError):
         BitMatrix(2, (0,))
+
+
+def test_value_types_refuse_rows_that_are_not_ints():
+    # A float row passes a range check alone, and would fail only later:
+    # in det, the minor test or transpose (BitMatrix), or in the loop
+    # check (Digraph).
+    for value_type, rows in ((BitMatrix, (1.0, 2.0)), (Digraph, (2.0, 0))):
+        with pytest.raises(ValueError, match=f"^row 0 is {rows[0]!r}, not a mask on 2 columns$"):
+            value_type(2, rows)
 
 
 @pytest.mark.parametrize("n", range(4))
