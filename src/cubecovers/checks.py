@@ -24,20 +24,36 @@ its image, pass or fail both orientability tests together, and map to a
 member; each member must be the image of a DAG.  That is the paper's
 dictionary: injective on the DAGs, onto the members, even out-degrees to
 odd column sums.  The claims about all digraphs stay in the unit tests.
-The records run on row tuples through the kernels that
-:class:`~cubecovers.digraph.Digraph`, :class:`~cubecovers.gf2.BitMatrix`
-and :mod:`cubecovers.correspondence` delegate to, build no value object,
-and name the smallest failing code.
+Each n runs as one batch.  Its codes are packed into one int, one slot
+per graph in the layout of :func:`~cubecovers.gf2.slot_layout`, decoded
+to adjacency rows by :func:`~cubecovers.digraph.decode_slots`, sent
+through each map as one transpose, and tested for both parities slot by
+slot; the images are compared with the members packed as ints.  The maps
+and the column-parity test are the kernels that
+:class:`~cubecovers.gf2.BitMatrix` and :mod:`cubecovers.correspondence`
+call as batches of one (the out-degree test of one graph stays a loop, see
+:func:`~cubecovers.digraph.out_degrees_even`).  No value object is built
+per graph, and a failing check names the code of its lowest failing slot:
+the smallest failing code.
 """
 
 from __future__ import annotations
 
 from cubecovers import correspondence, counting, digraph, gf2, series
 
-# ``perfbench/expected.json`` pins the records of ``verify --n-max 5``, and
-# growing the 29,281 members at n = 5 takes about 0.2 s, several times a
-# whole ``verify --n-max 5`` run, so the matrix checks stop at 4.
+# ``perfbench/expected.json`` pins the records of ``verify --n-max 5``.  At
+# n = 5 the matrix records would grow 29,281 members (about 70 ms) and take
+# the in-process ``verify --n-max 5`` checks from about 4.5 ms to about
+# 0.13 s (2-core VM, Python 3.11.7), so the matrix checks stop at 4.
 MATRIX_BRUTEFORCE_CAP = 4
+
+
+def _first_code(failing: int, codes: list[int], slot: int) -> int | None:
+    """The code in the lowest slot that has a bit of ``failing`` set, or
+    None; the codes increase with the slot, so it is the smallest."""
+    if not failing:
+        return None
+    return codes[((failing & -failing).bit_length() - 1) // slot]
 
 
 def verify_checks(n_max: int, series_order: int, series_only: bool,
@@ -66,45 +82,44 @@ def verify_checks(n_max: int, series_order: int, series_only: bool,
             add("orientable-count-bruteforce", got.orientable == want_v,
                 f"brute={got.orientable} formula={want_v}", n=n)
 
-        # The kernels of the matrix records (see the module docstring).
-        forward = correspondence.characteristic_rows
-        inverse = correspondence.adjacency_rows
-        even = digraph.out_degrees_even
-        odd = gf2.odd_column_sums
+        # The batch kernels of the matrix records (see the module docstring).
+        forward = correspondence.characteristic_slots
+        inverse = correspondence.adjacency_slots
+        even = digraph.even_out_degree_slots
+        odd = gf2.odd_column_slots
         for n in range(min(n_max, MATRIX_BRUTEFORCE_CAP) + 1):
-            # Grown on the matrix side alone; every matrix-side check below
-            # reads this set.
-            members = set(gf2.unit_minor_rows(n))
+            # Grown on the matrix side alone, each packed into one int;
+            # every matrix-side check below reads these.
+            members = {gf2.pack_rows(rows, n) for rows in gf2.unit_minor_rows(n)}
             m_all = len(members)
             add("matrix-count-bruteforce", m_all == counting.count_dags(n),
                 f"brute={m_all} formula={counting.count_dags(n)}", n=n)
-            m_orient = sum(odd(m, n) for m in members)
+            m_orient = odd(gf2.join_slots([*members], n), n, m_all).bit_count()
             add("orientable-matrix-count-bruteforce",
                 m_orient == counting.count_orientable_dags(n),
                 f"brute={m_orient} formula={counting.count_orientable_dags(n)}", n=n)
 
-            images = set()
-            # The code of the first DAG that breaks each check; the codes
-            # come in increasing order.
-            round_trip = equivalence = transfer = None
-            for code in digraph.acyclic_codes(n):
-                rows = digraph.code_to_rows(n, code)
-                matrix = forward(rows, n)
-                if round_trip is None and inverse(matrix, n) != rows:
-                    round_trip = code
-                if equivalence is None and even(rows) != odd(matrix, n):
-                    equivalence = code
-                images.add(matrix)
-                if transfer is None and matrix not in members:
-                    transfer = code
-            # A member that no DAG hits fails the transfer too, named by the
-            # code of its preimage.
-            misses = [digraph.rows_to_code(inverse(m, n)) for m in members - images]
-            if transfer is not None:
-                misses.append(transfer)
-            transfer = min(misses, default=None)
-            add("bijection-image", images == members,
-                f"images={len(images)} members={len(members)}", n=n)
+            # Every DAG at once, code t in slot t.
+            codes = list(digraph.acyclic_codes(n))
+            k = len(codes)
+            stride, slot, starts = gf2.slot_layout(n, k)
+            adjacency = digraph.decode_slots(gf2.join_slots(codes, n), n, stride, starts)
+            matrices = forward(adjacency, n, k)
+            round_trip = _first_code(inverse(matrices, n, k) ^ adjacency, codes, slot)
+            equivalence = _first_code(
+                even(adjacency, n, stride, starts) ^ odd(matrices, n, k), codes, slot)
+            images = gf2.split_slots(matrices, n, k)
+            hit = set(images)
+            # A member that no DAG hits fails the transfer at the code of its
+            # preimage, and an image that is no member at its own code.
+            failures = [digraph.rows_to_code(gf2.unpack_rows(inverse(m, n), n))
+                        for m in members - hit]
+            if not hit <= members:
+                failures.append(next(code for code, m in zip(codes, images)
+                                     if m not in members))
+            transfer = min(failures, default=None)
+            add("bijection-image", hit == members,
+                f"images={len(hit)} members={m_all}", n=n)
             for check, code in (("round-trip", round_trip),
                                 ("orientability-equivalence", equivalence),
                                 ("acyclicity-transfer", transfer)):

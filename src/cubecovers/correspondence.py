@@ -15,22 +15,23 @@ odd, equivalently when every vertex of G has even out-degree.
 
 This module holds the map, its inverse, and the brute-force counters that
 anchor the closed formulas in :mod:`cubecovers.counting`.  Each map is one
-kernel on the row tuple of one graph, :func:`characteristic_rows` and
-:func:`adjacency_rows`: a single :func:`cubecovers.gf2.transpose_masks`
-that ORs (forward) or XORs (inverse) the identity into the packed rows
-before it transposes them.  The value-type maps wrap them, and the matrix
-records of :mod:`cubecovers.checks` call them on the acyclic digraphs at
-small n without building a value per graph.  The digraph-side
-counter walks the canonical code range with the block kernel of
-:mod:`cubecovers.digraph` (its module docstring gives the argument), never
-uses the recurrences it checks and never materializes a graph list, so a
-count over ``[0, 2^(n(n-1)))`` can be split into disjoint subranges and the
-partial sums added back in any order.  The matrix-side counters grow the
-matrices with all unit principal minors one index at a time by Schur's
-formula (:func:`cubecovers.gf2.count_unit_minor_matrices`; that module's
-docstring gives the growth step) and never look at a graph.  The two
-sides share no code in either direction: neither :mod:`cubecovers.digraph`
-nor :mod:`cubecovers.gf2` imports anything from the package, so only this
+batch kernel, :func:`characteristic_slots` and :func:`adjacency_slots`: a
+single :func:`cubecovers.gf2.transpose_slots` over k graphs packed into one
+int, which ORs (forward) or XORs (inverse) the identity into every slot
+before it transposes them.  The row-tuple maps :func:`characteristic_rows`
+and :func:`adjacency_rows` and the value-type maps run them as batches of
+one, while the matrix records of :mod:`cubecovers.checks` call them once
+per n on all the acyclic digraphs, without building a value per graph.  The digraph-side counter walks the canonical code range
+with the block kernel of :mod:`cubecovers.digraph` (its module docstring
+gives the argument), never uses the recurrences it checks and never
+materializes a graph list, so a count over ``[0, 2^(n(n-1)))`` can be split
+into disjoint subranges and the partial sums added back in any order.  The
+matrix-side counters grow the matrices with all unit principal minors one
+index at a time by Schur's formula
+(:func:`cubecovers.gf2.count_unit_minor_matrices`; that module's docstring
+gives the growth step) and never look at a graph.  The two sides share no
+code in either direction: neither :mod:`cubecovers.digraph` nor
+:mod:`cubecovers.gf2` imports anything from the package, so only this
 module and :mod:`cubecovers.checks` know both.
 :func:`unit_diagonal_matrices` keeps the full scan of ``2^(n(n-1))``
 candidates, each decoded from its code by
@@ -52,17 +53,25 @@ from cubecovers.digraph import (
     code_to_rows,
     count_acyclic_codes,
 )
-from cubecovers.gf2 import BitMatrix, count_unit_minor_matrices, transpose_masks
+from cubecovers.gf2 import (
+    BitMatrix,
+    count_unit_minor_matrices,
+    pack_rows,
+    transpose_slots,
+    unpack_rows,
+)
 
 
 __all__ = [
     "DagCounts",
     "adjacency_rows",
+    "adjacency_slots",
     "brute_counts",
     "brute_count_characteristic_matrices",
     "brute_count_orientable_characteristic_matrices",
     "characteristic_matrix",
     "characteristic_rows",
+    "characteristic_slots",
     "digraph_from_characteristic",
     "unit_diagonal_matrices",
 ]
@@ -81,22 +90,36 @@ class DagCounts(NamedTuple):
 
 
 def characteristic_rows(adjacency: tuple[int, ...], n: int) -> tuple[int, ...]:
-    """The rows of A^t + I, for the ``n`` adjacency rows of a digraph.
-
-    The adjacency diagonal is zero, so adding the identity just sets the
-    diagonal to 1, and the transpose of A + I is A^t + I: the identity is
-    ORed into the packed rows and one transpose builds the result.
-    """
+    """The rows of A^t + I, for the ``n`` adjacency rows of a digraph: the
+    batch of one graph through :func:`characteristic_slots`."""
     _check_rows(adjacency, n)
-    return transpose_masks(adjacency, n, or_)
+    return unpack_rows(characteristic_slots(pack_rows(adjacency, n), n), n)
 
 
 def adjacency_rows(characteristic: tuple[int, ...], n: int) -> tuple[int, ...]:
     """Invert :func:`characteristic_rows` on rows whose diagonal is all 1:
-    the identity is XORed into the packed rows, which strips the diagonal,
-    and one transpose builds the result."""
+    the batch of one matrix through :func:`adjacency_slots`."""
     _check_rows(characteristic, n)
-    return transpose_masks(characteristic, n, xor)
+    return unpack_rows(adjacency_slots(pack_rows(characteristic, n), n), n)
+
+
+def characteristic_slots(adjacency: int, n: int, k: int = 1) -> int:
+    """The rows of A^t + I for each of the ``k`` digraphs whose adjacency
+    rows ``adjacency`` packs, one per slot of
+    :func:`cubecovers.gf2.slot_layout`, packed the same way.
+
+    The adjacency diagonal is zero, so adding the identity just sets the
+    diagonal to 1, and the transpose of A + I is A^t + I: the identity is
+    ORed into every slot and one transpose builds the whole batch.
+    """
+    return transpose_slots(adjacency, n, k, or_)
+
+
+def adjacency_slots(characteristic: int, n: int, k: int = 1) -> int:
+    """Invert :func:`characteristic_slots` on matrices whose diagonal is all
+    1: the identity is XORed into every slot, which strips the diagonal,
+    and one transpose builds the whole batch."""
+    return transpose_slots(characteristic, n, k, xor)
 
 
 def _check_rows(rows: tuple[int, ...], n: int) -> None:
@@ -112,7 +135,8 @@ def characteristic_matrix(graph: Digraph) -> BitMatrix:
     Total on digraphs (no acyclicity requirement): testing the equivalences
     on the full graph space is deliberate.
     """
-    return BitMatrix(graph.n, characteristic_rows(graph.rows, graph.n))
+    n = graph.n  # a Digraph has n rows: no _check_rows
+    return BitMatrix(n, unpack_rows(characteristic_slots(pack_rows(graph.rows, n), n), n))
 
 
 def digraph_from_characteristic(matrix: BitMatrix) -> Digraph:
@@ -122,12 +146,16 @@ def digraph_from_characteristic(matrix: BitMatrix) -> Digraph:
     leave a loop-free adjacency matrix).  The result is acyclic exactly when
     the input has all unit principal minors.
     """
-    for i, mask in enumerate(matrix.rows):
-        if not (mask >> i) & 1:
-            raise ValueError(
-                f"diagonal entry ({i}, {i}) is 0; not a characteristic matrix"
-            )
-    return Digraph(matrix.n, adjacency_rows(matrix.rows, matrix.n))
+    n = matrix.n  # a BitMatrix has n rows: no _check_rows
+    try:
+        return Digraph(n, unpack_rows(adjacency_slots(pack_rows(matrix.rows, n), n), n))
+    except ValueError:
+        # Stripping the identity turns a zero diagonal entry (i, i) into a
+        # loop at vertex i, which Digraph refuses.
+        i = next(i for i, mask in enumerate(matrix.rows) if not (mask >> i) & 1)
+        raise ValueError(
+            f"diagonal entry ({i}, {i}) is 0; not a characteristic matrix"
+        ) from None
 
 
 # ----------------------------------------------------------------------

@@ -47,8 +47,10 @@ __all__ = [
     "acyclic_codes",
     "code_to_rows",
     "count_acyclic_codes",
+    "decode_slots",
     "enumerate_acyclic",
     "enumerate_digraphs",
+    "even_out_degree_slots",
     "is_acyclic_dfs",
     "out_degrees_even",
     "rows_to_code",
@@ -83,18 +85,24 @@ class Digraph:
     rows: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.n < 0:
+        n, rows = self.n, self.rows
+        if n < 0:
             raise ValueError("vertex count must be nonnegative")
-        if not isinstance(self.rows, tuple):
-            object.__setattr__(self, "rows", tuple(self.rows))
-        if len(self.rows) != self.n:
-            raise ValueError(f"expected {self.n} adjacency rows, got {len(self.rows)}")
-        limit = 1 << self.n
-        for u, mask in enumerate(self.rows):
+        if not isinstance(rows, tuple):
+            rows = tuple(rows)
+            object.__setattr__(self, "rows", rows)
+        if len(rows) != n:
+            raise ValueError(f"expected {n} adjacency rows, got {len(rows)}")
+        limit = 1 << n
+        loop = 1  # bit u of row u
+        for mask in rows:
             if not (isinstance(mask, int) and 0 <= mask < limit):
-                raise ValueError(f"row {u} is {mask!r}, not a mask on {self.n} columns")
-            if (mask >> u) & 1:
-                raise ValueError(f"loop at vertex {u}: graphs here are simple")
+                raise ValueError(f"row {loop.bit_length() - 1} is {mask!r}, "
+                                 f"not a mask on {n} columns")
+            if mask & loop:
+                raise ValueError(f"loop at vertex {loop.bit_length() - 1}: "
+                                 f"graphs here are simple")
+            loop <<= 1
 
     # ------------------------------------------------------------------
     # construction
@@ -176,11 +184,66 @@ def rows_to_code(rows: tuple[int, ...]) -> int:
 
 def out_degrees_even(rows: Iterable[int]) -> bool:
     """Whether every adjacency row has an even number of edges: the
-    orientability test on the graph side of the dictionary."""
+    orientability test on the graph side of the dictionary, for one graph.
+
+    Not the batch of one of :func:`even_out_degree_slots`: packing one
+    graph and folding it took 1.7 us against this loop's 0.2 us at n = 5,
+    and ``enumerate --orientable`` runs it on every DAG, so the batch of
+    one took that command from 0.20 to 0.24 s at n = 5 (2-core VM, Python
+    3.11.7).
+    """
     for mask in rows:
         if mask.bit_count() & 1:
             return False
     return True
+
+
+# ----------------------------------------------------------------------
+# batches of digraphs in one int
+# ----------------------------------------------------------------------
+#
+# A batch packs k digraphs into one int, one slot each.  The caller gives
+# the layout: ``starts`` has one bit at the start of each slot, and row u
+# of a slot's digraph begins ``u * stride`` bits into it.  The stride is a
+# power of two of at least n bits, and a slot spans at least the rows of
+# the smallest power of two >= n; the matrix side of the dictionary lays
+# its batches out the same way, so this module needs nothing from it.
+
+
+def decode_slots(word: int, n: int, stride: int, starts: int) -> int:
+    """The adjacency rows of the digraphs whose canonical codes ``word``
+    holds, one code at the start of each slot: :func:`code_to_rows` for
+    the whole batch.  Chunk u of every code moves to row u at once, with
+    its diagonal zero spliced in.  The codes are not checked."""
+    width = n - 1
+    rows = 0
+    for u in range(n):
+        low = ((1 << u) - 1) << u * width  # the chunk's columns below u
+        high = (((1 << width) - 1) << u * width) ^ low
+        shift = u * (stride - width)
+        rows |= (word & low * starts) << shift | (word & high * starts) << shift + 1
+    return rows
+
+
+def even_out_degree_slots(word: int, n: int, stride: int, starts: int) -> int:
+    """The slots of ``word``, adjacency rows of n-vertex digraphs, whose
+    digraph has every out-degree even, as one bit at the start of each
+    such slot.
+
+    The bits of every row are XORed into its bit 0, one shift per halving
+    of the stride, and those parities are ORed into bit 0 of row 0, one
+    shift per halving of the rows.
+    """
+    shift = stride >> 1
+    while shift:
+        word ^= word >> shift
+        shift >>= 1
+    odd = word & ((1 << n * stride) - 1) // ((1 << stride) - 1) * starts
+    rows = 1 << (n - 1).bit_length() >> 1 if n else 0
+    while rows:
+        odd |= odd >> rows * stride
+        rows >>= 1
+    return starts & ~odd
 
 
 def is_acyclic_dfs(graph: Digraph) -> bool:

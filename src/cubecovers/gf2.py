@@ -2,11 +2,14 @@
 
 Rows are packed into integer bitmasks (bit ``j`` of ``rows[i]`` is the entry
 in row ``i``, column ``j``), so row elimination is a single XOR per row and
-the same code path works for any dimension.  :func:`transpose_masks` packs
-a whole matrix into one integer and transposes it with one delta swap per
-halving of its side.  Values are immutable: every
-operation returns a new matrix or a plain value, which makes them safe to
-share between concurrent tasks.
+the same code path works for any dimension.  :func:`transpose_slots` packs
+a batch of matrices into one integer, one slot each (:func:`slot_layout`),
+and transposes them all with one delta swap per halving of their side;
+:func:`odd_column_slots` tests the column parities of a whole batch the
+same way.  :func:`transpose_masks` and :func:`odd_column_sums` are their
+batches of one.  Values are immutable: every operation returns a new
+matrix or a plain value, which makes them safe to share between
+concurrent tasks.
 
 The one domain-specific test here is :meth:`BitMatrix.has_unit_principal_minors`:
 a square GF(2) matrix is the reduced characteristic matrix of a small cover
@@ -39,46 +42,60 @@ minor test is the tests' reference for the grown walk at n <= 4.
 
 from __future__ import annotations
 
+import struct
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from operator import xor
-from struct import Struct
-from struct import error as struct_error
+from operator import or_, xor
 from typing import NamedTuple
 
 
 __all__ = [
     "BitMatrix",
     "count_unit_minor_matrices",
+    "join_slots",
+    "odd_column_slots",
     "odd_column_sums",
+    "pack_rows",
+    "slot_layout",
+    "split_slots",
     "transpose_masks",
+    "transpose_slots",
     "unit_minor_rows",
+    "unpack_rows",
 ]
 
 
 class _Packing(NamedTuple):
-    """How :func:`transpose_masks` lays out ``m`` rows of ``n`` columns in
-    one int: row i at bit ``i * stride``, so entry (i, j) is bit
-    ``i * stride + j``."""
+    """How a batch of k matrices of ``m`` rows and ``n`` columns lies in one
+    int: matrix t in the slot from bit ``t * slot``, its row i ``i *
+    stride`` bits into the slot, so its entry (i, j) is bit ``t * slot + i
+    * stride + j``.  A slot holds the square block of power-of-two side
+    that the transpose swaps in place, ``side * stride`` bits."""
 
+    stride: int
+    slot: int
+    starts: int  # bit t * slot for each t < k
     swaps: tuple[tuple[int, int], ...]  # (delta, mask) of each delta swap
-    rows_struct: Struct | None  # packs the m rows, for strides of 8 to 64 bits
-    cols_struct: Struct | None  # unpacks the n columns
-    nbytes: int  # bytes of the n packed columns
-    shifts: tuple[int, ...]  # bit offset of each row or column
+    rows_struct: struct.Struct | None  # the m rows, for strides of 8 to 64 bits
+    cols_struct: struct.Struct | None  # the n columns
+    slots_struct: struct.Struct | None  # the k slots, for slots of 8 to 64 bits
     unit: int  # one row's bits
-    invalid: int  # every bit outside the n columns of the m rows
-    identity: int  # bit (i, i) for i < min(m, n)
+    invalid: int  # every bit outside the n columns of the m rows of a slot
+    identity: int  # bit (i, i) for i < min(m, n), in every slot
 
 
 _FIELDS = {8: "B", 16: "H", 32: "I", 64: "Q"}
 
 
-@lru_cache(maxsize=256)  # bounded: one entry per shape, masks of side^2 bits
-def _packing(m: int, n: int) -> _Packing:
+@lru_cache(maxsize=256)  # bounded: one entry per shape and batch size
+def _packing(m: int, n: int, k: int) -> _Packing:
     side = 1 << (max(m, n, 1) - 1).bit_length()  # the square block transposed
     stride = max(side, 8)
+    slot = side * stride
+    # Whole bytes per slot (the stride is at least 8 bits), so the slot
+    # starts are one byte pattern repeated k times.
+    starts = int.from_bytes(b"\1".ljust(slot >> 3, b"\0") * k, "little")
     # Transposing the side by side block swaps, for each h = side/2 .. 1,
     # the entries (i, j) with bit h clear in i and set in j with (i+h, j-h),
     # h * (stride - 1) bits higher.
@@ -87,20 +104,90 @@ def _packing(m: int, n: int) -> _Packing:
     while h:
         row = sum(1 << j for j in range(side) if j & h)
         mask = sum(row << i * stride for i in range(side) if not i & h)
-        swaps.append((h * (stride - 1), mask))
+        swaps.append((h * (stride - 1), mask * starts))
         h >>= 1
-    field = _FIELDS.get(stride)
-    shifts = tuple(range(0, max(m, n) * stride, stride))
+    field, slot_field = _FIELDS.get(stride), _FIELDS.get(slot)
     return _Packing(
+        stride,
+        slot,
+        starts,
         tuple(swaps),
-        field and Struct(f"<{m}{field}"),
-        field and Struct(f"<{n}{field}"),
-        n * stride // 8,
-        shifts,
+        field and struct.Struct(f"<{m}{field}"),
+        field and struct.Struct(f"<{n}{field}"),
+        slot_field and struct.Struct(f"<{k}{slot_field}"),
         (1 << stride) - 1,
-        ~sum(((1 << n) - 1) << shift for shift in shifts[:m]),
-        sum(1 << shift + i for i, shift in enumerate(shifts[:min(m, n)])),
+        ~(sum(((1 << n) - 1) << i * stride for i in range(m)) * starts),
+        sum(1 << i * stride + i for i in range(min(m, n))) * starts,
     )
+
+
+# What packing a value that is not a nonnegative int below 2^width raises.
+_UNPACKABLE = (struct.error, OverflowError, AttributeError)
+
+
+def _join(values: Sequence[int], width: int, codec: struct.Struct | None) -> int:
+    """``values`` packed into one int at ``width`` bits each, a multiple of
+    8; through ``codec`` when the width is a field of :mod:`struct`."""
+    if codec is not None:
+        data = codec.pack(*values)
+    else:
+        size = width >> 3
+        data = b"".join([value.to_bytes(size, "little") for value in values])
+    return int.from_bytes(data, "little")
+
+
+def _split(word: int, width: int, count: int,
+           codec: struct.Struct | None) -> tuple[int, ...]:
+    """The inverse of :func:`_join`: the ``count`` values in ``word``."""
+    data = word.to_bytes(count * width >> 3, "little")
+    if codec is not None:
+        return codec.unpack(data)
+    size = width >> 3
+    return tuple([int.from_bytes(data[i:i + size], "little")
+                  for i in range(0, len(data), size)])
+
+
+def slot_layout(n: int, k: int = 1) -> tuple[int, int, int]:
+    """``(stride, slot, starts)``: where a batch of ``k`` square matrices of
+    side ``n`` lies in one int.  Matrix t takes the ``slot`` bits from ``t
+    * slot``, and its row i starts ``i * stride`` bits into them.
+    ``starts`` has one bit at the start of each slot, so a mask for one
+    slot times ``starts`` is that mask in every slot.  One matrix is the
+    batch with ``k = 1``."""
+    return _packing(n, n, k)[:3]
+
+
+def pack_rows(rows: Sequence[int], n: int) -> int:
+    """The bitmask ``rows``, each a mask on ``n`` columns, packed into one
+    int: the batch of one matrix."""
+    packing = _packing(len(rows), n, 1)
+    # A row below 0 or past the stride fails to pack, and is named here; a
+    # packed bit past the n columns is named by the transpose.
+    try:
+        return _join(rows, packing.stride, packing.rows_struct)
+    except _UNPACKABLE:
+        raise _out_of_range(rows, n) from None
+
+
+def unpack_rows(word: int, n: int) -> tuple[int, ...]:
+    """The ``n`` rows packed in ``word``, the batch of one matrix of side
+    ``n``: the inverse of :func:`pack_rows`."""
+    packing = _packing(n, n, 1)
+    return _split(word, packing.stride, n, packing.cols_struct)
+
+
+def join_slots(values: Sequence[int], n: int) -> int:
+    """One int holding ``values[t]`` in slot t of the layout for side ``n``,
+    each value below ``2^slot``: the inverse of :func:`split_slots`."""
+    packing = _packing(n, n, len(values))
+    return _join(values, packing.slot, packing.slots_struct)
+
+
+def split_slots(word: int, n: int, k: int) -> tuple[int, ...]:
+    """The ``k`` slots of ``word`` in the layout for side ``n``, each as the
+    int of its packed rows."""
+    packing = _packing(n, n, k)
+    return _split(word, packing.slot, k, packing.slots_struct)
 
 
 def transpose_masks(
@@ -111,38 +198,58 @@ def transpose_masks(
     bitmasks ``rows``: the rows of its transpose.  ``rows`` may have any
     length; each must be a mask on ``n`` columns.
 
-    With ``with_identity``, the matrix transposed is ``with_identity(A,
-    I)``, for the packed rows A and the packed identity I (bit i of row i,
+    The batch of one matrix through :func:`transpose_slots`: the rows are
+    packed into one int, through :class:`struct.Struct` when the stride is
+    at most 64 bits, and the n columns are unpacked from the result.
+    """
+    packing = _packing(len(rows), n, 1)
+    try:
+        word = _join(rows, packing.stride, packing.rows_struct)
+    except _UNPACKABLE:
+        raise _out_of_range(rows, n) from None
+    word = transpose_slots(word, n, 1, with_identity, len(rows))
+    return _split(word, packing.stride, n, packing.cols_struct)
+
+
+def transpose_slots(
+    word: int, n: int, k: int = 1,
+    with_identity: Callable[[int, int], int] | None = None,
+    m: int | None = None,
+) -> int:
+    """The transposes of the ``k`` matrices of ``m`` rows (``n`` unless
+    given) and ``n`` columns packed in ``word``, one per slot (see
+    :func:`slot_layout`), packed the same way.
+
+    With ``with_identity``, each matrix transposed is ``with_identity(A,
+    I)``, for its packed rows A and the packed identity I (bit i of row i,
     for each i below both dimensions): :func:`operator.or_` sets the
     diagonal, :func:`operator.xor` adds the identity over GF(2).
 
-    The rows are packed into one int at a power-of-two stride of at least 8
-    bits, through :class:`struct.Struct` when the stride is at most 64.
-    The leading square block of power-of-two side is transposed in place by
-    one delta swap per halving of the side, with the masks cached for each
-    shape, and the n columns are unpacked from the result.
+    Every slot's block is transposed in place at once, by one delta swap
+    per halving of its side, with the masks cached for each shape and
+    batch size.  A bit outside the n columns of the m rows of a slot is
+    refused, naming its row (and its slot, in a batch of more than one).
     """
-    (swaps, rows_struct, cols_struct, nbytes, shifts, unit, invalid,
-     identity) = _packing(len(rows), n)
-    if rows_struct is not None:
-        try:
-            word = int.from_bytes(rows_struct.pack(*rows), "little")
-        except struct_error:
-            word = -1  # a row below 0 or past the stride: named below
-    else:
-        word = 0
-        for shift, mask in zip(shifts, rows):
-            word |= mask << shift
-    if word & invalid:
-        raise _out_of_range(rows, n)
+    packing = _packing(n if m is None else m, n, k)
+    if word & packing.invalid:
+        raise _outside(word, n, packing, k)
     if with_identity is not None:
-        word = with_identity(word, identity)
-    for delta, mask in swaps:
+        word = with_identity(word, packing.identity)
+    for delta, mask in packing.swaps:
         swapped = (word ^ word >> delta) & mask
         word ^= swapped | swapped << delta
-    if cols_struct is not None:
-        return cols_struct.unpack(word.to_bytes(nbytes, "little"))
-    return tuple([word >> shift & unit for shift in shifts[:n]])
+    return word
+
+
+def _outside(word: int, n: int, packing: _Packing, k: int) -> ValueError:
+    """The error for the lowest bit of ``word`` past the columns of its row
+    or past the rows of its slot."""
+    outside = word & packing.invalid
+    slot, bit = divmod((outside & -outside).bit_length() - 1, packing.slot)
+    row = bit // packing.stride
+    mask = word >> slot * packing.slot + row * packing.stride & packing.unit
+    where = f"row {row}" if k == 1 and not slot else f"row {row} of slot {slot}"
+    return ValueError(f"{where} is {mask!r}, not a mask on {n} columns")
 
 
 def _out_of_range(rows: Sequence[int], n: int) -> ValueError:
@@ -154,14 +261,36 @@ def _out_of_range(rows: Sequence[int], n: int) -> ValueError:
     return ValueError(f"row {i} is {mask!r}, not a mask on {n} columns")
 
 
-def odd_column_sums(rows: Iterable[int], n: int) -> bool:
-    """Whether every column of the ``n`` by ``n`` matrix whose rows are the
-    bitmasks ``rows`` has an odd integer sum.
+def odd_column_slots(word: int, n: int, k: int = 1) -> int:
+    """The slots of ``word``, a batch of ``k`` square matrices of side ``n``
+    (see :func:`slot_layout`), whose matrix has every column sum odd, as
+    one bit at the start of each such slot.
 
-    Bit j of the XOR of all rows is the parity of column j, so every column
-    is odd exactly when that XOR is the all-ones mask.
+    Bit j of the XOR of a matrix's rows is the parity of column j, so every
+    column is odd exactly when that XOR is the all-ones mask.  The rows of
+    every slot are XORed into its row 0, one shift per halving of the side,
+    and the bits of row 0 that miss all ones are ORed into its bit 0.
     """
-    return reduce(xor, rows, 0) == (1 << n) - 1
+    packing = _packing(n, n, k)
+    stride, starts = packing.stride, packing.starts
+    shift = packing.slot >> 1
+    while shift >= stride:
+        word ^= word >> shift
+        shift >>= 1
+    miss = (word & packing.unit * starts) ^ ((1 << n) - 1) * starts
+    while shift:  # on from stride / 2
+        miss |= miss >> shift
+        shift >>= 1
+    return starts & ~miss
+
+
+def odd_column_sums(rows: Sequence[int], n: int) -> bool:
+    """Whether every column of the ``n`` by ``n`` matrix whose rows are the
+    bitmasks ``rows`` has an odd integer sum: the batch of one matrix
+    through :func:`odd_column_slots`."""
+    if len(rows) != n:
+        raise ValueError(f"expected {n} rows, got {len(rows)}")
+    return bool(odd_column_slots(pack_rows(rows, n), n))
 
 
 def _unit_minor(rows: Sequence[int], subset: int) -> bool:
@@ -185,15 +314,18 @@ class BitMatrix:
     rows: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.n < 0:
+        n, rows = self.n, self.rows
+        if n < 0:
             raise ValueError("matrix dimension must be nonnegative")
-        if not isinstance(self.rows, tuple):
-            object.__setattr__(self, "rows", tuple(self.rows))
-        if len(self.rows) != self.n:
-            raise ValueError(f"expected {self.n} rows, got {len(self.rows)}")
-        limit = 1 << self.n
-        if not all(isinstance(mask, int) and 0 <= mask < limit for mask in self.rows):
-            raise _out_of_range(self.rows, self.n)
+        if not isinstance(rows, tuple):
+            rows = tuple(rows)
+            object.__setattr__(self, "rows", rows)
+        if len(rows) != n:
+            raise ValueError(f"expected {n} rows, got {len(rows)}")
+        limit = 1 << n
+        for mask in rows:
+            if not (isinstance(mask, int) and 0 <= mask < limit):
+                raise _out_of_range(rows, n)
 
     # ------------------------------------------------------------------
     # construction
@@ -358,12 +490,21 @@ def _unit_minor_rows(n: int, rows: tuple[int, ...] = ()) -> Iterator[tuple[int, 
     if k == n:
         yield rows
         return
+    spread = _spread(k)
     for r, forms in _new_rows(rows, k, False):
+        r |= 1 << k
+        if k + 1 == n:  # the leaves: no generator per member
+            yield from [(*map(or_, rows, spread[c]), r) for c in _columns(forms)]
+            continue
         for c in _columns(forms):
-            yield from _unit_minor_rows(n, (
-                *(mask | ((c >> i) & 1) << k for i, mask in enumerate(rows)),
-                r | 1 << k,
-            ))
+            yield from _unit_minor_rows(n, (*map(or_, rows, spread[c]), r))
+
+
+@lru_cache(maxsize=None)  # one table per level k, 2^k tuples of k ints
+def _spread(k: int) -> tuple[tuple[int, ...], ...]:
+    """Column c of a k by k border, bit k of each old row: ``spread[c][i]``
+    is bit i of c moved to bit k."""
+    return tuple(tuple((c >> i & 1) << k for i in range(k)) for c in range(1 << k))
 
 
 def unit_minor_rows(n: int) -> Iterator[tuple[int, ...]]:

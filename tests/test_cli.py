@@ -7,8 +7,8 @@ import pytest
 from click.testing import CliRunner
 
 from cubecovers import (
-    Digraph, IdentityCheck, cli, correspondence, counting, digraph, is_acyclic_dfs,
-    series,
+    Digraph, IdentityCheck, cli, correspondence, counting, digraph, gf2,
+    is_acyclic_dfs, series,
 )
 
 
@@ -214,34 +214,49 @@ def test_verify_text_format_failure_names_the_check(runner, corrupted_dag_count)
 def _break_codes_12_and_48(check, monkeypatch):
     """Make ``check`` fail on the n = 3 graphs with codes 12 and 48 only.
 
-    The fault goes into the function that both the matrix records of
-    ``verify`` and a public member call.  Returns a test of that member on
-    one graph: true when it still answers right.
+    The fault goes into the batch kernel that the matrix records of
+    ``verify`` call once per n and that a public member calls as a batch
+    of one.  Returns a test of that member on one graph: true when it
+    still answers right.
     """
 
     def broken(rows):
         return len(rows) == 3 and Digraph(3, rows).code() in (12, 48)
 
     if check == "round-trip":
-        inverse = correspondence.adjacency_rows
+        inverse = correspondence.adjacency_slots
 
-        def wrong_inverse(characteristic, n):
-            rows = inverse(characteristic, n)
-            return (0,) * n if broken(rows) else rows
+        def wrong_inverse(characteristic, n, k=1):
+            # Every slot whose graph comes back as code 12 or 48 comes back
+            # empty instead.
+            slots = gf2.split_slots(inverse(characteristic, n, k), n, k)
+            return gf2.join_slots(
+                [0 if broken(gf2.unpack_rows(rows, n)) else rows for rows in slots], n)
 
-        monkeypatch.setattr(correspondence, "adjacency_rows", wrong_inverse)
+        monkeypatch.setattr(correspondence, "adjacency_slots", wrong_inverse)
         return lambda graph: graph == correspondence.digraph_from_characteristic(
             correspondence.characteristic_matrix(graph))
     if check == "orientability-equivalence":
-        even = digraph.out_degrees_even
+        odd = gf2.odd_column_slots
 
-        def wrong_even(rows):
-            rows = tuple(rows)
-            return even(rows) != broken(rows)
+        def wrong_odd(word, n, k=1):
+            # Flip the answer of every slot that holds the image of code 12
+            # or 48.
+            answer = odd(word, n, k)
+            _, width, _ = gf2.slot_layout(n, k)
+            for t, rows in enumerate(gf2.split_slots(word, n, k)):
+                if broken(correspondence.adjacency_rows(gf2.unpack_rows(rows, n), n)):
+                    answer ^= 1 << t * width
+            return answer
 
-        monkeypatch.setattr(digraph, "out_degrees_even", wrong_even)
-        return lambda graph: graph.all_out_degrees_even() == all(
-            graph.out_degree(v) % 2 == 0 for v in range(graph.n))
+        monkeypatch.setattr(gf2, "odd_column_slots", wrong_odd)
+
+        def right(graph):
+            matrix = correspondence.characteristic_matrix(graph)
+            return matrix.has_odd_column_sums() == all(
+                s % 2 for s in matrix.column_sums())
+
+        return right
     codes = digraph.acyclic_codes
 
     def wrong_codes(n, cap=digraph.DEFAULT_ENUMERATION_CAP):

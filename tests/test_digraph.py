@@ -16,8 +16,10 @@ from cubecovers.digraph import (
     _acyclic_blocks,
     acyclic_codes,
     count_acyclic_codes,
+    decode_slots,
     enumerate_acyclic,
     enumerate_digraphs,
+    even_out_degree_slots,
 )
 
 # ----------------------------------------------------------------------
@@ -117,6 +119,29 @@ def test_all_out_degrees_even():
     g = Digraph.from_edges(3, [(0, 1), (0, 2)])
     assert [g.out_degree(v) for v in range(3)] == [2, 0, 0]
     assert g.all_out_degrees_even()
+
+
+def slot_layouts(n, k):
+    # The layouts the batch kernels accept: a power-of-two stride of at
+    # least n bits, and slots of at least the next power of two of rows.
+    side = 1 << (n - 1).bit_length() if n else 1
+    for stride in (side, max(side, 8), 4 * side):
+        for slot in (side * stride, 2 * side * stride):
+            yield stride, slot, sum(1 << t * slot for t in range(k))
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_a_batch_decodes_and_tests_parities_like_its_graphs_one_by_one(n):
+    rng = random.Random(n)
+    graphs = [Digraph.from_code(n, rng.getrandbits(n * (n - 1))) for _ in range(40)]
+    for stride, slot, starts in slot_layouts(n, len(graphs)):
+        codes = sum(g.code() << t * slot for t, g in enumerate(graphs))
+        rows = decode_slots(codes, n, stride, starts)
+        assert rows == sum(mask << t * slot + u * stride
+                           for t, g in enumerate(graphs) for u, mask in enumerate(g.rows))
+        even = even_out_degree_slots(rows, n, stride, starts)
+        assert even == sum(1 << t * slot for t, g in enumerate(graphs)
+                           if all(g.out_degree(v) % 2 == 0 for v in range(n)))
 
 
 def test_sample_graph_has_an_odd_out_degree(sample_graph):

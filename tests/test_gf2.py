@@ -1,6 +1,7 @@
 import ast
 import itertools
 import random
+from operator import or_, xor
 from pathlib import Path
 
 import pytest
@@ -109,13 +110,18 @@ def test_principal_minor_rejects_bad_subsets(sample_matrix):
         sample_matrix.principal_minor([-1])
 
 
-@given(st.integers(1, 4).flatmap(
-    lambda n: st.tuples(st.just(n), st.lists(
+@given(st.data())
+def test_principal_minor_matches_cofactor_det_on_random_subsets(data):
+    # The index-to-mask step of principal_minor against a reference that
+    # builds the principal submatrix from its indices.
+    n = data.draw(st.integers(1, 6))
+    m = BitMatrix(n, tuple(data.draw(st.lists(
         st.integers(0, (1 << n) - 1), min_size=n, max_size=n))))
-def test_det_equals_full_principal_minor(case):
-    n, masks = case
-    m = BitMatrix(n, tuple(masks))
-    assert m.det() == m.principal_minor(range(n))
+    subset = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2 * n))
+    bits = entries(m)
+    want = cofactor_det([[bits[i][j] for j in sorted(set(subset))]
+                         for i in sorted(set(subset))])
+    assert m.principal_minor(subset) == want
 
 
 # ----------------------------------------------------------------------
@@ -195,6 +201,26 @@ def test_rank_test_matches_every_cofactor_minor_at_five_to_seven(data):
             for i, (mask, flag) in enumerate(zip(masks, unit))
         ))
         assert m.has_unit_principal_minors() == all_minors_unit(m)
+
+
+@pytest.mark.parametrize("n", [5, 6, 7])
+@pytest.mark.parametrize("seed", range(3))
+def test_a_permuted_cycle_fails_only_its_full_minor(n, seed):
+    # I + C_n, C_n a directed n-cycle, under a random permutation P: every
+    # proper principal submatrix is I plus the adjacency of a union of
+    # paths, with minor 1, but each column holds two ones, so the rows sum
+    # to 0 and the full determinant is 0.  A minor test that skips the full
+    # index set passes it.
+    perm = random.Random(n * 10 + seed).sample(range(n), n)
+    rows = [0] * n
+    for i in range(n):
+        rows[perm[i]] |= 1 << perm[i] | 1 << perm[(i + 1) % n]
+    m = BitMatrix(n, tuple(rows))
+    assert m.det() == 0
+    assert all(m.principal_minor(s) for size in range(1, n)
+               for s in itertools.combinations(range(n), size))
+    assert not m.has_unit_principal_minors()
+    assert not all_minors_unit(m)
 
 
 def test_minor_oracle_shares_nothing_with_the_digraph_module():
@@ -304,12 +330,61 @@ def test_transpose_masks_beyond_a_64_bit_stride(m, n):
     ((0, -1), 2, 1),
     ((0, 1 << 64), 64, 1),
     ((0,) * 70 + (1 << 100,), 100, 70),
+    ((1 << 128, 0), 65, 0),
+    ((0, 1.0), 65, 1),
 ], ids=["past-the-columns", "next-column", "negative", "past-a-64-bit-stride",
-        "past-the-columns-at-a-128-bit-stride"])
+        "past-the-columns-at-a-128-bit-stride", "past-a-128-bit-stride",
+        "not-an-int-at-a-128-bit-stride"])
 def test_transpose_masks_names_a_row_outside_its_columns(rows, n, row):
     # Packed, such a bit would land in another row instead of failing.
     with pytest.raises(ValueError, match=f"^row {row} is "):
         gf2.transpose_masks(rows, n)
+
+
+def random_batch(rng, k, m, n):
+    return [tuple(rng.getrandbits(n) for _ in range(m)) for _ in range(k)]
+
+
+@given(st.integers(1, 9), st.integers(1, 9), st.integers(0, 2**32),
+       st.sampled_from([None, or_, xor]))
+@settings(max_examples=150)
+def test_a_batch_transposes_like_its_slots_one_by_one(n, k, seed, with_identity):
+    # Up to n = 9, a slot of 16 rows of 16 bits, past a 64-bit field.
+    matrices = random_batch(random.Random(seed), k, n, n)
+    word = gf2.join_slots([gf2.pack_rows(rows, n) for rows in matrices], n)
+    batch = gf2.split_slots(gf2.transpose_slots(word, n, k, with_identity), n, k)
+    assert [gf2.unpack_rows(slot, n) for slot in batch] == [
+        gf2.transpose_masks(rows, n, with_identity) for rows in matrices]
+
+
+@given(st.integers(1, 9), st.integers(1, 9), st.integers(0, 2**32))
+@settings(max_examples=100)
+def test_a_batch_tests_column_parities_like_its_slots_one_by_one(n, k, seed):
+    matrices = random_batch(random.Random(seed), k, n, n)
+    word = gf2.join_slots([gf2.pack_rows(rows, n) for rows in matrices], n)
+    _, width, starts = gf2.slot_layout(n, k)
+    odd = gf2.odd_column_slots(word, n, k)
+    assert odd & ~starts == 0
+    assert [odd >> t * width & 1 for t in range(k)] == [
+        all(c.bit_count() & 1 for c in set_bit_transpose(rows, n)) for rows in matrices]
+
+
+@pytest.mark.parametrize("n,k", [(2, 3), (5, 4), (9, 3)])
+def test_a_batch_names_a_row_outside_its_columns_in_any_slot(n, k):
+    stride, width, _ = gf2.slot_layout(n, k)
+    for slot in range(k):
+        for row in range(n):
+            for bit in (n, stride - 1):
+                word = 1 << slot * width + row * stride + bit
+                with pytest.raises(ValueError,
+                                   match=f"^row {row} of slot {slot} is {1 << bit}, "):
+                    gf2.transpose_slots(word, n, k)
+        if n < width // stride:  # a row past the n rows of the slot
+            with pytest.raises(ValueError, match=f"^row {n} of slot {slot} is 1, "):
+                gf2.transpose_slots(1 << slot * width + n * stride, n, k)
+    # Past the last slot.
+    with pytest.raises(ValueError, match=f"^row 0 of slot {k} is 1, "):
+        gf2.transpose_slots(1 << k * width, n, k)
 
 
 def test_identity_columns_all_odd():

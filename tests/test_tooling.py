@@ -19,11 +19,13 @@ Every option of the command line is a setting that the tests and the
 benchmark must cover, so the options of each subcommand are pinned in
 ``CLI_OPTIONS``: adding or dropping one is an edit there.
 
-The matrix records of ``verify`` walk the acyclic digraphs at n <= 4 on
-adjacency-row tuples decoded from their codes; building a value object per
-graph doubled the time of a ``verify --n-max 5`` run, so they are required
-here to build none, without timing anything.  They map each DAG once and
-no other graph, so the calls of each dictionary map are counted too.
+The matrix records of ``verify`` take the acyclic digraphs of each n <= 4
+as one batch packed into one int; building a value object per graph
+doubled the time of a ``verify --n-max 5`` run, so they are required here
+to build none and to call each batch kernel once per n on every DAG of
+that n, without timing anything.  They map each DAG once and no other
+graph, so the graphs in each batch of the dictionary maps are read back
+too.
 
 Every run of the command line pays for what ``cubecovers.cli`` imports, so
 the worker pool, which only ``verify --jobs`` above 1 uses, is required to
@@ -40,7 +42,7 @@ from pathlib import Path
 
 import cubecovers
 from cubecovers import (BitMatrix, Digraph, checks, cli, correspondence, count_dags,
-                        is_acyclic_dfs)
+                        digraph, gf2, is_acyclic_dfs)
 
 ROOT = Path(__file__).resolve().parent.parent
 SPANS = ROOT / "perfbench" / "spans.py"
@@ -182,30 +184,58 @@ def test_verify_builds_no_value_object_per_graph(monkeypatch):
             init(self)
 
         monkeypatch.setattr(cls, "__post_init__", counted)
+    batches = []
+    for module, name in ((correspondence, "characteristic_slots"),
+                         (correspondence, "adjacency_slots"),
+                         (gf2, "odd_column_slots")):
+        def batch(word, n, k=1, name=name, kernel=getattr(module, name)):
+            batches.append((name, n, k))
+            return kernel(word, n, k)
+
+        monkeypatch.setattr(module, name, batch)
+    even = digraph.even_out_degree_slots
+
+    def even_batch(word, n, stride, starts):
+        batches.append(("even_out_degree_slots", n, starts.bit_count()))
+        return even(word, n, stride, starts)
+
+    monkeypatch.setattr(digraph, "even_out_degree_slots", even_batch)
     records = checks.verify_checks(4, 4, False, 1, 6)
     assert all(record["pass"] for record in records)
     # Neither the 573 DAGs at n <= 4 nor the grown members.
     assert built == []
+    # No batch of one either: each kernel takes all D(n) DAGs of an n at
+    # once, and the column parities also all D(n) members.
+    assert sorted(batches) == sorted(
+        (name, n, count_dags(n)) for n in range(5)
+        for name in ("characteristic_slots", "adjacency_slots", "odd_column_slots",
+                     "odd_column_slots", "even_out_degree_slots"))
 
 
 def test_verify_maps_each_dag_once_and_no_other_graph(monkeypatch):
-    calls = {"characteristic_rows": [], "adjacency_rows": []}
+    calls = {"characteristic_slots": [], "adjacency_slots": []}
     for name in calls:
-        def counted(rows, n, name=name, kernel=getattr(correspondence, name)):
-            out = kernel(rows, n)
-            # The graph side of the call: its input forward, its output back.
-            calls[name].append(Digraph(n, rows if name == "characteristic_rows" else out))
+        def counted(word, n, k=1, name=name, kernel=getattr(correspondence, name)):
+            out = kernel(word, n, k)
+            # The graph side of the batch, slot by slot: its input forward,
+            # its output back.
+            graphs = word if name == "characteristic_slots" else out
+            calls[name].append([Digraph(n, gf2.unpack_rows(rows, n))
+                                for rows in gf2.split_slots(graphs, n, k)])
             return out
 
         monkeypatch.setattr(correspondence, name, counted)
     records = checks.verify_checks(4, 4, False, 1, 6)
     assert all(record["pass"] for record in records)
-    for name, graphs in calls.items():
-        assert len(graphs) == 573, name  # D(0) + .. + D(4)
-        for n in range(5):
-            assert sum(g.n == n for g in graphs) == count_dags(n), (name, n)
-        assert len(set(graphs)) == 573, name
-        assert all(map(is_acyclic_dfs, graphs)), name
+    for name, batches in calls.items():
+        # One batch per n, D(0) + .. + D(4) = 573 graphs in all.
+        assert [len(graphs) for graphs in batches] == [count_dags(n) for n in range(5)]
+        for n, graphs in enumerate(batches):
+            assert all(g.n == n for g in graphs), (name, n)
+            # Each DAG once, in slots of increasing code.
+            codes = [g.code() for g in graphs]
+            assert codes == sorted(set(codes)), (name, n)
+            assert all(map(is_acyclic_dfs, graphs)), (name, n)
 
 
 def test_the_worker_pool_is_not_imported_at_start_up():
