@@ -170,7 +170,9 @@ def brute_counts(
     jobs: int = 1,
     cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> DagCounts:
-    """Brute-force counts over the code range ``[start, stop)``.
+    """Brute-force counts over the code range ``[start, stop)``, by the
+    walk of :func:`cubecovers.digraph.count_acyclic_codes`, which counts
+    each block of its lowest s rows in closed form.
 
     ``stop`` defaults to the full range ``2^(n(n-1))``.  With ``jobs > 1``
     the range is cut into pieces aligned to the top two row chunks of the
@@ -178,9 +180,11 @@ def brute_counts(
     and worker processes, at most ``os.cpu_count()`` of them, each take the
     next piece as they finish one: the pruned walk puts most of the work in
     the low pieces, where the top rows are sparse, so equal slices would
-    leave workers idle.  The result is the same for any job count or
-    partition, because each piece is a pure function of its bounds.  Falls
-    back to in-process execution when worker processes cannot be spawned.
+    leave workers idle.  Inner pieces hold whole blocks whenever s <= n - 2,
+    which holds from n = 4, and each worker fills its own memo of block
+    counts.  The result is the same for any job count or partition, because
+    each piece is a pure function of its bounds.  Falls back to in-process
+    execution when worker processes cannot be spawned.
     """
     _check_cap(n, cap)
     total = 1 << (n * (n - 1))

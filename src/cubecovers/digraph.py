@@ -9,27 +9,35 @@ adjacency bits read in row-major order.  Enumeration walks that integer
 range in order, which makes streams deterministic, resumable, and trivially
 partitionable into disjoint code ranges for parallel counting.
 
-The acyclic graphs are found a block of codes at a time.  Rows 0 and 1
-are the lowest ``2(n-1)`` bits of a code, so each aligned block of
-``2^(2(n-1))`` consecutive codes shares rows ``2 .. n-1``.  Call that
-shared part H, with vertices 0 and 1 given no out-edges, and in H let A be
-the vertices that reach 1 and R the vertices that reach 0, 0 included.
-Every cycle of a graph G in the block lies in H, passes through 1 or
-passes through 0.  So G is acyclic exactly when H is acyclic, row 1 avoids
-A, and row 0 avoids R, and also A and 1 when vertex 1 reaches 0; vertex 1
-reaches 0 when row 1 has its edge to 0 or points into R.  One acyclic H
-with its A and R therefore decides all the codes of its block, and their
-number is a closed form in four set sizes (:func:`count_acyclic_codes`).
+The acyclic graphs are counted a block of codes at a time.  Rows 0 .. s-1
+are the lowest ``s(n-1)`` bits of a code, so each aligned block of
+``2^(s(n-1))`` consecutive codes shares rows ``s .. n-1``.  Call that shared
+part H, with vertices ``0 .. s-1`` given no out-edges, and give each vertex
+of H its signature: the vertices below s that it reaches in H.  Row u < s
+hits v < s when it holds v or a vertex of H whose signature holds v.  Every
+cycle of a graph G in the block lies in H or passes through a vertex below
+s, so G is acyclic exactly when H is acyclic and so is the hit digraph T on
+``0 .. s-1``, with no vertex hitting itself.  Given H the rows below s are
+independent, and the number of rows u that hit exactly a set depends on
+the signatures alone.  So one acyclic H decides all the codes of its
+block, by a sum over the acyclic digraphs T on s vertices that depends only
+on the multiset of signatures (:func:`count_acyclic_codes`).
 
-The blocks themselves are walked depth first, one row chunk at a time from
-row ``n-1`` down to row 2, which visits them in increasing code order.  A
+The shared rows are walked depth first, one row chunk at a time from row
+``n-1`` down to row s, which visits the blocks in increasing code order.  A
 cycle among the rows assigned so far is a cycle of every completion, so a
 chunk that closes one is dropped with every block below it, and only
-prefixes that are still acyclic are extended.  The edge into vertex 0 (bit
-0 of a chunk) closes no cycle in H, so it is decided once for both of its
-values.  Each assignment of rows ``2 .. n-1`` is thus either visited or
-skipped on a cycle witness, and counts made this way remain a brute-force
-oracle, independent of the recurrences in :mod:`cubecovers.counting`.
+prefixes that are still acyclic are extended.  Edges into the vertices
+below the row being assigned close no cycle yet, so the counting walk tests
+the rest of a chunk once for all of their values.  Each assignment of rows
+``s .. n-1`` is thus either visited or skipped on a cycle witness, and
+counts made this way remain a brute-force oracle, independent of the
+recurrences in :mod:`cubecovers.counting`.
+
+:func:`acyclic_codes` lists the codes of the blocks of s = 2 rows
+(:func:`_acyclic_blocks`).  There, with A the vertices of H that reach 1
+and R those that reach 0, 0 included, G is acyclic exactly when row 1
+avoids A, and row 0 avoids R, and also A and 1 when vertex 1 reaches 0.
 
 The module imports nothing from the rest of the package: the graph side of
 the dictionary shares no code with the matrix side in :mod:`cubecovers.gf2`.
@@ -39,6 +47,9 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import permutations
+from math import prod
 
 __all__ = [
     "DEFAULT_ENUMERATION_CAP",
@@ -58,9 +69,10 @@ __all__ = [
 
 # 2^(n(n-1)) graphs: n=5 is about a million, n=6 about a billion, n=7
 # about 4e12.  Measured on one core of a 2-core VM with Python 3.11, the
-# pruned walk counts n=5 in 2-4 ms, n=6 in 0.21-0.37 s (139,008 of its
-# 2^20 blocks have an acyclic shared part) and n=7 in 79 s.  Callers may
-# raise the cap.
+# pruned walk counts n=5 in about 2.5 ms, n=6 in about 40 ms and n=7 in
+# about 0.35 s, and n=8 took 44 s with two workers.  The cap also guards
+# ``enumerate``, which lists all 3,781,503 DAGs at n=6.  Callers may raise
+# the cap.
 DEFAULT_ENUMERATION_CAP = 6
 
 
@@ -187,10 +199,9 @@ def out_degrees_even(rows: Iterable[int]) -> bool:
     orientability test on the graph side of the dictionary, for one graph.
 
     Not the batch of one of :func:`even_out_degree_slots`: packing one
-    graph and folding it took 1.7 us against this loop's 0.2 us at n = 5,
-    and ``enumerate --orientable`` runs it on every DAG, so the batch of
-    one took that command from 0.20 to 0.24 s at n = 5 (2-core VM, Python
-    3.11.7).
+    graph and folding it took 1.7 us against this loop's 0.2 us at n = 5
+    (2-core VM, Python 3.11.7).  ``enumerate --orientable`` tests its codes
+    in batches instead.
     """
     for mask in rows:
         if mask.bit_count() & 1:
@@ -336,7 +347,7 @@ def enumerate_acyclic(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> Iterator[Di
 
 
 # ----------------------------------------------------------------------
-# the block kernel (see the module docstring)
+# the walk, and the blocks of two rows that acyclic_codes lists
 # ----------------------------------------------------------------------
 
 
@@ -446,48 +457,167 @@ def _free_chunks(width: int, to1: int, to0: int) -> tuple[int, int, int, int]:
     return free1, free1 & far & ~1, far, far & ~(to1 >> 1) & ~1
 
 
+# ----------------------------------------------------------------------
+# counting: blocks of s rows in closed form (see the module docstring)
+# ----------------------------------------------------------------------
+
+
+def _block_rows(n: int) -> int:
+    """s, the rows counted in closed form at n vertices.  Measured from
+    cold caches on one core (2-core VM, Python 3.11.7): at n = 5, s = 3
+    takes 2.3 ms against 5.8 ms at s = 2 and 29 ms at s = 4, which first
+    lists the 543 digraphs on four vertices; at n = 6, 41 ms against 0.39 s
+    and 47 ms; at n = 7, s = 4 takes 0.39 s against 5.5 s at s = 3.  At
+    n = 4, s = 2 and 3 were within noise.  At most n - 1, so the top row is
+    always walked."""
+    return min(2 if n <= 4 else 3 if n <= 6 else 4, n - 1)
+
+
+@lru_cache(maxsize=None)
+def _acyclic_out_sets(j: int) -> tuple[tuple[int, ...], ...]:
+    """The acyclic digraphs T on j vertices, each as its tuple of
+    out-neighbour masks: every digraph on j vertices, kept when peeling its
+    sinks empties it.  1, 1, 3, 25 and 543 of them for j = 0 .. 4."""
+    found = []
+    for code in range(1 << j * (j - 1)):
+        rows = code_to_rows(j, code)
+        left = (1 << j) - 1
+        while left:
+            sinks = sum(1 << v for v, row in enumerate(rows) if not row & left)
+            if not sinks & left:
+                break  # a cycle: no vertex left is a sink
+            left &= ~sinks
+        if not left:
+            found.append(rows)
+    return tuple(found)
+
+
+@lru_cache(maxsize=None)
+def _relabelings(j: int) -> tuple[tuple[int, ...], ...]:
+    """For each permutation of vertices 0 .. j-1, the table that sends a
+    signature (a mask on them) to its image."""
+    return tuple(
+        tuple(sum(1 << p[v] for v in range(j) if sig >> v & 1) for sig in range(1 << j))
+        for p in permutations(range(j))
+    )
+
+
+@lru_cache(maxsize=None)  # thread-safe; finite: multisets of n - j masks on j bits
+def _block_count(j: int, sigs: tuple[int, ...]) -> tuple[int, int]:
+    """(acyclic, even) counts of the block of rows 0 .. j-1 over an acyclic
+    H whose vertices j .. n-1 have the sorted signatures ``sigs``; the even
+    count assumes every row of H even.  Relabelling vertices 0 .. j-1
+    permutes both the signatures and the digraphs T, so the count is read
+    at the least relabelled key."""
+    key = min(tuple(sorted(map(table.__getitem__, sigs))) for table in _relabelings(j))
+    return _relabeled_block_count(j, key)
+
+
+@lru_cache(maxsize=None)
+def _relabeled_block_count(j: int, sigs: tuple[int, ...]) -> tuple[int, int]:
+    """:func:`_block_count` on a least key: the sum over the acyclic T on
+    vertices 0 .. j-1 of the product over u of N(T_u), the number of rows u
+    whose hit set is exactly T_u.
+
+    A row may use a vertex whose signature lies in T_u: a vertex of H by
+    its signature, a vertex w < j by {w}.  Summing the rows that hit
+    exactly each subset of S gives the 2^c rows on the c vertices usable
+    within S, so N is the Moebius inversion of 2^c over subsets, and of
+    ev(c) = 2^(c-1) (1 when c = 0) for rows of even size.  Row u is never
+    usable by itself, because T_u does not hold u.
+    """
+    usable = [0] * (1 << j)
+    for sig in (*sigs, *(1 << w for w in range(j))):
+        usable[sig] += 1
+    for w in range(j):  # usable[S]: the vertices whose signature lies in S
+        bit = 1 << w
+        usable = [c + usable[S ^ bit] if S & bit else c for S, c in enumerate(usable)]
+    rows = [1 << c for c in usable]
+    even = [(1 << c) + 1 >> 1 for c in usable]
+    for w in range(j):  # to the rows that hit exactly S
+        bit = 1 << w
+        rows = [c - rows[S ^ bit] if S & bit else c for S, c in enumerate(rows)]
+        even = [c - even[S ^ bit] if S & bit else c for S, c in enumerate(even)]
+    blocks = _acyclic_out_sets(j)
+    return (sum([prod([rows[hit] for hit in t]) for t in blocks]),
+            sum([prod([even[hit] for hit in t]) for t in blocks]))
+
+
 def count_acyclic_codes(n: int, start: int, stop: int) -> tuple[int, int]:
     """Count the codes in ``[start, stop)`` whose digraph is acyclic, and
     those that are acyclic with every out-degree even.
 
-    A block wholly inside the range counts in closed form.  Let m, h, k0
-    and k1 be the sizes of ``free1``, ``stay1``, ``far`` and ``near``
-    (:func:`_free_chunks`).  Its row-1 chunks that reach 0 each leave
-    ``2^k1`` row-0 chunks and the others ``2^k0``, so it adds ``(2^m - 2^h)
-    2^k1 + 2^h 2^k0`` acyclic codes.  When rows ``2 .. n-1`` all have even
-    out-degree it adds ``(ev(m) - ev(h)) ev(k1) + ev(h) ev(k0)`` orientable
-    ones, where ``ev(j) = 2^(j-1)`` (1 when ``j = 0``) counts the even
-    submasks of a j-set.  The at most
-    two blocks cut by the range ends are scanned code by code.  A pure
-    function of its arguments, so disjoint ranges can be counted in
-    separate processes and added in any order.  The range is not checked
-    here; :func:`cubecovers.correspondence.brute_counts` is the validating
-    entry point.
+    The walk assigns rows ``n-1`` down to ``s`` (:func:`_block_rows`),
+    dropping every chunk that closes a cycle, and each acyclic H it reaches
+    adds the closed form of its block of rows ``0 .. s-1``
+    (:func:`_block_count`).  A block cut by a range end is walked on down
+    its rows, each digit clamped to the bounds, and each sub-block of j < s
+    rows that lies wholly inside the range adds the closed form with j
+    rows; a single code is the case j = 0.  The chunk bits of the vertices
+    below the row being assigned close no cycle yet, so each high part of a
+    chunk is tested once for all of them.  A pure function of its
+    arguments, so disjoint ranges can be counted in separate processes and
+    added in any order.  The range is not checked here;
+    :func:`cubecovers.correspondence.brute_counts` is the validating entry
+    point.
     """
     if n == 0:
         return stop - start, stop - start  # code 0, the empty graph
+    if start >= stop:
+        return 0, 0
+    s = _block_rows(n)
     width = n - 1
     chunk_mask = (1 << width) - 1
-    shift = 2 * width
-    size = 1 << shift
-    dags = even = 0
-    for block, to1, to0, odd in _acyclic_blocks(n, start >> shift, -(-stop >> shift)):
-        free1, stay1, far, near = _free_chunks(width, to1, to0)
-        base = block << shift
-        if start <= base and base + size <= stop:
-            m, h = 1 << free1.bit_count(), 1 << stay1.bit_count()  # 2^m, 2^h
-            k0, k1 = 1 << far.bit_count(), 1 << near.bit_count()
-            dags += (m - h) * k1 + h * k0
-            if not odd:  # ev(j) = (2^j + 1) >> 1
-                h = h + 1 >> 1
-                even += ((m + 1 >> 1) - h) * (k1 + 1 >> 1) + h * (k0 + 1 >> 1)
-            continue
-        for code in range(max(start - base, 0), min(stop - base, size)):
-            row1 = code >> width
-            row0 = code & chunk_mask
-            if row1 & ~free1 or row0 & ~(near if row1 & ~stay1 else far):
-                continue
-            dags += 1
-            if not odd and not (row1.bit_count() | row0.bit_count()) & 1:
-                even += 1
-    return dags, even
+    tables = _row_decode_tables(n)
+    lows = [start >> u * width & chunk_mask for u in range(n)]
+    highs = [stop - 1 >> u * width & chunk_mask for u in range(n)]
+    # Whether the codes below row u on the bound's prefix all lie in range.
+    low_whole = [not start & (1 << u * width) - 1 for u in range(n)]
+    high_whole = [not stop & (1 << u * width) - 1 for u in range(n)]
+
+    def walk(u, reach, odd, on_low, on_high):
+        # Rows u+1 .. n-1 are assigned; reach[v] as in _acyclic_blocks.
+        lo = lows[u] if on_low else 0
+        hi = highs[u] if on_high else chunk_mask
+        table = tables[u]
+        bit = 1 << u
+        below = bit - 1  # the chunk bits of vertices 0 .. u-1
+        up = bit  # u and the assigned vertices that reach it
+        for v in range(u + 1, n):
+            if reach[v] & bit:
+                up |= 1 << v
+        dags = even = 0
+        for high in range(lo >> u, (hi >> u) + 1):
+            down = table[high << u]  # row u without its edges below u
+            scan = down
+            while scan:
+                low = scan & -scan
+                down |= reach[low.bit_length() - 1]
+                scan ^= low
+            if down & bit:
+                continue  # u reaches itself: a cycle in every completion
+            if u <= s:  # the children are blocks of u rows
+                keep = [reach[v] & below for v in range(u + 1, n) if not up >> v & 1]
+                move = [(reach[v] | down) & below for v in range(u, n) if up >> v & 1]
+            first = lo & below if high == lo >> u else 0
+            last = hi & below if high == hi >> u else below
+            for chunk_low in range(first, last + 1):
+                chunk = high << u | chunk_low
+                c_odd = odd or (high.bit_count() + chunk_low.bit_count()) & 1
+                c_low = on_low and chunk == lo
+                c_high = on_high and chunk == hi
+                if (u <= s and (low_whole[u] or not c_low)
+                        and (high_whole[u] or not c_high)):
+                    d, e = _block_count(u, tuple(sorted(keep + [m | chunk_low for m in move])))
+                    dags += d
+                    if not c_odd:
+                        even += e
+                    continue
+                edges = down | chunk_low
+                d, e = walk(u - 1, [r | edges if up >> v & 1 else r for v, r in enumerate(reach)],
+                            c_odd, c_low, c_high)
+                dags += d
+                even += e
+        return dags, even
+
+    return walk(n - 1, [0] * n, 0, True, True)

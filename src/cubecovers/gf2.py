@@ -80,6 +80,7 @@ class _Packing(NamedTuple):
     rows_struct: struct.Struct | None  # the m rows, for strides of 8 to 64 bits
     cols_struct: struct.Struct | None  # the n columns
     slots_struct: struct.Struct | None  # the k slots, for slots of 8 to 64 bits
+    batch_struct: struct.Struct | None  # all side rows of the k slots
     unit: int  # one row's bits
     invalid: int  # every bit outside the n columns of the m rows of a slot
     identity: int  # bit (i, i) for i < min(m, n), in every slot
@@ -115,6 +116,7 @@ def _packing(m: int, n: int, k: int) -> _Packing:
         field and struct.Struct(f"<{m}{field}"),
         field and struct.Struct(f"<{n}{field}"),
         slot_field and struct.Struct(f"<{k}{slot_field}"),
+        field and struct.Struct(f"<{k * side}{field}"),
         (1 << stride) - 1,
         ~(sum(((1 << n) - 1) << i * stride for i in range(m)) * starts),
         sum(1 << i * stride + i for i in range(min(m, n))) * starts,
@@ -431,7 +433,13 @@ def _inverse_planes(rows: tuple[int, ...], k: int) -> list[tuple[int, ...]]:
         grown = [row ^ v if (row & cols[j]).bit_count() & 1 else row for row in inverse]
         grown[j] = v
         inverses.append(grown)
-    return [transpose_masks(column, k) for column in zip(*inverses)]
+    # Row i of every inverse, a 2^k by k matrix with row s, transposed to
+    # planes[i]: the k of them as one batch, a slot of 2^k rows each.
+    packing = _packing(1 << k, k, k)
+    stride, codec = packing.stride, packing.batch_struct
+    word = _join([row for column in zip(*inverses) for row in column], stride, codec)
+    planes = _split(transpose_slots(word, k, k, None, 1 << k), stride, k << k, codec)
+    return [planes[i << k:(i << k) + k] for i in range(k)]
 
 
 def _new_rows(

@@ -333,6 +333,11 @@ def test_jobs_do_not_change_totals():
     assert brute_counts(4, jobs=3) == brute_counts(4, jobs=1)
 
 
+def test_two_worker_processes_count_n_6_as_one_process_does():
+    # Real workers, each filling its own memo of block counts.
+    assert brute_counts(6, jobs=2) == brute_counts(6, jobs=1) == (3781503, 74581)
+
+
 def test_brute_counts_validates_input():
     with pytest.raises(EnumerationCapExceeded):
         brute_counts(7)

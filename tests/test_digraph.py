@@ -14,12 +14,16 @@ from cubecovers import (
 )
 from cubecovers.digraph import (
     _acyclic_blocks,
+    _acyclic_out_sets,
+    _block_count,
+    _block_rows,
     acyclic_codes,
     count_acyclic_codes,
     decode_slots,
     enumerate_acyclic,
     enumerate_digraphs,
     even_out_degree_slots,
+    rows_to_code,
 )
 
 # ----------------------------------------------------------------------
@@ -336,6 +340,88 @@ def test_count_acyclic_codes_matches_dfs_graph_by_graph_at_n_7(first, last):
     for lo, hi in zip(cuts, cuts[1:]):
         i, j = lo - first, hi - first
         assert count_acyclic_codes(7, lo, hi) == (sum(acyclic[i:j]), sum(even[i:j]))
+
+
+# ----------------------------------------------------------------------
+# the closed form of a block of s rows
+# ----------------------------------------------------------------------
+
+
+def _dfs_counts(n, first, last):
+    # (acyclic, acyclic with every out-degree even) among codes [first, last).
+    dags = even = 0
+    for code in range(first, last):
+        graph = Digraph.from_code(n, code)
+        if is_acyclic_dfs(graph):
+            dags += 1
+            even += graph.all_out_degrees_even()
+    return dags, even
+
+
+def test_the_acyclic_digraphs_of_a_block_are_listed_once_each():
+    sizes = [len(_acyclic_out_sets(j)) for j in range(5)]
+    assert sizes == [1, 1, 3, 25, 543]
+    for j in range(5):
+        assert sorted(map(rows_to_code, _acyclic_out_sets(j))) == list(acyclic_codes(j))
+
+
+def test_the_block_rows_are_a_fixed_table():
+    assert [_block_rows(n) for n in range(1, 10)] == [0, 1, 2, 2, 3, 3, 4, 4, 4]
+
+
+def _assert_block_matches_dfs(n, s, base):
+    # The closed form at the block holding code ``base``, its signatures
+    # read off by the fixed-point reach of the test, against a DFS scan of
+    # every code of the block.
+    rows = Digraph.from_code(n, base).rows
+    sigs = [sum(1 << v for v in range(s) if _reaching(rows, v) >> x & 1) for x in range(s, n)]
+    dags, even = _block_count(s, tuple(sorted(sigs)))
+    odd = any(mask.bit_count() & 1 for mask in rows)
+    size = 1 << s * (n - 1)
+    assert (dags, 0 if odd else even) == _dfs_counts(n, base, base + size), (n, s, rows)
+
+
+@pytest.mark.parametrize("n,s,tries", [
+    (3, 1, 40), (4, 1, 40), (5, 1, 40), (3, 2, 40), (4, 2, 40), (5, 2, 12),
+    (4, 3, 12), (5, 3, 4),
+])
+def test_block_closed_form_matches_a_dfs_scan_of_its_codes(n, s, tries):
+    # s = 1 and the table's s = 2 and 3, over random acyclic H.
+    rng = random.Random(100 * n + s)
+    size = 1 << s * (n - 1)
+    seen = 0
+    while seen < tries:
+        base = rng.randrange(1 << (n - s) * (n - 1)) * size
+        if is_acyclic_dfs(Digraph.from_code(n, base)):
+            _assert_block_matches_dfs(n, s, base)
+            seen += 1
+
+
+def test_a_block_of_four_rows_matches_a_dfs_scan_of_its_2_16_codes():
+    # The table's s = 4, at n = 5: row 4 points to vertices 0 and 2, so H is
+    # even and both counts are compared.
+    _assert_block_matches_dfs(5, 4, 0b0101 << 16)
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_count_acyclic_codes_matches_dfs_on_random_ranges(n):
+    # Ranges cut inside blocks of the table's s rows and of fewer rows,
+    # and ranges that hold whole blocks between two cut ones.
+    rng = random.Random(n)
+    width = n - 1
+    block = 1 << _block_rows(n) * width
+    ranges = []
+    for _ in range(12):
+        first = rng.randrange(1 << n * width)
+        ranges.append((first, min(first + rng.choice([1, 7, 300, 3000]), 1 << n * width)))
+    for _ in range(4):
+        edge = rng.randrange(1, 1 << (n - _block_rows(n)) * width) * block
+        ranges.append((edge - rng.randrange(1, 2000), edge + rng.randrange(1, 2000)))
+    for j in range(1, _block_rows(n) + 1):
+        edge = rng.randrange(1, 1 << (n - j) * width) << j * width
+        ranges.append((edge - 5, edge + (1 << j * width) + 3))
+    for first, last in ranges:
+        assert count_acyclic_codes(n, first, last) == _dfs_counts(n, first, last), (first, last)
 
 
 # ----------------------------------------------------------------------

@@ -56,7 +56,7 @@ IMPORT_GRAPH = {
     "series": {"counting"},
     "correspondence": {"digraph", "gf2"},
     "checks": {"correspondence", "counting", "digraph", "gf2", "series"},
-    "cli": {"asymptotics", "checks", "correspondence", "counting", "digraph"},
+    "cli": {"asymptotics", "checks", "correspondence", "counting", "digraph", "gf2"},
     "__main__": {"cli"},
     "__init__": {"asymptotics", "correspondence", "counting", "digraph", "gf2",
                  "series"},
