@@ -32,9 +32,9 @@ slot; the images are compared with the members packed as ints.  The maps
 and the column-parity test are the kernels that
 :class:`~cubecovers.gf2.BitMatrix` and :mod:`cubecovers.correspondence`
 call as batches of one (the out-degree test of one graph stays a loop, see
-:func:`~cubecovers.digraph.out_degrees_even`).  No value object is built
-per graph, and a failing check names the code of its lowest failing slot:
-the smallest failing code.
+:meth:`~cubecovers.digraph.Digraph.all_out_degrees_even`).  No value
+object is built per graph, and a failing check names the code of its
+lowest failing slot: the smallest failing code.
 """
 
 from __future__ import annotations

@@ -18,14 +18,16 @@ anchor the closed formulas in :mod:`cubecovers.counting`.  Each map is one
 batch kernel, :func:`characteristic_slots` and :func:`adjacency_slots`: a
 single :func:`cubecovers.gf2.transpose_slots` over k graphs packed into one
 int, which ORs (forward) or XORs (inverse) the identity into every slot
-before it transposes them.  The row-tuple maps :func:`characteristic_rows`
-and :func:`adjacency_rows` and the value-type maps run them as batches of
-one, while the matrix records of :mod:`cubecovers.checks` call them once
-per n on all the acyclic digraphs, without building a value per graph.  The digraph-side counter walks the canonical code range
-with the block kernel of :mod:`cubecovers.digraph` (its module docstring
-gives the argument), never uses the recurrences it checks and never
-materializes a graph list, so a count over ``[0, 2^(n(n-1)))`` can be split
-into disjoint subranges and the partial sums added back in any order.  The
+before it transposes them.  The value-type maps
+:func:`characteristic_matrix` and :func:`digraph_from_characteristic` run
+them as batches of one, while the matrix records of
+:mod:`cubecovers.checks` call them once per n on all the acyclic digraphs,
+without building a value per graph.  The digraph-side counter walks the
+canonical code range with the block kernel of :mod:`cubecovers.digraph`
+(its module docstring gives the argument), never uses the recurrences it
+checks and never materializes a graph list, so a count over
+``[0, 2^(n(n-1)))`` can be split into disjoint subranges and the partial
+sums added back in any order.  The
 matrix-side counters grow the matrices with all unit principal minors one
 index at a time by Schur's formula
 (:func:`cubecovers.gf2.count_unit_minor_matrices`; that module's docstring
@@ -64,13 +66,11 @@ from cubecovers.gf2 import (
 
 __all__ = [
     "DagCounts",
-    "adjacency_rows",
     "adjacency_slots",
     "brute_counts",
     "brute_count_characteristic_matrices",
     "brute_count_orientable_characteristic_matrices",
     "characteristic_matrix",
-    "characteristic_rows",
     "characteristic_slots",
     "digraph_from_characteristic",
     "unit_diagonal_matrices",
@@ -87,20 +87,6 @@ class DagCounts(NamedTuple):
 # ----------------------------------------------------------------------
 # the correspondence itself
 # ----------------------------------------------------------------------
-
-
-def characteristic_rows(adjacency: tuple[int, ...], n: int) -> tuple[int, ...]:
-    """The rows of A^t + I, for the ``n`` adjacency rows of a digraph: the
-    batch of one graph through :func:`characteristic_slots`."""
-    _check_rows(adjacency, n)
-    return unpack_rows(characteristic_slots(pack_rows(adjacency, n), n), n)
-
-
-def adjacency_rows(characteristic: tuple[int, ...], n: int) -> tuple[int, ...]:
-    """Invert :func:`characteristic_rows` on rows whose diagonal is all 1:
-    the batch of one matrix through :func:`adjacency_slots`."""
-    _check_rows(characteristic, n)
-    return unpack_rows(adjacency_slots(pack_rows(characteristic, n), n), n)
 
 
 def characteristic_slots(adjacency: int, n: int, k: int = 1) -> int:
@@ -122,20 +108,13 @@ def adjacency_slots(characteristic: int, n: int, k: int = 1) -> int:
     return transpose_slots(characteristic, n, k, xor)
 
 
-def _check_rows(rows: tuple[int, ...], n: int) -> None:
-    """Refuse a row count other than ``n``, which the transpose would take
-    as a matrix that is not square."""
-    if len(rows) != n:
-        raise ValueError(f"expected {n} rows, got {len(rows)}")
-
-
 def characteristic_matrix(graph: Digraph) -> BitMatrix:
     """Transpose of the adjacency matrix plus the identity, over GF(2).
 
     Total on digraphs (no acyclicity requirement): testing the equivalences
     on the full graph space is deliberate.
     """
-    n = graph.n  # a Digraph has n rows: no _check_rows
+    n = graph.n
     return BitMatrix(n, unpack_rows(characteristic_slots(pack_rows(graph.rows, n), n), n))
 
 
@@ -146,7 +125,7 @@ def digraph_from_characteristic(matrix: BitMatrix) -> Digraph:
     leave a loop-free adjacency matrix).  The result is acyclic exactly when
     the input has all unit principal minors.
     """
-    n = matrix.n  # a BitMatrix has n rows: no _check_rows
+    n = matrix.n
     try:
         return Digraph(n, unpack_rows(adjacency_slots(pack_rows(matrix.rows, n), n), n))
     except ValueError:

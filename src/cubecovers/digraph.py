@@ -34,10 +34,12 @@ the rest of a chunk once for all of their values.  Each assignment of rows
 counts made this way remain a brute-force oracle, independent of the
 recurrences in :mod:`cubecovers.counting`.
 
-:func:`acyclic_codes` lists the codes of the blocks of s = 2 rows
-(:func:`_acyclic_blocks`).  There, with A the vertices of H that reach 1
-and R those that reach 0, 0 included, G is acyclic exactly when row 1
-avoids A, and row 0 avoids R, and also A and 1 when vertex 1 reaches 0.
+:func:`acyclic_codes` lists the codes of the blocks of s = 2 rows, from
+the first code of each block whose H is acyclic (:func:`_acyclic_blocks`).
+There, with A the vertices of H that reach 1 and R those that reach 0, 0
+included, G is acyclic exactly when row 1 avoids A, and row 0 avoids R,
+and also A and 1 when vertex 1 reaches 0.  The digraphs T of the counting
+kernel come from the same listing.
 
 The module imports nothing from the rest of the package: the graph side of
 the dictionary shares no code with the matrix side in :mod:`cubecovers.gf2`.
@@ -63,7 +65,6 @@ __all__ = [
     "enumerate_digraphs",
     "even_out_degree_slots",
     "is_acyclic_dfs",
-    "out_degrees_even",
     "rows_to_code",
 ]
 
@@ -165,7 +166,8 @@ class Digraph:
         return sum((mask >> v) & 1 for mask in self.rows)
 
     def all_out_degrees_even(self) -> bool:
-        return out_degrees_even(self.rows)
+        """The graph side's orientability test: every out-degree even."""
+        return not any(mask.bit_count() & 1 for mask in self.rows)
 
 
 def code_to_rows(n: int, code: int) -> tuple[int, ...]:
@@ -192,21 +194,6 @@ def rows_to_code(rows: tuple[int, ...]) -> int:
         chunk = (mask & ((1 << u) - 1)) | ((mask >> (u + 1)) << u)
         code |= chunk << (u * width)
     return code
-
-
-def out_degrees_even(rows: Iterable[int]) -> bool:
-    """Whether every adjacency row has an even number of edges: the
-    orientability test on the graph side of the dictionary, for one graph.
-
-    Not the batch of one of :func:`even_out_degree_slots`: packing one
-    graph and folding it took 1.7 us against this loop's 0.2 us at n = 5
-    (2-core VM, Python 3.11.7).  ``enumerate --orientable`` tests its codes
-    in batches instead.
-    """
-    for mask in rows:
-        if mask.bit_count() & 1:
-            return False
-    return True
 
 
 # ----------------------------------------------------------------------
@@ -321,9 +308,14 @@ def acyclic_codes(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> Iterator[int]:
         yield 0
         return
     width = n - 1
-    for block, to1, to0, _ in _acyclic_blocks(n, 0, 1 << (width * (n - 2))):
-        free1, stay1, far, near = _free_chunks(width, to1, to0)
-        base = block << (2 * width)
+    chunk_mask = (1 << width) - 1
+    for base, to1, to0 in _acyclic_blocks(n):
+        # Chunk bit j - 1 is vertex j.  Row 1 may use free1, and row 0 far
+        # while row 1 stays in stay1, short of vertex 0, else near.
+        free1 = chunk_mask & ~(to1 >> 1)
+        far = chunk_mask & ~(to0 >> 1)
+        stay1 = free1 & far & ~1
+        near = far & ~(to1 >> 1) & ~1
         row1 = 0
         while True:
             free0 = near if row1 & ~stay1 else far
@@ -363,48 +355,33 @@ def _row_decode_tables(n: int) -> list[list[int]]:
             for u in range(n)]
 
 
-def _acyclic_blocks(
-    n: int, first: int, last: int
-) -> Iterator[tuple[int, int, int, int]]:
-    """Yield ``(block, to1, to0, odd)`` for each block in ``[first, last)``
-    whose shared part H is acyclic, in increasing block order, for
-    ``n >= 1`` and ``0 <= first <= last <= 2^((n-1)(n-2))``.
+def _acyclic_blocks(n: int) -> Iterator[tuple[int, int, int]]:
+    """Yield ``(base, to1, to0)`` for each block whose shared part H is
+    acyclic, in increasing code order, for ``n >= 1``.
 
-    Block ``b`` holds the codes ``b * 2^(2(n-1)) .. (b+1) * 2^(2(n-1)) - 1``.
-    ``to1`` is the vertex set A of H that reaches vertex 1 and ``to0`` the
-    set R that reaches vertex 0, 0 included.  ``odd`` is 1 when some row of
-    H has an odd out-degree, else 0; the walk carries it down, one bit per
-    level from the popcount of the row's chunk.
+    The block holds the codes ``base .. base + 2^(2(n-1)) - 1``.  ``to1``
+    is the vertex set A of H that reaches vertex 1 and ``to0`` the set R
+    that reaches vertex 0, 0 included.
 
-    The block's digits are the chunks of rows ``n-1, n-2, .., 2``, most
-    significant first, and the walk assigns them depth first in that order,
-    each digit in increasing value, clamped to the digits of ``first`` and
-    ``last - 1`` while the prefix is on either bound.  ``reach[v]`` holds,
-    for each assigned vertex ``v``, the vertices of ``1 .. n-1`` that ``v``
-    reaches along paths whose inner vertices are all assigned.  A new row
-    ``u`` whose edges lead back to ``u`` closes a cycle that every
-    completion keeps, so the chunk is dropped with its whole subtree.
-    Otherwise ``u`` and the assigned vertices that reach it join A when
-    ``u`` reaches 1, and R when it reaches 0.  Bit 0 of a chunk (the edge
-    into vertex 0) never closes a cycle in H, so each chunk pair
-    ``2k, 2k + 1`` is decided once.
+    The walk assigns the chunks of rows ``n-1, n-2, .., 2`` depth first in
+    that order, each in increasing value.  ``reach[v]`` holds, for each
+    assigned vertex ``v``, the vertices of ``1 .. n-1`` that ``v`` reaches
+    along paths whose inner vertices are all assigned.  A new row ``u``
+    whose edges lead back to ``u`` closes a cycle that every completion
+    keeps, so the chunk is dropped with its whole subtree.  Otherwise ``u``
+    and the assigned vertices that reach it join A when ``u`` reaches 1,
+    and R when it reaches 0.  Bit 0 of a chunk (the edge into vertex 0)
+    never closes a cycle in H, so each chunk pair ``2k, 2k + 1`` is decided
+    once.
     """
-    if first >= last:
-        return
     if n <= 2:
-        yield 0, 0, 1, 0
+        yield 0, 0, 1
         return
     width = n - 1
-    chunk_mask = (1 << width) - 1
     tables = _row_decode_tables(n)
-    shifts = [0, 0, *range(0, width * (n - 2), width)]  # shifts[u]: digit of row u
-    lows = [(first >> shift) & chunk_mask for shift in shifts]
-    highs = [((last - 1) >> shift) & chunk_mask for shift in shifts]
 
-    def walk(u, reach, to1, to0, odd, block, on_low, on_high):
+    def walk(u, reach, to1, to0, base):
         # to1, to0: A and R over the rows assigned so far.
-        lo = lows[u] if on_low else 0
-        hi = highs[u] if on_high else chunk_mask
         table = tables[u]
         bit = 1 << u
         assigned = ((1 << n) - 1) ^ ((bit << 1) - 1)
@@ -412,7 +389,8 @@ def _acyclic_blocks(
         for v in range(u + 1, n):
             if reach[v] & bit:
                 up |= 1 << v
-        for pair in range(lo & ~1, hi + 1, 2):
+        edge0 = 1 << u * width  # the chunk's edge into vertex 0
+        for pair in range(0, 1 << width, 2):
             down = table[pair]  # row u without its edge to 0
             scan = down & assigned
             while scan:
@@ -423,11 +401,10 @@ def _acyclic_blocks(
                 continue  # u reaches itself: a cycle in every completion
             into1 = to1 | up if down & 2 else to1
             into0 = to0 | up if down & to0 else to0
+            head = base | pair * edge0
             if u == 2:
-                for chunk in (pair, pair + 1):
-                    if lo <= chunk <= hi:
-                        yield (block | chunk, into1, into0 | up if chunk & 1 else into0,
-                               odd | chunk.bit_count() & 1)
+                yield head, into1, into0
+                yield head | edge0, into1, into0 | up
                 continue
             child = reach.copy()
             scan = up
@@ -435,26 +412,10 @@ def _acyclic_blocks(
                 low = scan & -scan
                 child[low.bit_length() - 1] |= down
                 scan ^= low
-            for chunk in (pair, pair + 1):
-                if lo <= chunk <= hi:
-                    yield from walk(
-                        u - 1, child, into1, into0 | up if chunk & 1 else into0,
-                        odd | chunk.bit_count() & 1, block | chunk << shifts[u],
-                        on_low and chunk == lo, on_high and chunk == hi,
-                    )
+            yield from walk(u - 1, child, into1, into0, head)
+            yield from walk(u - 1, child, into1, into0 | up, head | edge0)
 
-    yield from walk(n - 1, [0] * n, 0, 1, 0, 0, True, True)
-
-
-def _free_chunks(width: int, to1: int, to0: int) -> tuple[int, int, int, int]:
-    """The chunk masks of a block with reach sets A and R: the row-1 bits
-    ``free1`` close no cycle, ``stay1`` of them leave vertex 1 short of 0,
-    and row 0 may use ``far`` when vertex 1 does not reach 0, ``near`` when
-    it does.  Chunk bit ``j - 1`` is vertex ``j``; row 1's bit 0 is 0."""
-    chunk_mask = (1 << width) - 1
-    free1 = chunk_mask & ~(to1 >> 1)
-    far = chunk_mask & ~(to0 >> 1)
-    return free1, free1 & far & ~1, far, far & ~(to1 >> 1) & ~1
+    yield from walk(n - 1, [0] * n, 0, 1, 0)
 
 
 # ----------------------------------------------------------------------
@@ -476,20 +437,9 @@ def _block_rows(n: int) -> int:
 @lru_cache(maxsize=None)
 def _acyclic_out_sets(j: int) -> tuple[tuple[int, ...], ...]:
     """The acyclic digraphs T on j vertices, each as its tuple of
-    out-neighbour masks: every digraph on j vertices, kept when peeling its
-    sinks empties it.  1, 1, 3, 25 and 543 of them for j = 0 .. 4."""
-    found = []
-    for code in range(1 << j * (j - 1)):
-        rows = code_to_rows(j, code)
-        left = (1 << j) - 1
-        while left:
-            sinks = sum(1 << v for v, row in enumerate(rows) if not row & left)
-            if not sinks & left:
-                break  # a cycle: no vertex left is a sink
-            left &= ~sinks
-        if not left:
-            found.append(rows)
-    return tuple(found)
+    out-neighbour masks, listed by :func:`acyclic_codes`.  1, 1, 3, 25 and
+    543 of them for j = 0 .. 4."""
+    return tuple([code_to_rows(j, code) for code in acyclic_codes(j, j)])
 
 
 @lru_cache(maxsize=None)

@@ -6,10 +6,10 @@ the same code path works for any dimension.  :func:`transpose_slots` packs
 a batch of matrices into one integer, one slot each (:func:`slot_layout`),
 and transposes them all with one delta swap per halving of their side;
 :func:`odd_column_slots` tests the column parities of a whole batch the
-same way.  :func:`transpose_masks` and :func:`odd_column_sums` are their
-batches of one.  Values are immutable: every operation returns a new
-matrix or a plain value, which makes them safe to share between
-concurrent tasks.
+same way.  :func:`transpose_masks` and
+:meth:`BitMatrix.has_odd_column_sums` are their batches of one.  Values
+are immutable: every operation returns a new matrix or a plain value,
+which makes them safe to share between concurrent tasks.
 
 The one domain-specific test here is :meth:`BitMatrix.has_unit_principal_minors`:
 a square GF(2) matrix is the reduced characteristic matrix of a small cover
@@ -55,7 +55,6 @@ __all__ = [
     "count_unit_minor_matrices",
     "join_slots",
     "odd_column_slots",
-    "odd_column_sums",
     "pack_rows",
     "slot_layout",
     "split_slots",
@@ -192,10 +191,7 @@ def split_slots(word: int, n: int, k: int) -> tuple[int, ...]:
     return _split(word, packing.slot, k, packing.slots_struct)
 
 
-def transpose_masks(
-    rows: Sequence[int], n: int,
-    with_identity: Callable[[int, int], int] | None = None,
-) -> tuple[int, ...]:
+def transpose_masks(rows: Sequence[int], n: int) -> tuple[int, ...]:
     """The ``n`` columns, as bitmasks, of the matrix whose rows are the
     bitmasks ``rows``: the rows of its transpose.  ``rows`` may have any
     length; each must be a mask on ``n`` columns.
@@ -209,7 +205,7 @@ def transpose_masks(
         word = _join(rows, packing.stride, packing.rows_struct)
     except _UNPACKABLE:
         raise _out_of_range(rows, n) from None
-    word = transpose_slots(word, n, 1, with_identity, len(rows))
+    word = transpose_slots(word, n, 1, None, len(rows))
     return _split(word, packing.stride, n, packing.cols_struct)
 
 
@@ -284,15 +280,6 @@ def odd_column_slots(word: int, n: int, k: int = 1) -> int:
         miss |= miss >> shift
         shift >>= 1
     return starts & ~miss
-
-
-def odd_column_sums(rows: Sequence[int], n: int) -> bool:
-    """Whether every column of the ``n`` by ``n`` matrix whose rows are the
-    bitmasks ``rows`` has an odd integer sum: the batch of one matrix
-    through :func:`odd_column_slots`."""
-    if len(rows) != n:
-        raise ValueError(f"expected {n} rows, got {len(rows)}")
-    return bool(odd_column_slots(pack_rows(rows, n), n))
 
 
 def _unit_minor(rows: Sequence[int], subset: int) -> bool:
@@ -396,9 +383,10 @@ class BitMatrix:
         Applied to a reduced characteristic matrix this is the
         Nakayama-Nishimura orientability criterion: the identity block of
         the full characteristic matrix contributes columns of sum 1, so only
-        the reduced block needs testing (see :func:`odd_column_sums`).
+        the reduced block needs testing.  The batch of one matrix through
+        :func:`odd_column_slots`.
         """
-        return odd_column_sums(self.rows, self.n)
+        return bool(odd_column_slots(pack_rows(self.rows, self.n), self.n))
 
     def __str__(self) -> str:
         return self.to_text()

@@ -245,7 +245,7 @@ def _break_codes_12_and_48(check, monkeypatch):
             answer = odd(word, n, k)
             _, width, _ = gf2.slot_layout(n, k)
             for t, rows in enumerate(gf2.split_slots(word, n, k)):
-                if broken(correspondence.adjacency_rows(gf2.unpack_rows(rows, n), n)):
+                if broken(gf2.unpack_rows(correspondence.adjacency_slots(rows, n), n)):
                     answer ^= 1 << t * width
             return answer
 

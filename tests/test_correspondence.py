@@ -23,8 +23,8 @@ from cubecovers import (
     is_acyclic_dfs,
 )
 from cubecovers.correspondence import (
-    adjacency_rows,
-    characteristic_rows,
+    adjacency_slots,
+    characteristic_slots,
     unit_diagonal_matrices,
 )
 from cubecovers.digraph import (
@@ -33,6 +33,7 @@ from cubecovers.digraph import (
     is_acyclic_dfs,
     rows_to_code,
 )
+from cubecovers.gf2 import pack_rows, unpack_rows
 
 
 # ----------------------------------------------------------------------
@@ -45,12 +46,13 @@ from cubecovers.digraph import (
 @settings(max_examples=300)
 def test_row_maps_equal_their_literal_formulas(rows):
     # Any rows, loop bits included: the forward map sets the diagonal, the
-    # inverse flips it, and both then transpose.
+    # inverse flips it, and both then transpose.  Each runs as a batch of
+    # one graph.
     n = len(rows)
-    rows = tuple(rows)
-    assert characteristic_rows(rows, n) == set_bit_transpose(
+    word = pack_rows(rows, n)
+    assert unpack_rows(characteristic_slots(word, n), n) == set_bit_transpose(
         [mask | 1 << i for i, mask in enumerate(rows)], n)
-    assert adjacency_rows(rows, n) == set_bit_transpose(
+    assert unpack_rows(adjacency_slots(word, n), n) == set_bit_transpose(
         [mask ^ 1 << i for i, mask in enumerate(rows)], n)
 
 
@@ -58,12 +60,12 @@ def test_row_maps_equal_their_literal_formulas(rows):
                                     ((0, 0), 3), ((0,), 0)],
                          ids=["two-zero-rows-extra", "one-row-extra", "one-row-short",
                               "a-row-at-n-0"])
-@pytest.mark.parametrize("row_map", [characteristic_rows, adjacency_rows])
-def test_row_maps_refuse_a_row_count_other_than_n(row_map, rows, n):
-    # The transpose takes any number of rows, so only the maps can tell
-    # that a graph on n vertices has n rows.
-    with pytest.raises(ValueError, match=f"^expected {n} rows, got {len(rows)}$"):
-        row_map(rows, n)
+@pytest.mark.parametrize("value_type", [Digraph, BitMatrix])
+def test_value_types_refuse_a_row_count_other_than_n(value_type, rows, n):
+    # The transpose takes any number of rows, so the maps rely on their
+    # arguments, a graph on n vertices or an n by n matrix, having n rows.
+    with pytest.raises(ValueError, match=f"^expected {n} (adjacency )?rows, got {len(rows)}$"):
+        value_type(n, rows)
 
 
 def test_empty_graph_maps_to_identity():
