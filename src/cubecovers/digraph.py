@@ -9,37 +9,36 @@ adjacency bits read in row-major order.  Enumeration walks that integer
 range in order, which makes streams deterministic, resumable, and trivially
 partitionable into disjoint code ranges for parallel counting.
 
-The acyclic graphs are counted a block of codes at a time.  Rows 0 .. s-1
-are the lowest ``s(n-1)`` bits of a code, so each aligned block of
-``2^(s(n-1))`` consecutive codes shares rows ``s .. n-1``.  Call that shared
-part H, with vertices ``0 .. s-1`` given no out-edges, and give each vertex
-of H its signature: the vertices below s that it reaches in H.  Row u < s
-hits v < s when it holds v or a vertex of H whose signature holds v.  Every
-cycle of a graph G in the block lies in H or passes through a vertex below
-s, so G is acyclic exactly when H is acyclic and so is the hit digraph T on
-``0 .. s-1``, with no vertex hitting itself.  Given H the rows below s are
-independent, and the number of rows u that hit exactly a set depends on
-the signatures alone.  So one acyclic H decides all the codes of its
-block, by a sum over the acyclic digraphs T on s vertices that depends only
-on the multiset of signatures (:func:`count_acyclic_codes`).
+The acyclic graphs are counted a block of codes at a time.  Rows 0 .. j-1
+are the lowest ``j(n-1)`` bits of a code, so each aligned block of
+``2^(j(n-1))`` consecutive codes shares rows ``j .. n-1``.  Call that shared
+part H, with vertices ``0 .. j-1`` given no out-edges, and give each vertex
+of H its signature: the vertices below j that it reaches in H.  Every cycle
+of a graph in the block lies in H or passes through a vertex below j, and
+the rows still to come see H only through its signatures, so an acyclic H
+and the sorted signatures are a complete state for the count of its block.
+Row w = j-1 picks its edges into H and below w, closes a cycle exactly when
+one of the signatures it picks holds w, and otherwise leaves the state of
+the block of rows ``0 .. w-1``: w joins H, and every vertex that reaches w
+now reaches what w reaches.  :func:`_block_count` is that recurrence,
+memoised on the state, and the full range is the block of all n rows.
 
-The shared rows are walked depth first, one row chunk at a time from row
-``n-1`` down to row s, which visits the blocks in increasing code order.  A
-cycle among the rows assigned so far is a cycle of every completion, so a
-chunk that closes one is dropped with every block below it, and only
-prefixes that are still acyclic are extended.  Edges into the vertices
-below the row being assigned close no cycle yet, so the counting walk tests
-the rest of a chunk once for all of their values.  Each assignment of rows
-``s .. n-1`` is thus either visited or skipped on a cycle witness, and
-counts made this way remain a brute-force oracle, independent of the
-recurrences in :mod:`cubecovers.counting`.
+A range that cuts blocks is walked depth first, one row chunk at a time
+from row ``n-1`` down, each digit clamped to the bounds.  A cycle among the
+rows assigned so far is a cycle of every completion, so a chunk that closes
+one is dropped with every block below it.  Edges into the vertices below
+the row being assigned close no cycle yet, so the walk tests the rest of a
+chunk once for all of their values.  Each block the range holds whole is
+counted by its state.  Every code is thus either counted by a state or
+skipped on a cycle witness, and counts made this way remain a brute-force
+oracle, independent of the recurrences in :mod:`cubecovers.counting`.
 
-:func:`acyclic_codes` lists the codes of the blocks of s = 2 rows, from
-the first code of each block whose H is acyclic (:func:`_acyclic_blocks`).
+:func:`acyclic_codes` lists the codes of the blocks of two rows, from the
+first code of each block whose H is acyclic (:func:`_acyclic_blocks`).
 There, with A the vertices of H that reach 1 and R those that reach 0, 0
 included, G is acyclic exactly when row 1 avoids A, and row 0 avoids R,
-and also A and 1 when vertex 1 reaches 0.  The digraphs T of the counting
-kernel come from the same listing.
+and also A and 1 when vertex 1 reaches 0.  The count does not read the
+listing: the two walks share only their row decode tables.
 
 The module imports nothing from the rest of the package: the graph side of
 the dictionary shares no code with the matrix side in :mod:`cubecovers.gf2`.
@@ -50,8 +49,6 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations
-from math import prod
 
 __all__ = [
     "DEFAULT_ENUMERATION_CAP",
@@ -69,9 +66,9 @@ __all__ = [
 ]
 
 # 2^(n(n-1)) graphs: n=5 is about a million, n=6 about a billion, n=7
-# about 4e12.  Measured on one core of a 2-core VM with Python 3.11, the
-# pruned walk counts n=5 in about 2.5 ms, n=6 in about 40 ms and n=7 in
-# about 0.35 s, and n=8 took 44 s with two workers.  The cap also guards
+# about 4e12.  Measured from a cold memo on one core of a 2-core VM with
+# Python 3.11, the reach-state count takes about 1.5 ms at n=5, 5 ms at
+# n=6, 60 ms at n=7, 0.6 s at n=8 and 7 s at n=9.  The cap also guards
 # ``enumerate``, which lists all 3,781,503 DAGs at n=6.  Callers may raise
 # the cap.
 DEFAULT_ENUMERATION_CAP = 6
@@ -419,93 +416,74 @@ def _acyclic_blocks(n: int) -> Iterator[tuple[int, int, int]]:
 
 
 # ----------------------------------------------------------------------
-# counting: blocks of s rows in closed form (see the module docstring)
+# counting by reach states (see the module docstring)
 # ----------------------------------------------------------------------
 
 
-def _block_rows(n: int) -> int:
-    """s, the rows counted in closed form at n vertices.  Measured from
-    cold caches on one core (2-core VM, Python 3.11.7): at n = 5, s = 3
-    takes 2.3 ms against 5.8 ms at s = 2 and 29 ms at s = 4, which first
-    lists the 543 digraphs on four vertices; at n = 6, 41 ms against 0.39 s
-    and 47 ms; at n = 7, s = 4 takes 0.39 s against 5.5 s at s = 3.  At
-    n = 4, s = 2 and 3 were within noise.  At most n - 1, so the top row is
-    always walked."""
-    return min(2 if n <= 4 else 3 if n <= 6 else 4, n - 1)
-
-
+# Thread-safe.  The memo holds 124k states in a 52 MB process at n = 9, and
+# 1.59M in 512 MB at n = 10; DEFAULT_ENUMERATION_CAP keeps default runs at
+# n <= 6.
 @lru_cache(maxsize=None)
-def _acyclic_out_sets(j: int) -> tuple[tuple[int, ...], ...]:
-    """The acyclic digraphs T on j vertices, each as its tuple of
-    out-neighbour masks, listed by :func:`acyclic_codes`.  1, 1, 3, 25 and
-    543 of them for j = 0 .. 4."""
-    return tuple([code_to_rows(j, code) for code in acyclic_codes(j, j)])
-
-
-@lru_cache(maxsize=None)
-def _relabelings(j: int) -> tuple[tuple[int, ...], ...]:
-    """For each permutation of vertices 0 .. j-1, the table that sends a
-    signature (a mask on them) to its image."""
-    return tuple(
-        tuple(sum(1 << p[v] for v in range(j) if sig >> v & 1) for sig in range(1 << j))
-        for p in permutations(range(j))
-    )
-
-
-@lru_cache(maxsize=None)  # thread-safe; finite: multisets of n - j masks on j bits
 def _block_count(j: int, sigs: tuple[int, ...]) -> tuple[int, int]:
     """(acyclic, even) counts of the block of rows 0 .. j-1 over an acyclic
     H whose vertices j .. n-1 have the sorted signatures ``sigs``; the even
-    count assumes every row of H even.  Relabelling vertices 0 .. j-1
-    permutes both the signatures and the digraphs T, so the count is read
-    at the least relabelled key."""
-    key = min(tuple(sorted(map(table.__getitem__, sigs))) for table in _relabelings(j))
-    return _relabeled_block_count(j, key)
+    count assumes every row of H even.
 
-
-@lru_cache(maxsize=None)
-def _relabeled_block_count(j: int, sigs: tuple[int, ...]) -> tuple[int, int]:
-    """:func:`_block_count` on a least key: the sum over the acyclic T on
-    vertices 0 .. j-1 of the product over u of N(T_u), the number of rows u
-    whose hit set is exactly T_u.
-
-    A row may use a vertex whose signature lies in T_u: a vertex of H by
-    its signature, a vertex w < j by {w}.  Summing the rows that hit
-    exactly each subset of S gives the 2^c rows on the c vertices usable
-    within S, so N is the Moebius inversion of 2^c over subsets, and of
-    ev(c) = 2^(c-1) (1 when c = 0) for rows of even size.  Row u is never
-    usable by itself, because T_u does not hold u.
+    Row w = j-1 picks C, a set of vertices of H, and B, a set of vertices
+    below w.  Its reach is r = B | U, with U the union of the signatures
+    of C, and it closes a cycle exactly when w lies in U.  Otherwise every
+    signature that holds w trades it for r, w joins H with signature r,
+    and rows 0 .. w-1 are counted over that state.  The C are grouped by
+    (U, |C| mod 2); each r then stands for 2^|U| choices of B, the subsets
+    of U joined to ``r - U``, half of them even when U is not empty.
     """
-    usable = [0] * (1 << j)
-    for sig in (*sigs, *(1 << w for w in range(j))):
-        usable[sig] += 1
-    for w in range(j):  # usable[S]: the vertices whose signature lies in S
-        bit = 1 << w
-        usable = [c + usable[S ^ bit] if S & bit else c for S, c in enumerate(usable)]
-    rows = [1 << c for c in usable]
-    even = [(1 << c) + 1 >> 1 for c in usable]
-    for w in range(j):  # to the rows that hit exactly S
-        bit = 1 << w
-        rows = [c - rows[S ^ bit] if S & bit else c for S, c in enumerate(rows)]
-        even = [c - even[S ^ bit] if S & bit else c for S, c in enumerate(even)]
-    blocks = _acyclic_out_sets(j)
-    return (sum([prod([rows[hit] for hit in t]) for t in blocks]),
-            sum([prod([even[hit] for hit in t]) for t in blocks]))
+    if j == 0:
+        return 1, 1
+    bit = 1 << j - 1
+    unions = {(0, 0): 1}  # (U, |C| mod 2) -> the number of C
+    for sig in sigs:
+        grown = unions.copy()
+        for (union, odd), c in unions.items():
+            key = union | sig, odd ^ 1
+            grown[key] = grown.get(key, 0) + c
+        unions = grown
+    choices = {}  # r -> [choices of (C, B), those with |B| + |C| even]
+    for (union, odd), c in unions.items():
+        if union & bit:
+            continue  # w reaches itself: a cycle
+        size = union.bit_count()
+        free = bit - 1 & ~union
+        extra = 0
+        while True:
+            tally = choices.setdefault(union | extra, [0, 0])
+            tally[0] += c << size
+            if size:
+                tally[1] += c << size - 1
+            elif not (odd + extra.bit_count()) & 1:
+                tally[1] += c
+            if extra == free:
+                break
+            extra = (extra - free) & free  # next submask, increasing
+    dags = even = 0
+    for r, (ways, even_ways) in choices.items():
+        state = sorted([(sig | r) ^ bit if sig & bit else sig for sig in sigs] + [r])
+        d, e = _block_count(j - 1, tuple(state))
+        dags += ways * d
+        even += even_ways * e
+    return dags, even
 
 
 def count_acyclic_codes(n: int, start: int, stop: int) -> tuple[int, int]:
     """Count the codes in ``[start, stop)`` whose digraph is acyclic, and
     those that are acyclic with every out-degree even.
 
-    The walk assigns rows ``n-1`` down to ``s`` (:func:`_block_rows`),
-    dropping every chunk that closes a cycle, and each acyclic H it reaches
-    adds the closed form of its block of rows ``0 .. s-1``
-    (:func:`_block_count`).  A block cut by a range end is walked on down
-    its rows, each digit clamped to the bounds, and each sub-block of j < s
-    rows that lies wholly inside the range adds the closed form with j
-    rows; a single code is the case j = 0.  The chunk bits of the vertices
-    below the row being assigned close no cycle yet, so each high part of a
-    chunk is tested once for all of them.  A pure function of its
+    The walk assigns rows from ``n-1`` down, each digit clamped to the
+    bounds, dropping every chunk that closes a cycle, and each block of
+    rows ``0 .. j-1`` that lies wholly inside the range adds the reach-state
+    count of its H (:func:`_block_count`).  The full range is the block of
+    all n rows, and a single code the case j = 0.  The chunk bits of the
+    vertices below the row being assigned close no cycle yet, so each high
+    part of a chunk is tested once for all of them.  A pure function of its
     arguments, so disjoint ranges can be counted in separate processes and
     added in any order.  The range is not checked here;
     :func:`cubecovers.correspondence.brute_counts` is the validating entry
@@ -515,18 +493,21 @@ def count_acyclic_codes(n: int, start: int, stop: int) -> tuple[int, int]:
         return stop - start, stop - start  # code 0, the empty graph
     if start >= stop:
         return 0, 0
-    s = _block_rows(n)
     width = n - 1
     chunk_mask = (1 << width) - 1
     tables = _row_decode_tables(n)
     lows = [start >> u * width & chunk_mask for u in range(n)]
     highs = [stop - 1 >> u * width & chunk_mask for u in range(n)]
     # Whether the codes below row u on the bound's prefix all lie in range.
-    low_whole = [not start & (1 << u * width) - 1 for u in range(n)]
-    high_whole = [not stop & (1 << u * width) - 1 for u in range(n)]
+    low_whole = [not start & (1 << u * width) - 1 for u in range(n + 1)]
+    high_whole = [not stop & (1 << u * width) - 1 for u in range(n + 1)]
 
     def walk(u, reach, odd, on_low, on_high):
         # Rows u+1 .. n-1 are assigned; reach[v] as in _acyclic_blocks.
+        if (low_whole[u + 1] or not on_low) and (high_whole[u + 1] or not on_high):
+            block = (1 << u + 1) - 1
+            d, e = _block_count(u + 1, tuple(sorted([r & block for r in reach[u + 1:]])))
+            return d, 0 if odd else e
         lo = lows[u] if on_low else 0
         hi = highs[u] if on_high else chunk_mask
         table = tables[u]
@@ -546,26 +527,14 @@ def count_acyclic_codes(n: int, start: int, stop: int) -> tuple[int, int]:
                 scan ^= low
             if down & bit:
                 continue  # u reaches itself: a cycle in every completion
-            if u <= s:  # the children are blocks of u rows
-                keep = [reach[v] & below for v in range(u + 1, n) if not up >> v & 1]
-                move = [(reach[v] | down) & below for v in range(u, n) if up >> v & 1]
             first = lo & below if high == lo >> u else 0
             last = hi & below if high == hi >> u else below
             for chunk_low in range(first, last + 1):
                 chunk = high << u | chunk_low
-                c_odd = odd or (high.bit_count() + chunk_low.bit_count()) & 1
-                c_low = on_low and chunk == lo
-                c_high = on_high and chunk == hi
-                if (u <= s and (low_whole[u] or not c_low)
-                        and (high_whole[u] or not c_high)):
-                    d, e = _block_count(u, tuple(sorted(keep + [m | chunk_low for m in move])))
-                    dags += d
-                    if not c_odd:
-                        even += e
-                    continue
                 edges = down | chunk_low
                 d, e = walk(u - 1, [r | edges if up >> v & 1 else r for v, r in enumerate(reach)],
-                            c_odd, c_low, c_high)
+                            odd or (high.bit_count() + chunk_low.bit_count()) & 1,
+                            on_low and chunk == lo, on_high and chunk == hi)
                 dags += d
                 even += e
         return dags, even

@@ -17,9 +17,7 @@ from cubecovers import (
 )
 from cubecovers.digraph import (
     _acyclic_blocks,
-    _acyclic_out_sets,
     _block_count,
-    _block_rows,
     acyclic_codes,
     count_acyclic_codes,
     decode_slots,
@@ -284,8 +282,8 @@ def test_block_walk_matches_the_linear_scan(n):
 
 def test_acyclic_codes_at_n_6_agree_with_the_count_on_ranges():
     # The list ``enumerate --n 6`` prints, held as an array of 30 MB.  The
-    # count reads the listing only for its kernel's digraphs on at most
-    # three vertices; otherwise the two walks share no code.
+    # count does not read the listing; the two walks share only their row
+    # decode tables.
     codes = array("q", acyclic_codes(6))
     assert len(codes) == 3_781_503
     assert all(map(lt, codes, islice(codes, 1, None)))
@@ -334,7 +332,7 @@ def test_count_acyclic_codes_matches_dfs_graph_by_graph_at_n_7(first, last):
 
 
 # ----------------------------------------------------------------------
-# the closed form of a block of s rows
+# the reach-state count of a block of rows
 # ----------------------------------------------------------------------
 
 
@@ -349,23 +347,10 @@ def _dfs_counts(n, first, last):
     return dags, even
 
 
-def test_the_acyclic_digraphs_of_a_block_are_listed_once_each():
-    sizes = [len(_acyclic_out_sets(j)) for j in range(5)]
-    assert sizes == [1, 1, 3, 25, 543]
-    for j in range(5):
-        blocks = _acyclic_out_sets(j)
-        assert all(is_acyclic_dfs(Digraph(j, rows)) for rows in blocks)
-        assert len(set(blocks)) == len(blocks)
-
-
-def test_the_block_rows_are_a_fixed_table():
-    assert [_block_rows(n) for n in range(1, 10)] == [0, 1, 2, 2, 3, 3, 4, 4, 4]
-
-
 def _assert_block_matches_dfs(n, s, base):
-    # The closed form at the block holding code ``base``, its signatures
-    # read off by the fixed-point reach of the test, against a DFS scan of
-    # every code of the block.
+    # The reach-state count of the block of s rows holding code ``base``,
+    # its signatures read off by the fixed-point reach of the test, against
+    # a DFS scan of every code of the block.
     rows = Digraph.from_code(n, base).rows
     sigs = [sum(1 << v for v in range(s) if _reaching(rows, v) >> x & 1) for x in range(s, n)]
     dags, even = _block_count(s, tuple(sorted(sigs)))
@@ -379,7 +364,7 @@ def _assert_block_matches_dfs(n, s, base):
     (4, 3, 12), (5, 3, 4),
 ])
 def test_block_closed_form_matches_a_dfs_scan_of_its_codes(n, s, tries):
-    # s = 1 and the table's s = 2 and 3, over random acyclic H.
+    # Blocks of one to three rows over random acyclic H.
     rng = random.Random(100 * n + s)
     size = 1 << s * (n - 1)
     seen = 0
@@ -391,30 +376,35 @@ def test_block_closed_form_matches_a_dfs_scan_of_its_codes(n, s, tries):
 
 
 def test_a_block_of_four_rows_matches_a_dfs_scan_of_its_2_16_codes():
-    # The table's s = 4, at n = 5: row 4 points to vertices 0 and 2, so H is
-    # even and both counts are compared.
+    # At n = 5, row 4 points to vertices 0 and 2, so H is even and both
+    # counts are compared.
     _assert_block_matches_dfs(5, 4, 0b0101 << 16)
 
 
 @pytest.mark.parametrize("n", [5, 6])
 def test_count_acyclic_codes_matches_dfs_on_random_ranges(n):
-    # Ranges cut inside blocks of the table's s rows and of fewer rows,
-    # and ranges that hold whole blocks between two cut ones.
+    # Ranges cut inside blocks of one to three rows, and ranges that hold
+    # whole blocks between two cut ones.  Blocks of more rows would make
+    # the DFS reference scan too many codes.
     rng = random.Random(n)
     width = n - 1
-    block = 1 << _block_rows(n) * width
     ranges = []
     for _ in range(12):
         first = rng.randrange(1 << n * width)
         ranges.append((first, min(first + rng.choice([1, 7, 300, 3000]), 1 << n * width)))
     for _ in range(4):
-        edge = rng.randrange(1, 1 << (n - _block_rows(n)) * width) * block
+        edge = rng.randrange(1, 1 << (n - 3) * width) << 3 * width
         ranges.append((edge - rng.randrange(1, 2000), edge + rng.randrange(1, 2000)))
-    for j in range(1, _block_rows(n) + 1):
+    for j in (1, 2, 3):
         edge = rng.randrange(1, 1 << (n - j) * width) << j * width
         ranges.append((edge - 5, edge + (1 << j * width) + 3))
     for first, last in ranges:
         assert count_acyclic_codes(n, first, last) == _dfs_counts(n, first, last), (first, last)
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_count_acyclic_codes_over_the_full_range_gives_d_and_v(n):
+    assert count_acyclic_codes(n, 0, 1 << n * (n - 1)) == (count_dags(n), count_orientable_dags(n))
 
 
 # ----------------------------------------------------------------------
