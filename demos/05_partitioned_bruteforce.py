@@ -3,10 +3,11 @@
 
 Every digraph on n vertices has a canonical integer code (its off-diagonal
 adjacency bits, row major), so "count them all" means "walk an integer
-range".  The range can be cut anywhere: each slice is a pure function of
-its bounds, and the partial counts add up to the same totals no matter how
-the work is split or scheduled.  The same mechanism backs the --jobs flag
-of the command line tool.
+range".  The range can be cut anywhere: each slice is counted as the codes
+below its end less those below its start, a pure function of its bounds,
+and the partial counts add up to the same totals no matter how the work is
+split or scheduled.  The --jobs flag of the command line tool cuts the
+range into equal slices the same way.
 """
 
 import time

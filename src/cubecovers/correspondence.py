@@ -153,16 +153,13 @@ def brute_counts(
     reach-state count of :func:`cubecovers.digraph.count_acyclic_codes`.
 
     ``stop`` defaults to the full range ``2^(n(n-1))``.  With ``jobs > 1``
-    the range is cut into pieces aligned to the top two row chunks of the
-    code (``2^(2(n-1))`` of them over the full range), clipped at its ends,
-    and worker processes, at most ``os.cpu_count()`` of them, each take the
-    next piece as they finish one.  Each inner piece is one block of the
-    lowest n - 2 rows, and each worker fills its own memo of reach states,
-    so the pool is slower than one job: on a 2-core VM with Python 3.11.7,
-    n = 8 took 0.5-0.6 s with one job and 5.5-5.8 s with two, and n = 9
-    7.3 s against 40 s.  The result is the same for any job count or
-    partition, because each piece is a pure function of its bounds.  Falls
-    back to in-process execution when worker processes cannot be spawned.
+    the range is cut into ``jobs`` slices of equal size, give or take a
+    code, and counted by as many worker processes, at most
+    ``os.cpu_count()`` of them.  Each worker fills its own memo of reach
+    states, so the pool is no faster than one job.  The result is the same
+    for any job count or partition, because each slice is a pure function
+    of its bounds.  Falls back to in-process execution when worker
+    processes cannot be spawned.
     """
     _check_cap(n, cap)
     total = 1 << (n * (n - 1))
@@ -175,8 +172,7 @@ def brute_counts(
 
     jobs = min(jobs, stop - start, os.cpu_count() or 1)
     if jobs > 1:
-        size = 1 << ((n - 2) * (n - 1))  # codes sharing the top two row chunks
-        cuts = [start, *range(start - start % size + size, stop, size), stop]
+        cuts = [start + (stop - start) * i // jobs for i in range(jobs + 1)]
         import concurrent.futures  # only here: it costs every start-up otherwise
 
         try:

@@ -23,22 +23,22 @@ the block of rows ``0 .. w-1``: w joins H, and every vertex that reaches w
 now reaches what w reaches.  :func:`_block_count` is that recurrence,
 memoised on the state, and the full range is the block of all n rows.
 
-A range that cuts blocks is walked depth first, one row chunk at a time
-from row ``n-1`` down, each digit clamped to the bounds.  A cycle among the
-rows assigned so far is a cycle of every completion, so a chunk that closes
-one is dropped with every block below it.  Edges into the vertices below
-the row being assigned close no cycle yet, so the walk tests the rest of a
-chunk once for all of their values.  Each block the range holds whole is
-counted by its state.  Every code is thus either counted by a state or
-skipped on a cycle witness, and counts made this way remain a brute-force
-oracle, independent of the recurrences in :mod:`cubecovers.counting`.
+A range is counted as the codes below its end less those below its
+start.  The codes below a bound x are counted along x's own path, one row
+chunk at a time from row ``n-1`` down: at each row, every smaller chunk
+that closes no cycle heads a block counted by its state, and x's own
+chunk leads on to the next row.  A cycle among the rows assigned so far
+is a cycle of every completion, so the path stops at a chunk of x that
+closes one.  Every code is thus either counted by a state or skipped on a
+cycle witness, and counts made this way remain a brute-force oracle,
+independent of the recurrences in :mod:`cubecovers.counting`.
 
 :func:`acyclic_codes` lists the codes of the blocks of two rows, from the
 first code of each block whose H is acyclic (:func:`_acyclic_blocks`).
 There, with A the vertices of H that reach 1 and R those that reach 0, 0
 included, G is acyclic exactly when row 1 avoids A, and row 0 avoids R,
 and also A and 1 when vertex 1 reaches 0.  The count does not read the
-listing: the two walks share only their row decode tables.
+listing: the two walks share only the splice of a row's diagonal zero.
 
 The module imports nothing from the rest of the package: the graph side of
 the dictionary shares no code with the matrix side in :mod:`cubecovers.gf2`.
@@ -346,12 +346,6 @@ def _splice_diagonal(chunk: int, u: int) -> int:
     return (chunk & ((1 << u) - 1)) | ((chunk >> u) << (u + 1))
 
 
-def _row_decode_tables(n: int) -> list[list[int]]:
-    # table[u][chunk] = _splice_diagonal(chunk, u), for every chunk.
-    return [[_splice_diagonal(chunk, u) for chunk in range(1 << (n - 1))]
-            for u in range(n)]
-
-
 def _acyclic_blocks(n: int) -> Iterator[tuple[int, int, int]]:
     """Yield ``(base, to1, to0)`` for each block whose shared part H is
     acyclic, in increasing code order, for ``n >= 1``.
@@ -375,7 +369,7 @@ def _acyclic_blocks(n: int) -> Iterator[tuple[int, int, int]]:
         yield 0, 0, 1
         return
     width = n - 1
-    tables = _row_decode_tables(n)
+    tables = [[_splice_diagonal(chunk, u) for chunk in range(1 << width)] for u in range(n)]
 
     def walk(u, reach, to1, to0, base):
         # to1, to0: A and R over the rows assigned so far.
@@ -473,70 +467,67 @@ def _block_count(j: int, sigs: tuple[int, ...]) -> tuple[int, int]:
     return dags, even
 
 
+def _place(reach: list[int], u: int, chunk: int) -> list[int] | None:
+    """The reach sets after row ``u`` takes ``chunk``, or None when that
+    closes a cycle.  ``reach[v]`` holds the vertices that an assigned v
+    reaches along paths whose inner vertices are all assigned, and is 0
+    for the rows not yet assigned."""
+    bit = 1 << u
+    down = row = _splice_diagonal(chunk, u)  # what u reaches
+    while row:
+        low = row & -row
+        down |= reach[low.bit_length() - 1]
+        row ^= low
+    if down & bit:
+        return None  # u reaches itself: a cycle in every completion
+    grown = [r | down if r & bit else r for r in reach]
+    grown[u] = down
+    return grown
+
+
+def _count_below(n: int, x: int) -> tuple[int, int]:
+    """(acyclic, even) counts of the codes below ``x``, for
+    ``0 <= x <= 2^(n(n-1))``.
+
+    The walk follows x's own chunks from row n-1 down.  At row u, each
+    chunk below x's digit that closes no cycle heads the block of rows
+    0 .. u-1, counted by its state (:func:`_block_count`).  x's own chunk
+    carries the reach sets, and whether some row so far is odd, down to
+    row u-1; where it closes a cycle, so does every code left below x.
+    """
+    width = n - 1
+    if x >> n * width:
+        return _block_count(n, ())  # the full range
+    reach = [0] * n
+    odd = 0  # whether some row of x assigned so far is odd
+    dags = even = 0
+    for u in range(n - 1, -1, -1):
+        digit = x >> u * width & (1 << width) - 1
+        for chunk in range(digit):
+            grown = _place(reach, u, chunk)
+            if grown is not None:
+                d, e = _block_count(u, tuple(sorted([r & (1 << u) - 1 for r in grown[u:]])))
+                dags += d
+                if not odd | chunk.bit_count() & 1:
+                    even += e
+        reach = _place(reach, u, digit)
+        if reach is None:
+            break
+        odd |= digit.bit_count() & 1
+    return dags, even
+
+
 def count_acyclic_codes(n: int, start: int, stop: int) -> tuple[int, int]:
     """Count the codes in ``[start, stop)`` whose digraph is acyclic, and
-    those that are acyclic with every out-degree even.
+    those that are acyclic with every out-degree even: the counts below
+    ``stop`` less those below ``start`` (:func:`_count_below`).
 
-    The walk assigns rows from ``n-1`` down, each digit clamped to the
-    bounds, dropping every chunk that closes a cycle, and each block of
-    rows ``0 .. j-1`` that lies wholly inside the range adds the reach-state
-    count of its H (:func:`_block_count`).  The full range is the block of
-    all n rows, and a single code the case j = 0.  The chunk bits of the
-    vertices below the row being assigned close no cycle yet, so each high
-    part of a chunk is tested once for all of them.  A pure function of its
-    arguments, so disjoint ranges can be counted in separate processes and
-    added in any order.  The range is not checked here;
-    :func:`cubecovers.correspondence.brute_counts` is the validating entry
-    point.
+    The full range is one lookup of the reach-state count of all n rows.
+    A pure function of its arguments, so disjoint ranges can be counted in
+    separate processes and added in any order.  The range is not checked
+    here; :func:`cubecovers.correspondence.brute_counts` is the validating
+    entry point.
     """
-    if n == 0:
-        return stop - start, stop - start  # code 0, the empty graph
-    if start >= stop:
-        return 0, 0
-    width = n - 1
-    chunk_mask = (1 << width) - 1
-    tables = _row_decode_tables(n)
-    lows = [start >> u * width & chunk_mask for u in range(n)]
-    highs = [stop - 1 >> u * width & chunk_mask for u in range(n)]
-    # Whether the codes below row u on the bound's prefix all lie in range.
-    low_whole = [not start & (1 << u * width) - 1 for u in range(n + 1)]
-    high_whole = [not stop & (1 << u * width) - 1 for u in range(n + 1)]
-
-    def walk(u, reach, odd, on_low, on_high):
-        # Rows u+1 .. n-1 are assigned; reach[v] as in _acyclic_blocks.
-        if (low_whole[u + 1] or not on_low) and (high_whole[u + 1] or not on_high):
-            block = (1 << u + 1) - 1
-            d, e = _block_count(u + 1, tuple(sorted([r & block for r in reach[u + 1:]])))
-            return d, 0 if odd else e
-        lo = lows[u] if on_low else 0
-        hi = highs[u] if on_high else chunk_mask
-        table = tables[u]
-        bit = 1 << u
-        below = bit - 1  # the chunk bits of vertices 0 .. u-1
-        up = bit  # u and the assigned vertices that reach it
-        for v in range(u + 1, n):
-            if reach[v] & bit:
-                up |= 1 << v
-        dags = even = 0
-        for high in range(lo >> u, (hi >> u) + 1):
-            down = table[high << u]  # row u without its edges below u
-            scan = down
-            while scan:
-                low = scan & -scan
-                down |= reach[low.bit_length() - 1]
-                scan ^= low
-            if down & bit:
-                continue  # u reaches itself: a cycle in every completion
-            first = lo & below if high == lo >> u else 0
-            last = hi & below if high == hi >> u else below
-            for chunk_low in range(first, last + 1):
-                chunk = high << u | chunk_low
-                edges = down | chunk_low
-                d, e = walk(u - 1, [r | edges if up >> v & 1 else r for v, r in enumerate(reach)],
-                            odd or (high.bit_count() + chunk_low.bit_count()) & 1,
-                            on_low and chunk == lo, on_high and chunk == hi)
-                dags += d
-                even += e
-        return dags, even
-
-    return walk(n - 1, [0] * n, 0, True, True)
+    dags, even = _count_below(n, stop)
+    below_dags, below_even = _count_below(n, start)
+    return dags - below_dags, even - below_even

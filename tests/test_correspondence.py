@@ -28,6 +28,7 @@ from cubecovers.correspondence import (
     unit_diagonal_matrices,
 )
 from cubecovers.digraph import (
+    count_acyclic_codes,
     enumerate_acyclic,
     enumerate_digraphs,
     is_acyclic_dfs,
@@ -211,6 +212,16 @@ def _dfs_prefix_counts(n):
     return prefix
 
 
+@pytest.mark.parametrize("n", range(5))
+def test_the_count_below_every_bound_matches_a_dfs_prefix(n):
+    # count_acyclic_codes(n, 0, x) is the count along the path of the one
+    # bound x; every x up to 2^(n(n-1)) inclusive, 4,097 of them at n = 4.
+    # "Some row is odd" must hold across rows, not flip with each odd row.
+    prefix = _dfs_prefix_counts(n)
+    for x, want in enumerate(prefix):
+        assert count_acyclic_codes(n, 0, x) == want, x
+
+
 @pytest.mark.parametrize("n", [3, 4])
 def test_brute_counts_match_dfs_on_code_ranges(n):
     prefix = _dfs_prefix_counts(n)
@@ -301,23 +312,24 @@ def test_jobs_are_clamped_to_the_cpu_count(monkeypatch, pool):
 
 
 @pytest.mark.parametrize("n", [4, 5])
-def test_jobs_hand_out_pieces_aligned_to_the_top_two_row_chunks(monkeypatch, pool, n):
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+def test_jobs_hand_out_equal_slices_that_tile_the_range(monkeypatch, pool, n):
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
     total = 1 << (n * (n - 1))
     size = 1 << ((n - 2) * (n - 1))
     for start, stop in [(0, total), (1, total - 1), (size - 1, 3 * size + 5), (7, 9)]:
         pool.pieces.clear()
-        got = brute_counts(n, start=start, stop=stop, jobs=2)
+        got = brute_counts(n, start=start, stop=stop, jobs=4)
         assert got == brute_counts(n, start=start, stop=stop)
         # The pieces tile [start, stop) in order, with no gap and no overlap,
-        # and every inner cut sits on a multiple of the piece size.
+        # one per job after the clamp to the CPU count and the range size,
+        # all nonempty and equal give or take a code.
         pieces = pool.pieces
         assert pieces[0][0] == start and pieces[-1][1] == stop
         assert all(hi == lo for (_, hi), (lo, _) in zip(pieces, pieces[1:]))
-        assert all(lo < hi for lo, hi in pieces)
-        assert all(lo % size == 0 for lo, _ in pieces[1:])
-        assert len(pieces) == len(range(start // size, -(-stop // size)))
-    assert brute_counts(n, jobs=2) == (count_dags(n), count_orientable_dags(n))
+        assert len(pieces) == min(3, stop - start)
+        sizes = [hi - lo for lo, hi in pieces]
+        assert min(sizes) >= 1 and max(sizes) - min(sizes) <= 1
+    assert brute_counts(n, jobs=4) == (count_dags(n), count_orientable_dags(n))
 
 
 def test_partition_invariance():

@@ -282,8 +282,8 @@ def test_block_walk_matches_the_linear_scan(n):
 
 def test_acyclic_codes_at_n_6_agree_with_the_count_on_ranges():
     # The list ``enumerate --n 6`` prints, held as an array of 30 MB.  The
-    # count does not read the listing; the two walks share only their row
-    # decode tables.
+    # count does not read the listing; the two walks share only the splice
+    # of a row's diagonal zero.
     codes = array("q", acyclic_codes(6))
     assert len(codes) == 3_781_503
     assert all(map(lt, codes, islice(codes, 1, None)))
@@ -293,7 +293,7 @@ def test_acyclic_codes_at_n_6_agree_with_the_count_on_ranges():
     for _ in range(4):
         start = rng.randrange(total)
         ranges.append((start, min(start + rng.randrange(1 << 22), total)))
-    for block in (1 << 10, 1 << 15):  # the listing's and the count's blocks
+    for block in (1 << 10, 1 << 15):  # blocks of two and of three rows
         for _ in range(3):
             edge = rng.randrange(1, total // block) * block
             ranges.append((edge - rng.randrange(1, 3000), edge + rng.randrange(1, 3000)))
