@@ -19,7 +19,7 @@ V(n), and with 0 at n = 0, naming the first that differs.
 
 The matrix records quantify over the D(n) acyclic digraphs, read as codes
 from :func:`~cubecovers.digraph.acyclic_codes`, and over the members grown
-by :func:`~cubecovers.gf2.unit_minor_rows`.  Each DAG must come back from
+by one :func:`~cubecovers.gf2.unit_minor_walk`.  Each DAG must come back from
 its image, pass or fail both orientability tests together, and map to a
 member; each member must be the image of a DAG.  That is the paper's
 dictionary: injective on the DAGs, onto the members, even out-degrees to
@@ -42,9 +42,10 @@ from __future__ import annotations
 from cubecovers import correspondence, counting, digraph, gf2, series
 
 # ``perfbench/expected.json`` pins the records of ``verify --n-max 5``.  At
-# n = 5 the matrix records would grow 29,281 members (about 70 ms) and take
-# the in-process ``verify --n-max 5`` checks from about 4.5 ms to about
-# 0.13 s (2-core VM, Python 3.11.7), so the matrix checks stop at 4.
+# n = 5 the matrix records would grow the 29,281 members of side 5 (the walk
+# to it takes about 35 ms) and take the in-process ``verify --n-max 5``
+# checks from about 1.2 ms to 60-80 ms (2-core VM, Python 3.11.7), so the
+# matrix checks stop at 4.
 MATRIX_BRUTEFORCE_CAP = 4
 
 
@@ -87,10 +88,14 @@ def verify_checks(n_max: int, series_order: int, series_only: bool,
         inverse = correspondence.adjacency_slots
         even = digraph.even_out_degree_slots
         odd = gf2.odd_column_slots
-        for n in range(min(n_max, MATRIX_BRUTEFORCE_CAP) + 1):
-            # Grown on the matrix side alone, each packed into one int;
-            # every matrix-side check below reads these.
-            members = {gf2.pack_rows(rows, n) for rows in gf2.unit_minor_rows(n)}
+        # Grown on the matrix side alone, each packed into one int (at the
+        # 8-bit stride of every side up to 8); every matrix-side check below
+        # reads these.
+        cap = min(n_max, MATRIX_BRUTEFORCE_CAP)
+        grown: list[set[int]] = [set() for _ in range(cap + 1)]
+        for n, word, _ in gf2.unit_minor_walk(cap) if grown else ():
+            grown[n].add(word)
+        for n, members in enumerate(grown):
             m_all = len(members)
             add("matrix-count-bruteforce", m_all == counting.count_dags(n),
                 f"brute={m_all} formula={counting.count_dags(n)}", n=n)

@@ -18,19 +18,28 @@ over a cube exactly when every principal minor equals 1.  That method, like
 test per index subset S: the rows in S, masked to the columns in S, are
 linearly independent exactly when the minor on S is 1.
 
-:func:`unit_minor_rows` and :func:`count_unit_minor_matrices` produce the
-members themselves, without testing candidates, by growing the leading
-block one index at a time.  Every leading block of a member is a member.
-Border a k by k member B with a row r, a column c and a diagonal 1: the
-minors on index sets without k are B's, and for each S in {0 .. k-1} Schur's
-formula (Griffin and Tsatsomeros, *Principal minors, Part I*, 2006) gives
-det A[S + {k}] = det B_S * (1 + r_S B_S^-1 c_S) = 1 + r_S B_S^-1 c_S.  So for
-fixed B and r the admissible columns are exactly the vectors orthogonal to
-the 2^k - 1 forms r_S B_S^-1: a subspace of dimension k - rank.  A matrix
-determines its (B, r, c), so each member comes out once.  Odd column sums
-are linear too.  They constrain only the finished matrix: on the last
-border they fix r (column j < k sums to column j of B plus r_j) and add the
-all-ones form on c (the new column sums to the weight of c plus 1).
+:func:`unit_minor_walk` grows the members of every side up to n in one
+depth-first walk, without testing candidates, bordering the leading block
+one index at a time; :func:`unit_minor_rows` is its side n and
+:func:`count_unit_minor_matrices` counts the last border.  Every leading
+block of a member is a member.  Border a k by k member B with a row r, a
+column c and a diagonal 1: the minors on index sets without k are B's, and
+for each S in {0 .. k-1} Schur's formula (Griffin and Tsatsomeros,
+*Principal minors, Part I*, 2006) gives det A[S + {k}] = det B_S * (1 + r_S
+B_S^-1 c_S) = 1 + r_S B_S^-1 c_S.  So for fixed B and r the admissible
+columns are exactly the vectors orthogonal to the 2^k - 1 forms r_S B_S^-1:
+a subspace of dimension k - rank.  A matrix determines its (B, r, c), so
+each member comes out once.  Odd column sums are linear too.  They
+constrain only the finished matrix: on the last border they fix r (column
+j < k sums to column j of B plus r_j) and add the all-ones form on c (the
+new column sums to the weight of c plus 1).
+
+The walk carries each member's principal inverses to its children, sliced
+by entry: bit S of ``planes[i][j]`` is entry (i, j) of B_S^-1, 0 unless i
+and j are in S.  A child keeps the planes of the sets without k; on S +
+{k} its inverse is [[B_S^-1 + u v, u], [v, 1]], with v = r_S B_S^-1 and u =
+B_S^-1 c_S, as the Schur complement 1 + v c_S is 1.  That is k^2 ANDs and
+XORs on 2^k-bit masks per child, and no inversion.
 
 Both routes are the exact matrix-side oracle.  They use GF(2) linear
 algebra only, import nothing from the rest of the package, and never
@@ -46,7 +55,7 @@ import struct
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from operator import or_, xor
+from operator import xor
 from typing import NamedTuple
 
 
@@ -61,6 +70,7 @@ __all__ = [
     "transpose_masks",
     "transpose_slots",
     "unit_minor_rows",
+    "unit_minor_walk",
     "unpack_rows",
 ]
 
@@ -79,7 +89,6 @@ class _Packing(NamedTuple):
     rows_struct: struct.Struct | None  # the m rows, for strides of 8 to 64 bits
     cols_struct: struct.Struct | None  # the n columns
     slots_struct: struct.Struct | None  # the k slots, for slots of 8 to 64 bits
-    batch_struct: struct.Struct | None  # all side rows of the k slots
     unit: int  # one row's bits
     invalid: int  # every bit outside the n columns of the m rows of a slot
     identity: int  # bit (i, i) for i < min(m, n), in every slot
@@ -115,7 +124,6 @@ def _packing(m: int, n: int, k: int) -> _Packing:
         field and struct.Struct(f"<{m}{field}"),
         field and struct.Struct(f"<{n}{field}"),
         slot_field and struct.Struct(f"<{k}{slot_field}"),
-        field and struct.Struct(f"<{k * side}{field}"),
         (1 << stride) - 1,
         ~(sum(((1 << n) - 1) << i * stride for i in range(m)) * starts),
         sum(1 << i * stride + i for i in range(min(m, n))) * starts,
@@ -397,75 +405,6 @@ class BitMatrix:
 # ----------------------------------------------------------------------
 
 
-def _inverse_planes(rows: tuple[int, ...], k: int) -> list[tuple[int, ...]]:
-    """Every principal inverse of a k by k matrix with all unit principal
-    minors, sliced by entry: bit s of ``planes[i][j]`` is entry (i, j) of
-    the inverse of the principal submatrix on the index set s (a bitmask).
-
-    The inverses are bordered one index at a time.  For s = t + {j} with j
-    above max(t), let u = B_t^-1 c and v = r B_t^-1, where c and r are
-    column j and row j of B restricted to t.  The Schur complement of B_t
-    in B_s, 1 + v c, equals det B_s / det B_t = 1, so over GF(2) the
-    inverse of B_s is [[B_t^-1 + u v, u], [v, 1]]: row i of t gains v + e_j
-    when u_i = 1, and row j is v + e_j.
-    """
-    cols = transpose_masks(rows, k)
-    inverses = [[0] * k]
-    for s in range(1, 1 << k):
-        j = s.bit_length() - 1
-        inverse = inverses[s ^ (1 << j)]  # its rows outside t are 0
-        v = 1 << j
-        for i in range(j):
-            if (rows[j] >> i) & 1:
-                v ^= inverse[i]
-        grown = [row ^ v if (row & cols[j]).bit_count() & 1 else row for row in inverse]
-        grown[j] = v
-        inverses.append(grown)
-    # Row i of every inverse, a 2^k by k matrix with row s, transposed to
-    # planes[i]: the k of them as one batch, a slot of 2^k rows each.
-    packing = _packing(1 << k, k, k)
-    stride, codec = packing.stride, packing.batch_struct
-    word = _join([row for column in zip(*inverses) for row in column], stride, codec)
-    planes = _split(transpose_slots(word, k, k, None, 1 << k), stride, k << k, codec)
-    return [planes[i << k:(i << k) + k] for i in range(k)]
-
-
-def _new_rows(
-    rows: tuple[int, ...], k: int, odd_columns: bool
-) -> Iterator[tuple[int, list[int]]]:
-    """Yield ``(r, forms)`` for each new row r that can border the k by k
-    member ``rows``: bit s of ``forms[j]`` is entry j of the form
-    r_S B_S^-1 for the index set s.  A new column c gives a member exactly
-    when the XOR of ``forms[j]`` over the bits j of c is 0.
-
-    With ``odd_columns`` the border is the last one: only the row that
-    makes every old column sum odd is yielded, and bit 0 of each form (no
-    index set s is empty) carries the all-ones form, which makes the new
-    column's sum odd.
-    """
-    planes = _inverse_planes(rows, k)
-    if odd_columns:
-        r = ((1 << k) - 1) ^ reduce(xor, rows, 0)
-        forms = [1] * k
-        for i in range(k):
-            if (r >> i) & 1:
-                forms = [a ^ b for a, b in zip(forms, planes[i])]
-        yield r, forms
-        return
-    table = [[0] * k]  # forms of r = 0, 1, 2, .. by doubling over the bits of r
-    for plane in planes:
-        table += [[a ^ b for a, b in zip(forms, plane)] for forms in table]
-    yield from enumerate(table)
-
-
-def _columns(forms: list[int]) -> list[int]:
-    """The columns c, in increasing order, whose XOR of forms is 0."""
-    sums = [0]
-    for form in forms:
-        sums += [x ^ form for x in sums]
-    return [c for c, x in enumerate(sums) if not x]
-
-
 def _rank(vectors: Iterable[int]) -> int:
     """Rank over GF(2) of the bitmask vectors, by Gaussian elimination."""
     pivots: dict[int, int] = {}
@@ -479,37 +418,90 @@ def _rank(vectors: Iterable[int]) -> int:
     return len(pivots)
 
 
-def _unit_minor_rows(n: int, rows: tuple[int, ...] = ()) -> Iterator[tuple[int, ...]]:
-    """The row masks of every n by n member whose leading block is ``rows``,
-    depth first, so only one border table per level is held at a time."""
-    k = len(rows)
-    if k == n:
-        yield rows
-        return
-    spread = _spread(k)
-    for r, forms in _new_rows(rows, k, False):
-        r |= 1 << k
-        if k + 1 == n:  # the leaves: no generator per member
-            yield from [(*map(or_, rows, spread[c]), r) for c in _columns(forms)]
+def _sums(vectors: Iterable[Sequence[int]], k: int) -> list[list[int]]:
+    """Entry x is the XOR of ``vectors[i]``, each k ints, over the bits i of
+    x, for every x below 2^len(vectors), by doubling."""
+    table = [[0] * k]
+    for vector in vectors:
+        table += [[a ^ b for a, b in zip(sums, vector)] for sums in table]
+    return table
+
+
+Planes = list[list[int]]
+
+
+def _children(k: int, word: int, planes: Planes, stride: int,
+              inverses: bool) -> Iterator[tuple[int, Planes | None]]:
+    """Yield ``(word, planes)`` for each member bordering the k by k member
+    packed in ``word``, with principal inverses ``planes``, by new row r,
+    then new column c; the child's planes only with ``inverses``.
+
+    Bit t of ``columns[c][i]`` is entry i of u = B_t^-1 c_t, and bit t of
+    ``forms[r][j]`` entry j of v = r_t B_t^-1.  Bit t of ``sums[r * 2^k +
+    c]`` is r_t u = v c_t: r and c border a member exactly when it is 0.
+    """
+    size = 1 << k  # the index sets of the block; t + {k} is bit t + size
+    columns = _sums(zip(*planes), k)
+    sums = [0] * size  # r = 0, then doubled over the bits i of r
+    for entries in zip(*columns):  # entry i of every column's u
+        sums += [a ^ b for a, b in zip(sums, entries * (len(sums) >> k))]
+    spread = [0]  # spread[c]: the bits of c as column k of the packed rows
+    for i in range(k):
+        bit = 1 << i * stride + k
+        spread += [x | bit for x in spread]
+    if inverses:
+        forms = _sums(planes, k)
+        corner = [((1 << size) - 1) << size]  # entry (k, k) of every B_s^-1
+    for i, x in enumerate(sums):
+        if x:
             continue
-        for c in _columns(forms):
-            yield from _unit_minor_rows(n, (*map(or_, rows, spread[c]), r))
+        r, c = divmod(i, size)
+        child = word | (r | size) << k * stride | spread[c]
+        if not inverses:
+            yield child, None
+            continue
+        v = forms[r]
+        grown = [[p | (p ^ ui & vj) << size for p, vj in zip(plane, v)] + [ui << size]
+                 for plane, ui in zip(planes, columns[c])]
+        grown.append([vj << size for vj in v] + corner)
+        yield child, grown
 
 
-@lru_cache(maxsize=None)  # one table per level k, 2^k tuples of k ints
-def _spread(k: int) -> tuple[tuple[int, ...], ...]:
-    """Column c of a k by k border, bit k of each old row: ``spread[c][i]``
-    is bit i of c moved to bit k."""
-    return tuple(tuple((c >> i & 1) << k for i in range(k)) for c in range(1 << k))
+def unit_minor_walk(n: int, inverses: bool = False
+                    ) -> Iterator[tuple[int, int, Planes | None]]:
+    """Yield ``(k, word, planes)`` for every member of every side k <= n
+    (a GF(2) matrix whose principal minors all equal 1), each once, depth
+    first: a member, then every member that it leads.
+
+    ``word`` packs the rows at the stride of :func:`slot_layout` for side
+    n: :func:`pack_rows`' layout for side n, and for every side if n <= 8.
+    ``planes`` are the member's principal inverses (module docstring), None
+    at side n unless ``inverses``; the walk holds those of one path.
+    """
+    if n < 0:
+        raise ValueError("matrix dimension must be nonnegative")
+    stride = _packing(n, n, 1).stride
+    yield 0, 0, []
+    path = [_children(0, 0, [], stride, n > 1 or inverses)] if n else []
+    while path:
+        k = len(path)
+        for word, planes in path[-1]:
+            yield k, word, planes
+            if k < n:
+                path.append(_children(k, word, planes, stride, k + 1 < n or inverses))
+                break
+        else:
+            path.pop()
 
 
 def unit_minor_rows(n: int) -> Iterator[tuple[int, ...]]:
     """The row masks of every ``n`` by ``n`` GF(2) matrix whose principal
-    minors all equal 1, each exactly once, grown one index at a time (see
-    the module docstring)."""
+    minors all equal 1, each once: side n of :func:`unit_minor_walk`."""
     if n < 0:
         raise ValueError("matrix dimension must be nonnegative")
-    yield from _unit_minor_rows(n)
+    packing = _packing(n, n, 1)
+    return (_split(word, packing.stride, n, packing.cols_struct)
+            for k, word, _ in unit_minor_walk(n) if k == n)
 
 
 def count_unit_minor_matrices(n: int, odd_columns: bool = False) -> int:
@@ -518,16 +510,23 @@ def count_unit_minor_matrices(n: int, odd_columns: bool = False) -> int:
 
     The last border is counted, not listed: for each (n-1) by (n-1) member
     B and new row r, the admissible columns form a subspace of dimension
-    n - 1 - rank of the forms (see :func:`unit_minor_rows`).  Odd
-    column sums fix r and add the all-ones form on c (module docstring).
+    n - 1 - rank of the forms.  Odd column sums fix r and add the all-ones
+    form, bit 0 of each form, on c (module docstring).
     """
     if n < 0:
         raise ValueError("matrix dimension must be nonnegative")
     if n == 0:
         return 1  # the empty matrix; its column sums are vacuously odd
     k = n - 1
-    return sum(
-        1 << (k - _rank(forms))
-        for rows in _unit_minor_rows(k)
-        for _, forms in _new_rows(rows, k, odd_columns)
-    )
+    total = 0
+    for side, word, planes in unit_minor_walk(k, inverses=True):
+        if side < k:
+            continue
+        if not odd_columns:
+            total += sum(1 << (k - _rank(forms)) for forms in _sums(planes, k))
+            continue
+        r = ((1 << k) - 1) ^ reduce(xor, unpack_rows(word, k), 0)
+        picked = [plane for i, plane in enumerate(planes) if r >> i & 1]
+        forms = [reduce(xor, [plane[j] for plane in picked], 1) for j in range(k)]
+        total += 1 << (k - _rank(forms))
+    return total

@@ -290,6 +290,65 @@ def test_grown_walk_rejects_a_negative_dimension():
         gf2.count_unit_minor_matrices(-1)
 
 
+def gauss_jordan_inverse(rows, subset):
+    """Independent inverse over GF(2) of the principal submatrix of the
+    matrix with bitmask rows ``rows`` on the index set ``subset``, as a dict
+    from (i, j) to entry (i, j): Gauss-Jordan on 0/1 lists.  A singular
+    submatrix finds no pivot and raises StopIteration."""
+    idx = [i for i in range(len(rows)) if subset >> i & 1]
+    m = len(idx)
+    aug = [[rows[i] >> j & 1 for j in idx] + [int(p == q) for q in range(m)]
+           for p, i in enumerate(idx)]
+    for col in range(m):
+        pivot = next(p for p in range(col, m) if aug[p][col])
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        for p in range(m):
+            if p != col and aug[p][col]:
+                aug[p] = [x ^ y for x, y in zip(aug[p], aug[col])]
+    return {(i, j): aug[p][m + q] for p, i in enumerate(idx) for q, j in enumerate(idx)}
+
+
+def test_the_walk_carries_every_principal_inverse():
+    stride, _, _ = gf2.slot_layout(4)
+    seen = 0
+    for k, word, planes in gf2.unit_minor_walk(4, inverses=True):
+        rows = [word >> i * stride & (1 << stride) - 1 for i in range(k)]
+        assert word >> k * stride == 0
+        assert [len(plane) for plane in planes] == [k] * k
+        for s in range(1 << k):
+            inverse = gauss_jordan_inverse(rows, s)
+            assert [[plane >> s & 1 for plane in row] for row in planes] == [
+                [inverse.get((i, j), 0) for j in range(k)] for i in range(k)], (rows, s)
+        seen += 1
+    assert seen == sum(count_dags(k) for k in range(5))
+
+
+def test_one_walk_yields_each_sides_members_once():
+    by_side = [[] for _ in range(6)]
+    for k, word, planes in gf2.unit_minor_walk(5):
+        by_side[k].append(word)
+        assert (planes is None) == (k == 5)
+    for k, words in enumerate(by_side):
+        assert len(words) == len(set(words)) == count_dags(k)
+        assert set(words) == {gf2.pack_rows(rows, k) for rows in gf2.unit_minor_rows(k)}
+
+
+def test_the_walk_streams_one_path(monkeypatch):
+    # A member of side 6 comes after one expansion per side below it, not
+    # after a whole level of the 29,281 members of side 5 and their planes.
+    expanded = []
+    children = gf2._children
+
+    def counted(k, *args):
+        expanded.append(k)
+        return children(k, *args)
+
+    monkeypatch.setattr(gf2, "_children", counted)
+    first = next(gf2.unit_minor_rows(6))
+    assert BitMatrix(6, first).has_unit_principal_minors()
+    assert expanded == list(range(6))
+
+
 # ----------------------------------------------------------------------
 # column parity (orientability of the matching cover)
 # ----------------------------------------------------------------------
