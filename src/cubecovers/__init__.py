@@ -48,11 +48,7 @@ from cubecovers.gf2 import BitMatrix
 from cubecovers.series import (
     ChromaticSeries,
     IdentityCheck,
-    chrom_mul,
-    dag_series,
-    deformed_exp_series,
     orientable_from_quotient,
-    unit_series,
     verify_identities,
 )
 
@@ -71,13 +67,10 @@ __all__ = [
     "brute_count_orientable_characteristic_matrices",
     "brute_counts",
     "characteristic_matrix",
-    "chrom_mul",
     "compute_constants",
     "count_dags",
     "count_orientable_dags",
-    "dag_series",
     "deformed_exp",
-    "deformed_exp_series",
     "digraph_from_characteristic",
     "is_acyclic_dfs",
     "log_dag_estimate",
@@ -85,6 +78,5 @@ __all__ = [
     "orientable_from_quotient",
     "ratio_estimate",
     "sequence_table",
-    "unit_series",
     "verify_identities",
 ]

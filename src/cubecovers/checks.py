@@ -14,8 +14,9 @@ fails ``orientable-quotient``.
 The series records read the counts only through the public counters:
 :func:`~cubecovers.series.verify_identities` checks both product
 identities in one integer pass, and ``orientable-quotient`` compares each
-coefficient of :func:`~cubecovers.series.orientable_from_quotient` with
-V(n), and with 0 at n = 0, naming the first that differs.
+coefficient of :func:`~cubecovers.series.orientable_from_quotient`, an
+``int`` where the solve is integral and a ``Fraction`` where it is not,
+with V(n), and with 0 at n = 0, naming the first that differs.
 
 The matrix records quantify over the D(n) acyclic digraphs, read as codes
 from :func:`~cubecovers.digraph.acyclic_codes`, and over the members grown

@@ -6,7 +6,7 @@ the same code path works for any dimension.  :func:`transpose_slots` packs
 a batch of matrices into one integer, one slot each (:func:`slot_layout`),
 and transposes them all with one delta swap per halving of their side;
 :func:`odd_column_slots` tests the column parities of a whole batch the
-same way.  :func:`transpose_masks` and
+same way.  :meth:`BitMatrix.transpose` and
 :meth:`BitMatrix.has_odd_column_sums` are their batches of one.  Values
 are immutable: every operation returns a new matrix or a plain value,
 which makes them safe to share between concurrent tasks.
@@ -67,7 +67,6 @@ __all__ = [
     "pack_rows",
     "slot_layout",
     "split_slots",
-    "transpose_masks",
     "transpose_slots",
     "unit_minor_rows",
     "unit_minor_walk",
@@ -199,44 +198,24 @@ def split_slots(word: int, n: int, k: int) -> tuple[int, ...]:
     return _split(word, packing.slot, k, packing.slots_struct)
 
 
-def transpose_masks(rows: Sequence[int], n: int) -> tuple[int, ...]:
-    """The ``n`` columns, as bitmasks, of the matrix whose rows are the
-    bitmasks ``rows``: the rows of its transpose.  ``rows`` may have any
-    length; each must be a mask on ``n`` columns.
-
-    The batch of one matrix through :func:`transpose_slots`: the rows are
-    packed into one int, through :class:`struct.Struct` when the stride is
-    at most 64 bits, and the n columns are unpacked from the result.
-    """
-    packing = _packing(len(rows), n, 1)
-    try:
-        word = _join(rows, packing.stride, packing.rows_struct)
-    except _UNPACKABLE:
-        raise _out_of_range(rows, n) from None
-    word = transpose_slots(word, n, 1, None, len(rows))
-    return _split(word, packing.stride, n, packing.cols_struct)
-
-
 def transpose_slots(
     word: int, n: int, k: int = 1,
     with_identity: Callable[[int, int], int] | None = None,
-    m: int | None = None,
 ) -> int:
-    """The transposes of the ``k`` matrices of ``m`` rows (``n`` unless
-    given) and ``n`` columns packed in ``word``, one per slot (see
-    :func:`slot_layout`), packed the same way.
+    """The transposes of the ``k`` square matrices of side ``n`` packed in
+    ``word``, one per slot (see :func:`slot_layout`), packed the same way.
 
     With ``with_identity``, each matrix transposed is ``with_identity(A,
-    I)``, for its packed rows A and the packed identity I (bit i of row i,
-    for each i below both dimensions): :func:`operator.or_` sets the
-    diagonal, :func:`operator.xor` adds the identity over GF(2).
+    I)``, for its packed rows A and the packed identity I (bit i of row
+    i): :func:`operator.or_` sets the diagonal, :func:`operator.xor` adds
+    the identity over GF(2).
 
     Every slot's block is transposed in place at once, by one delta swap
     per halving of its side, with the masks cached for each shape and
-    batch size.  A bit outside the n columns of the m rows of a slot is
+    batch size.  A bit outside the n columns of the n rows of a slot is
     refused, naming its row (and its slot, in a batch of more than one).
     """
-    packing = _packing(n if m is None else m, n, k)
+    packing = _packing(n, n, k)
     if word & packing.invalid:
         raise _outside(word, n, packing, k)
     if with_identity is not None:
@@ -338,7 +317,8 @@ class BitMatrix:
         return "\n".join(f"{mask:0{self.n}b}"[::-1] for mask in self.rows)
 
     def transpose(self) -> BitMatrix:
-        return BitMatrix(self.n, transpose_masks(self.rows, self.n))
+        n = self.n
+        return BitMatrix(n, unpack_rows(transpose_slots(pack_rows(self.rows, n), n), n))
 
     # ------------------------------------------------------------------
     # determinants and minors

@@ -9,18 +9,11 @@ the integer-friendly convolution
 because C(n,2) = C(k,2) + C(n-k,2) + k(n-k).  Working in this basis keeps
 every identity below in integer numerators over power-of-two denominators
 instead of the astronomically scaled plain power-series coefficients.
-
-Two kinds of code serve two kinds of caller:
-
-* :class:`ChromaticSeries` and :func:`chrom_mul` are the public product
-  API, with coefficients stored as :class:`~fractions.Fraction`.  Products
-  run on integer numerators through :func:`chromatic_sum`, the
-  convolution above summed term by term, and build one ``Fraction`` per
-  output coefficient.
-* :func:`verify_identities` and :func:`orientable_from_quotient` sum
-  their terms in integers, k and n - k paired under one binomial stepped
-  along the row, in Horner order from the middle pair down, so no term
-  is shifted by its whole k(n-k).
+:func:`verify_identities` and :func:`orientable_from_quotient` sum it in
+integers, k and n - k paired under one binomial stepped along the row, in
+Horner order from the middle pair down, so no term is shifted by its whole
+k(n-k).  No product of two series is formed: :class:`ChromaticSeries` is
+only the value the quotient returns.
 
 Nothing here reads :mod:`cubecovers.counting` but through its two
 counters.  Counting advances its products C(n,j) * D(j) by exact
@@ -60,114 +53,36 @@ from cubecovers.counting import count_dags, count_orientable_dags
 __all__ = [
     "ChromaticSeries",
     "IdentityCheck",
-    "chrom_mul",
-    "chromatic_sum",
-    "dag_series",
-    "deformed_exp_series",
     "derivative_identity_first_failure",
     "orientable_from_quotient",
-    "orientable_series",
-    "unit_series",
     "verify_identities",
 ]
 
 
-def chromatic_sum(n: int, a: list[int], b: list[int]) -> int:
-    """The exact integer sum over ``k = 0 .. n`` of
-
-        C(n,k) * a[k] * b[n-k] * 2^(k(n-k)),
-
-    the n-th coefficient of the chromatic convolution of ``a`` and ``b``,
-    taken term by term as written: one :func:`math.comb` and one shift per
-    term.  Pairing terms k and n - k under one binomial stepped along the
-    row is faster: one ``E(-x) * D(x)`` and one ``D(x/2) * E(-x)`` product
-    through :func:`chrom_mul` took 0.12, 0.58, 5.3 and 52.6 ms paired
-    against 0.16, 0.75, 6.9 and 79.8 ms term by term at orders 16, 40, 100
-    and 200 (best of 21, 2-core VM, Python 3.11.7).  No caller goes past
-    order 60, where the difference is a fraction of a millisecond, and as
-    the reference for :func:`verify_identities` and
-    :func:`_scaled_quotient` the sum should not share their pairing, so no
-    pairing is kept.
-    """
-    return sum(math.comb(n, k) * a[k] * b[n - k] << k * (n - k) for k in range(n + 1))
-
-
 @dataclass(frozen=True)
 class ChromaticSeries:
-    """Coefficients a_0 .. a_N on the basis x^n / (n! * 2^C(n,2)).
+    """Coefficients a_0 .. a_N on the basis x^n / (n! * 2^C(n,2)), each an
+    ``int`` or a :class:`~fractions.Fraction`.
 
     The truncation order N is ``len(coeffs) - 1`` and is part of the value:
     equality compares both the order and every coefficient.
     """
 
-    coeffs: tuple[Fraction, ...]
+    coeffs: tuple[int | Fraction, ...]
 
     def __post_init__(self) -> None:
         if not self.coeffs:
             raise ValueError("a series needs at least its constant coefficient")
-        object.__setattr__(
-            self,
-            "coeffs",
-            tuple(c if type(c) is Fraction else Fraction(c) for c in self.coeffs),
-        )
+        object.__setattr__(self, "coeffs", tuple(self.coeffs))
 
     @property
     def order(self) -> int:
         return len(self.coeffs) - 1
 
-    def coefficient(self, n: int) -> Fraction:
+    def coefficient(self, n: int) -> int | Fraction:
         if not 0 <= n <= self.order:
             raise IndexError(f"no coefficient {n} in a series of order {self.order}")
         return self.coeffs[n]
-
-    def scale_argument(self, s) -> ChromaticSeries:
-        """Substitute x -> s*x, which scales the n-th coefficient by s^n."""
-        s = Fraction(s)
-        return ChromaticSeries(
-            tuple(c * s**n for n, c in enumerate(self.coeffs))
-        )
-
-    def __mul__(self, other: ChromaticSeries) -> ChromaticSeries:
-        return chrom_mul(self, other)
-
-    def __add__(self, other: ChromaticSeries) -> ChromaticSeries:
-        order = min(self.order, other.order)
-        return ChromaticSeries(
-            tuple(self.coeffs[n] + other.coeffs[n] for n in range(order + 1))
-        )
-
-    def __sub__(self, other: ChromaticSeries) -> ChromaticSeries:
-        order = min(self.order, other.order)
-        return ChromaticSeries(
-            tuple(self.coeffs[n] - other.coeffs[n] for n in range(order + 1))
-        )
-
-
-def _numerators(s: ChromaticSeries, order: int) -> tuple[list[int], int]:
-    """Coefficients 0 .. order as integer numerators over one common
-    denominator, the lcm of theirs."""
-    coeffs = s.coeffs[: order + 1]
-    common = math.lcm(*(c.denominator for c in coeffs))
-    return [c.numerator * (common // c.denominator) for c in coeffs], common
-
-
-def chrom_mul(a: ChromaticSeries, b: ChromaticSeries) -> ChromaticSeries:
-    """Product on the chromatic basis, truncated to the smaller order.
-
-    Both factors go over a common denominator, so every coefficient of the
-    product is one integer :func:`chromatic_sum` over the product of the
-    two denominators.  The factors go in as given: putting the one with the
-    smaller numerators first saved 2-3% on the products timed at
-    :func:`chromatic_sum` (0.73 against 0.75 ms at order 40, 77.2 against
-    79.8 ms at order 200).
-    """
-    order = min(a.order, b.order)
-    xs, x_den = _numerators(a, order)
-    ys, y_den = _numerators(b, order)
-    den = x_den * y_den
-    return ChromaticSeries(
-        tuple(Fraction(chromatic_sum(n, xs, ys), den) for n in range(order + 1))
-    )
 
 
 def _check_order(order: int) -> None:
@@ -175,36 +90,6 @@ def _check_order(order: int) -> None:
     empty or order-0 series."""
     if order < 0:
         raise ValueError("order must be nonnegative")
-
-
-def unit_series(order: int) -> ChromaticSeries:
-    """The multiplicative identity: constant coefficient 1, rest 0."""
-    _check_order(order)
-    return ChromaticSeries((Fraction(1),) + (Fraction(0),) * order)
-
-
-def deformed_exp_series(order: int) -> ChromaticSeries:
-    """E(x): every chromatic coefficient is 1."""
-    _check_order(order)
-    return ChromaticSeries((Fraction(1),) * (order + 1))
-
-
-def dag_series(order: int) -> ChromaticSeries:
-    """D(x): chromatic coefficients are the exact DAG counts."""
-    _check_order(order)
-    return ChromaticSeries(tuple(Fraction(count_dags(n)) for n in range(order + 1)))
-
-
-def orientable_series(order: int) -> ChromaticSeries:
-    """V(x): orientable counts for n >= 1, constant term 0.
-
-    The zero constant term is what the identities in the module docstring
-    require; the combinatorial count at n = 0 is 1.
-    """
-    _check_order(order)
-    coeffs = [Fraction(0)]
-    coeffs.extend(Fraction(count_orientable_dags(n)) for n in range(1, order + 1))
-    return ChromaticSeries(tuple(coeffs))
 
 
 def _scaled_quotient(order: int) -> list[int]:
@@ -244,14 +129,14 @@ def orientable_from_quotient(order: int) -> ChromaticSeries:
     """Solve V(x) * E(-x/2) = 1 - E(-x) for V, coefficient by coefficient.
 
     The divisor's coefficients are (-1/2)^j, so W_n = 2^n V_n obeys an
-    integer recurrence (:func:`_scaled_quotient`), and V_n is W_n / 2^n: a
-    shift when 2^n divides W_n, else a proper fraction.  The solve never
-    consults the orientable counting formula, so it is an independent
-    route to the same integers.
+    integer recurrence (:func:`_scaled_quotient`), and V_n is W_n / 2^n: an
+    ``int`` when 2^n divides W_n, else a proper ``Fraction``.  The solve
+    never consults the orientable counting formula, so it is an
+    independent route to the same integers.
     """
     _check_order(order)
     return ChromaticSeries(tuple(
-        Fraction(w >> n) if w & ((1 << n) - 1) == 0 else Fraction(w, 1 << n)
+        w >> n if w & ((1 << n) - 1) == 0 else Fraction(w, 1 << n)
         for n, w in enumerate(_scaled_quotient(order))
     ))
 

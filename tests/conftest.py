@@ -1,4 +1,4 @@
-"""Shared fixtures, and the reference transpose.
+"""Shared fixtures, the reference transpose and the reference convolution.
 
 The 4-vertex pair below is hand-checked: transpose-plus-identity applied to
 the graph's adjacency matrix gives exactly the matrix, the graph is acyclic,
@@ -6,6 +6,8 @@ and its out-degree vector (1, 3, 0, 1) is not all even, so the matching
 cover is not orientable.  Vertex labels are 0-based everywhere in this
 package; material drawn with 1-based labels is stored shifted down by one.
 """
+
+import math
 
 import pytest
 
@@ -49,8 +51,8 @@ def corrupted_dag_count(monkeypatch):
 
 def set_bit_transpose(rows, n):
     """The columns of the matrix whose rows are the bitmasks ``rows``, by a
-    walk over the set bits: the reference for ``gf2.transpose_masks``,
-    which packs the rows into one int instead."""
+    walk over the set bits: the reference for ``BitMatrix.transpose`` and
+    the batch transpose, which pack the rows into one int instead."""
     cols = [0] * n
     for i, mask in enumerate(rows):
         bit = 1 << i
@@ -59,3 +61,15 @@ def set_bit_transpose(rows, n):
             cols[low.bit_length() - 1] |= bit
             mask ^= low
     return tuple(cols)
+
+
+def chromatic_sum(n, a, b):
+    """The exact integer sum over ``k = 0 .. n`` of
+
+        C(n,k) * a[k] * b[n-k] * 2^(k(n-k)),
+
+    the n-th coefficient of the chromatic convolution of ``a`` and ``b``,
+    taken term by term as written: the reference for the integer passes of
+    ``cubecovers.series``, which pair terms k and n - k under one binomial
+    and sum the pairs in Horner order."""
+    return sum(math.comb(n, k) * a[k] * b[n - k] << k * (n - k) for k in range(n + 1))

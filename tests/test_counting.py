@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cubecovers import counting, series
+from conftest import chromatic_sum
+
+from cubecovers import counting
 from cubecovers import (
     brute_counts,
     count_dags,
@@ -20,17 +22,17 @@ ORIENTABLE_COUNTS = [1, 1, 4, 43, 1156, 74581, 11226874]
 
 
 # ----------------------------------------------------------------------
-# the series kernel's binomial
+# the reference convolution's binomial
 # ----------------------------------------------------------------------
 
 
 def kernel_binomial(n, k):
     # With a and b the indicators of k and n - k, the only nonzero term of
     # the chromatic sum is C(n,k) * 1 * 1 << k(n-k), so the sum reads back
-    # the binomial the kernel takes for term k.
+    # the binomial the reference takes for term k.
     a = [int(i == k) for i in range(n + 1)]
     b = [int(i == n - k) for i in range(n + 1)]
-    return series.chromatic_sum(n, a, b) >> (k * (n - k))
+    return chromatic_sum(n, a, b) >> (k * (n - k))
 
 
 @pytest.mark.parametrize("n,k,expected", [(5, 2, 10), (7, 3, 35), (9, 0, 1), (6, 6, 1)])

@@ -1,6 +1,7 @@
 import ast
 import itertools
 import random
+import re
 from operator import or_, xor
 from pathlib import Path
 
@@ -367,37 +368,41 @@ def test_transpose_and_column_parity_match_their_entrywise_definition(n):
 
 
 @given(st.integers(0, 40).flatmap(lambda n: st.tuples(
-    st.lists(st.integers(0, (1 << n) - 1), max_size=40), st.just(n))))
+    st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n), st.just(n))))
 @settings(max_examples=300)
 def test_transpose_masks_matches_the_set_bit_walk(case):
     rows, n = case
-    assert gf2.transpose_masks(tuple(rows), n) == set_bit_transpose(rows, n)
+    assert BitMatrix(n, rows).transpose().rows == set_bit_transpose(rows, n)
 
 
-@pytest.mark.parametrize("m,n", [(0, 65), (65, 0), (65, 65), (100, 70), (3, 129),
-                                 (128, 128)])
-def test_transpose_masks_beyond_a_64_bit_stride(m, n):
+@pytest.mark.parametrize("n", [65, 100, 128, 129])
+def test_transpose_masks_beyond_a_64_bit_stride(n):
     # Strides above 64 bits are packed by shifts, not by struct fields.
-    rng = random.Random(m * 1000 + n)
-    rows = tuple(rng.getrandbits(n) for _ in range(m))
-    assert gf2.transpose_masks(rows, n) == set_bit_transpose(rows, n)
+    rng = random.Random(n)
+    rows = tuple(rng.getrandbits(n) for _ in range(n))
+    assert BitMatrix(n, rows).transpose().rows == set_bit_transpose(rows, n)
 
 
-@pytest.mark.parametrize("rows,n,row", [
-    ((1 << 5,), 2, 0),
-    ((1, 4), 2, 1),
-    ((0, -1), 2, 1),
-    ((0, 1 << 64), 64, 1),
-    ((0,) * 70 + (1 << 100,), 100, 70),
-    ((1 << 128, 0), 65, 0),
-    ((0, 1.0), 65, 1),
+@pytest.mark.parametrize("n,row,mask", [
+    (2, 0, 1 << 5),
+    (2, 1, 4),
+    (2, 1, -1),
+    (64, 1, 1 << 64),
+    (100, 70, 1 << 100),
+    (65, 0, 1 << 128),
+    (65, 1, 1.0),
 ], ids=["past-the-columns", "next-column", "negative", "past-a-64-bit-stride",
         "past-the-columns-at-a-128-bit-stride", "past-a-128-bit-stride",
         "not-an-int-at-a-128-bit-stride"])
-def test_transpose_masks_names_a_row_outside_its_columns(rows, n, row):
-    # Packed, such a bit would land in another row instead of failing.
-    with pytest.raises(ValueError, match=f"^row {row} is "):
-        gf2.transpose_masks(rows, n)
+def test_transpose_masks_names_a_row_outside_its_columns(n, row, mask):
+    # The matrix refuses such a row.  Packed by hand, its bit would land in
+    # another row, so the packing or the transpose refuses it too.
+    rows = tuple(mask if i == row else 0 for i in range(n))
+    message = re.escape(f"row {row} is {mask!r}, not a mask on {n} columns")
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        BitMatrix(n, rows).transpose()
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        gf2.transpose_slots(gf2.pack_rows(rows, n), n)
 
 
 def random_batch(rng, k, m, n):

@@ -5,29 +5,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import chromatic_sum
+
 from cubecovers import (
     ChromaticSeries,
-    chrom_mul,
     count_dags,
     count_orientable_dags,
-    dag_series,
-    deformed_exp_series,
     orientable_from_quotient,
-    unit_series,
     verify_identities,
 )
 from cubecovers import counting, series
-from cubecovers.series import derivative_identity_first_failure, orientable_series
-
-small_rationals = st.fractions(
-    min_value=-9, max_value=9, max_denominator=9
-)
+from cubecovers.series import derivative_identity_first_failure
 
 
-def series_strategy(max_order: int = 8):
-    return st.lists(small_rationals, min_size=1, max_size=max_order + 1).map(
-        lambda cs: ChromaticSeries(tuple(cs))
-    )
+def dag_counts(order):
+    return [count_dags(n) for n in range(order + 1)]
+
+
+def powers(base, order):
+    # base^0 .. base^order, the coefficients of E(base * x).
+    return [base**j for j in range(order + 1)]
 
 
 # ----------------------------------------------------------------------
@@ -41,92 +38,18 @@ def test_series_needs_a_constant_term():
 
 
 def test_order_and_coefficients():
-    s = ChromaticSeries((1, 2, Fraction(3, 4)))
+    s = ChromaticSeries([1, 2, Fraction(3, 4)])
     assert s.order == 2
     assert s.coefficient(2) == Fraction(3, 4)
-    assert all(isinstance(c, Fraction) for c in s.coeffs)
+    assert s.coeffs == (1, 2, Fraction(3, 4))
 
 
 @pytest.mark.parametrize("n", [-1, 4])
 def test_coefficient_outside_the_order_raises(n):
     # A negative index must not read the coefficients from the top end.
-    s = deformed_exp_series(3).scale_argument(-1)
+    s = orientable_from_quotient(3)
     with pytest.raises(IndexError, match=f"no coefficient {n} in a series of order 3"):
         s.coefficient(n)
-
-
-def test_all_ones_series_shape():
-    assert deformed_exp_series(0).coeffs == (Fraction(1),)
-    assert deformed_exp_series(3).coeffs == (1, 1, 1, 1)
-
-
-# ----------------------------------------------------------------------
-# multiplication on the chromatic basis
-# ----------------------------------------------------------------------
-
-
-def test_unit_series_is_the_identity():
-    e = deformed_exp_series(6)
-    assert chrom_mul(unit_series(6), e) == e
-    assert chrom_mul(e, unit_series(6)) == e
-
-
-def test_squared_all_ones_coefficient_two():
-    ee = chrom_mul(deformed_exp_series(2), deformed_exp_series(2))
-    # 1 + C(2,1)*2^1 + 1 = 6
-    assert ee.coefficient(2) == 6
-
-
-def test_product_truncates_to_smaller_order():
-    a = deformed_exp_series(3)
-    b = deformed_exp_series(7)
-    assert chrom_mul(a, b).order == 3
-    assert (a + b).order == 3
-    assert (a - b).order == 3
-
-
-@given(series_strategy(), series_strategy())
-@settings(max_examples=40)
-def test_multiplication_commutes(a, b):
-    assert chrom_mul(a, b) == chrom_mul(b, a)
-
-
-@given(series_strategy(5), series_strategy(5), series_strategy(5))
-@settings(max_examples=30)
-def test_multiplication_is_associative(a, b, c):
-    assert chrom_mul(chrom_mul(a, b), c) == chrom_mul(a, chrom_mul(b, c))
-
-
-def naive_chrom_mul(a, b):
-    # The convolution written out in Fractions, term by term.
-    order = min(a.order, b.order)
-    return ChromaticSeries(tuple(
-        sum(
-            (Fraction(math.comb(n, k) * 2 ** (k * (n - k))) * a.coeffs[k] * b.coeffs[n - k]
-             for k in range(n + 1)),
-            Fraction(0),
-        )
-        for n in range(order + 1)
-    ))
-
-
-# Non-dyadic denominators and negative values, so the common denominator
-# of a factor is rarely a power of two.
-odd_rationals = st.sampled_from(
-    [Fraction(1, 3), Fraction(5, 7), Fraction(-2, 9), Fraction(-11, 5), Fraction(0)]
-) | st.fractions(min_value=-50, max_value=50, max_denominator=35)
-
-
-@given(
-    st.lists(odd_rationals, min_size=1, max_size=12),
-    st.lists(odd_rationals, min_size=1, max_size=12),
-)
-@settings(max_examples=60)
-def test_multiplication_matches_the_naive_convolution(xs, ys):
-    a, b = ChromaticSeries(tuple(xs)), ChromaticSeries(tuple(ys))
-    product = chrom_mul(a, b)
-    assert product == naive_chrom_mul(a, b)
-    assert all(type(c) is Fraction for c in product.coeffs)
 
 
 @st.composite
@@ -142,49 +65,13 @@ def kernel_inputs(draw):
 @given(kernel_inputs())
 @settings(max_examples=200)
 def test_paired_kernel_equals_the_literal_sum(inputs):
-    # The kernel shifts where this sum multiplies by a power of two, and a
-    # negative product must shift like a positive one.
+    # The reference shifts where this sum multiplies by a power of two, and
+    # a negative product must shift like a positive one.
     n, a, b = inputs
-    assert series.chromatic_sum(n, a, b) == sum(
+    assert chromatic_sum(n, a, b) == sum(
         math.comb(n, k) * a[k] * b[n - k] * 2 ** (k * (n - k))
         for k in range(n + 1)
     )
-
-
-def test_multiplication_by_hand_with_odd_denominators():
-    a = ChromaticSeries((Fraction(1, 3), Fraction(5, 7)))
-    b = ChromaticSeries((Fraction(-1, 2), Fraction(3, 5), Fraction(4)))
-    # c_1 = a_0 b_1 + a_1 b_0 = 1/5 - 5/14 = -11/70
-    assert chrom_mul(a, b).coeffs == (Fraction(-1, 6), Fraction(-11, 70))
-
-
-@given(series_strategy())
-@settings(max_examples=30)
-def test_unit_is_two_sided_identity(a):
-    one = unit_series(a.order)
-    assert chrom_mul(one, a) == a
-    assert chrom_mul(a, one) == a
-
-
-# ----------------------------------------------------------------------
-# argument scaling
-# ----------------------------------------------------------------------
-
-
-def test_scale_by_one_is_identity():
-    d = dag_series(6)
-    assert d.scale_argument(1) == d
-
-
-def test_scale_by_minus_one_alternates():
-    e = deformed_exp_series(5).scale_argument(-1)
-    assert e.coeffs == tuple(Fraction((-1) ** n) for n in range(6))
-
-
-def test_scale_by_half_divides_by_powers_of_two():
-    d = dag_series(6).scale_argument(Fraction(1, 2))
-    for n in range(7):
-        assert d.coefficient(n) == Fraction(count_dags(n), 2**n)
 
 
 # ----------------------------------------------------------------------
@@ -194,14 +81,12 @@ def test_scale_by_half_divides_by_powers_of_two():
 
 @pytest.mark.parametrize("order", [0, 3, 7, 12])
 def test_alternating_series_inverts_the_dag_series(order):
-    product = chrom_mul(
-        deformed_exp_series(order).scale_argument(-1), dag_series(order)
-    )
-    assert product == unit_series(order)
+    dags = dag_counts(order)
+    assert [chromatic_sum(n, powers(-1, order), dags) for n in range(order + 1)] == (
+        [1] + [0] * order)
 
 
 @pytest.mark.parametrize("build", [
-    unit_series, deformed_exp_series, dag_series, orientable_series,
     orientable_from_quotient, verify_identities, derivative_identity_first_failure,
 ], ids=lambda build: build.__name__)
 @pytest.mark.parametrize("order", [-1, -5])
@@ -230,19 +115,18 @@ def test_verify_identities_reports_first_failure(corrupted_dag_count):
 
 
 def reference_identities(order):
-    # Both identities as series products, in Fractions: the formulation
-    # that verify_identities replaced, which it must agree with exactly.
-    def first_mismatch(a, b):
-        return next((n for n, (x, y) in enumerate(zip(a.coeffs, b.coeffs)) if x != y),
-                    None)
-
-    alternating = deformed_exp_series(order).scale_argument(-1)
-    dags = dag_series(order)
-    halved = dags.scale_argument(Fraction(1, 2))
-    lhs = chrom_mul(halved, alternating) + orientable_series(order)
+    # Both identities through the term-by-term convolution, in integers:
+    # E(-x) * D(x) = 1 as it stands, and D(x/2) * E(-x) + V(x) = D(x/2)
+    # multiplied through by 2^n, which turns D(k)/2^k * (-1)^(n-k) into
+    # D(k) * (-2)^(n-k).  No pairing and no Horner order.
+    dags = dag_counts(order)
+    orientable = [0] + [count_orientable_dags(n) for n in range(1, order + 1)]
+    alternating, doubled = powers(-1, order), powers(-2, order)
     misses = [
-        first_mismatch(chrom_mul(alternating, dags), unit_series(order)),
-        first_mismatch(lhs, halved),
+        next((n for n in range(order + 1)
+              if chromatic_sum(n, alternating, dags) != (n == 0)), None),
+        next((n for n in range(order + 1)
+              if chromatic_sum(n, dags, doubled) + (orientable[n] << n) != dags[n]), None),
     ]
     return [(miss is None, miss) for miss in misses]
 
@@ -282,13 +166,14 @@ def test_integer_pass_agrees_on_a_stored_count_off_by_one(
 
 
 def test_half_argument_decomposition_by_hand():
-    # At n = 3 the decomposition reads -1 + 6 - 9 + 25/8 + V_3 = 25/8.
-    order = 3
-    halved = dag_series(order).scale_argument(Fraction(1, 2))
-    alternating = deformed_exp_series(order).scale_argument(-1)
-    lhs = chrom_mul(halved, alternating) + orientable_series(order)
-    assert lhs.coefficient(3) == Fraction(25, 8)
-    assert lhs == halved
+    # At n = 3 the decomposition reads -1 + 6 - 9 + 25/8 + V_3 = 25/8: the
+    # terms C(3,k) 2^(k(3-k)) D(k)/2^k (-1)^(3-k) of D(x/2) * E(-x), summed
+    # in Fractions, and 2^3 times them through the reference.
+    terms = [Fraction(math.comb(3, k) << k * (3 - k), 2**k) * count_dags(k) * (-1) ** (3 - k)
+             for k in range(4)]
+    assert terms == [-1, 6, -9, Fraction(25, 8)]
+    assert sum(terms) + count_orientable_dags(3) == Fraction(count_dags(3), 8)
+    assert chromatic_sum(3, dag_counts(3), powers(-2, 3)) == 8 * sum(terms)
 
 
 # ----------------------------------------------------------------------
@@ -299,7 +184,6 @@ def test_half_argument_decomposition_by_hand():
 def test_quotient_constant_term_is_zero():
     # Forced by the identities; the combinatorial count at n = 0 is 1.
     assert orientable_from_quotient(4).coefficient(0) == 0
-    assert orientable_series(4).coefficient(0) == 0
 
 
 def test_quotient_reproduces_published_values():
@@ -317,7 +201,7 @@ def test_quotient_is_integral_and_matches_the_formula(order):
         assert c.denominator == 1
         if n >= 1:
             assert c == count_orientable_dags(n)
-    assert q == orientable_series(order)
+    assert q.coeffs == (0, *map(count_orientable_dags, range(1, order + 1)))
 
 
 def test_quotient_matches_the_counts_through_sixty():
@@ -342,16 +226,16 @@ def test_quotient_returns_a_non_integer_coefficient_as_a_fraction(monkeypatch):
 
 
 def kernel_quotient(order):
-    # The solve by its definition: W_n from the term-by-term product
-    # kernel against the signs of E(-x) as a list of +-1, with no pairing
-    # and no Horner order.  A placeholder W_n = 0 makes the kernel's k = 0
-    # term, the unknown itself, vanish.
-    signs = [(-1) ** k for k in range(order + 1)]
+    # The solve by its definition: W_n from the reference convolution
+    # against the signs of E(-x), with no pairing and no Horner order.  A
+    # placeholder W_n = 0 makes the sum's k = 0 term, the unknown itself,
+    # vanish.
+    alternating = powers(-1, order)
     scaled = [0]
     for n in range(1, order + 1):
         forcing = 1 << n if n % 2 else -(1 << n)
         scaled.append(0)
-        scaled[n] = forcing - series.chromatic_sum(n, signs, scaled)
+        scaled[n] = forcing - chromatic_sum(n, alternating, scaled)
     return scaled
 
 
@@ -365,11 +249,13 @@ def test_quotient_equals_the_kernel_solve_through_sixty():
 
 
 def test_quotient_times_divisor_recovers_numerator():
+    # V(x) * E(-x/2) = 1 - E(-x), multiplied through by 2^n: V_k becomes
+    # 2^k V_k, the divisor's (-1/2)^j becomes (-1)^j, and the numerator's
+    # -(-1)^n for n >= 1 becomes -(-2)^n.
     order = 10
-    q = orientable_from_quotient(order)
-    divisor = deformed_exp_series(order).scale_argument(Fraction(-1, 2))
-    numerator = unit_series(order) - deformed_exp_series(order).scale_argument(-1)
-    assert chrom_mul(q, divisor) == numerator
+    scaled = [v << k for k, v in enumerate(orientable_from_quotient(order).coeffs)]
+    assert [chromatic_sum(n, scaled, powers(-1, order)) for n in range(order + 1)] == (
+        [0] + [-(-2) ** n for n in range(1, order + 1)])
 
 
 # ----------------------------------------------------------------------

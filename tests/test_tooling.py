@@ -3,7 +3,10 @@ import graph.
 
 The benchmark's traced run wraps package functions by name:
 ``perfbench/spans.py`` lists them in ``TRACED``, and a name that no longer
-resolves on the package breaks every traced run.  The demos import from
+resolves on the package breaks every traced run.  Its gates
+(``perfbench/gates.py``) import names from the package too, and read V(n)
+from the series quotient's coefficients as integers through
+``.numerator`` and ``.denominator``.  The demos import from
 the package root, so each name they import must be exported there, and
 every name in an ``__all__`` must resolve.  Those files are read and
 parsed here, never imported or executed.
@@ -42,10 +45,12 @@ from pathlib import Path
 
 import cubecovers
 from cubecovers import (BitMatrix, Digraph, checks, cli, correspondence, count_dags,
-                        digraph, gf2, is_acyclic_dfs)
+                        count_orientable_dags, digraph, gf2, is_acyclic_dfs,
+                        orientable_from_quotient)
 
 ROOT = Path(__file__).resolve().parent.parent
 SPANS = ROOT / "perfbench" / "spans.py"
+GATES = ROOT / "perfbench" / "gates.py"
 PACKAGE = ROOT / "src" / "cubecovers"
 
 IMPORT_GRAPH = {
@@ -95,6 +100,26 @@ def test_every_traced_name_resolves_on_the_package():
                 assert hasattr(value, part), f"cubecovers.{module_name}.{qualified}"
                 value = getattr(value, part)
             assert callable(value), f"cubecovers.{module_name}.{qualified}"
+
+
+def test_every_name_the_gates_import_resolves():
+    imported = [(node.module, alias.name)
+                for node in ast.walk(ast.parse(GATES.read_text()))
+                if isinstance(node, ast.ImportFrom)
+                and (node.module or "").split(".")[0] == "cubecovers"
+                for alias in node.names]
+    assert imported
+    for module_name, name in imported:
+        assert hasattr(importlib.import_module(module_name), name), (
+            f"{module_name}.{name}")
+
+
+def test_the_quotient_holds_the_integers_the_gates_read():
+    counts = [count_orientable_dags(n) for n in range(1, 61)]
+    for order in range(61):
+        coeffs = orientable_from_quotient(order).coeffs
+        assert all(type(c) is int and c.denominator == 1 for c in coeffs), order
+        assert coeffs[1:] == tuple(counts[:order]), order
 
 
 def test_every_exported_name_resolves():
