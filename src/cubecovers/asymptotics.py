@@ -38,8 +38,8 @@ other values of the two constants.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 
 __all__ = [
@@ -131,8 +131,7 @@ def _newton_zero(initial: float) -> tuple[float, int]:
     )
 
 
-@dataclass(frozen=True)
-class AsymptoticConstants:
+class AsymptoticConstants(NamedTuple):
     """The zero and growth prefactors, with the numerics that produced them.
 
     ``ratio_factor`` is orientable_prefactor / dag_prefactor, the constant in

@@ -6,15 +6,17 @@ Each parses its options, calls the library and prints what it returns;
 JSON is the machine interface and renders every exact integer as a decimal
 string; text is for people.  Output is deterministic for fixed flags.
 Exit codes: 0 success, 1 verification failure, 2 usage error.
+The formatters import ``decimal`` when first called, so only ``count``,
+``table`` and ``asymptotic`` load it.
 """
 
 from __future__ import annotations
 
-import decimal
 import json
 import math
 import sys
 from itertools import islice
+from typing import TYPE_CHECKING
 
 import click
 
@@ -25,6 +27,9 @@ from cubecovers.digraph import (
     Digraph,
     EnumerationCapExceeded,
 )
+
+if TYPE_CHECKING:
+    import decimal
 
 
 def _fmt(value: float, digits: int) -> str:
@@ -39,6 +44,7 @@ def _fmt_halved(x: float, n: int, digits: int) -> str:
     even like float formatting, so the bytes are ``_fmt``'s wherever the
     product is a normal float.
     """
+    import decimal
     return _fmt_decimal(_context(digits).divide(decimal.Decimal(x), 1 << n), digits)
 
 
@@ -50,12 +56,14 @@ def _fmt_exp(x: float, digits: int) -> str:
     try:
         return _fmt(math.exp(x), digits)
     except OverflowError:
+        import decimal
         return _fmt_decimal(_context(digits).exp(decimal.Decimal(x)), digits)
 
 
 def _context(digits: int) -> decimal.Context:
     # Exponents as wide as decimal allows: the counts outgrow 10^999999
     # (the default bound) near n = 2600.
+    import decimal
     return decimal.Context(prec=digits, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
 
 
@@ -76,6 +84,7 @@ def _dec(value: int) -> str:
     (4300 digits by default, reached by D(165)); the decimal module's
     conversion has no such limit.
     """
+    import decimal
     return str(decimal.Decimal(value))
 
 

@@ -47,7 +47,6 @@ the dictionary shares no code with the matrix side in :mod:`cubecovers.gf2`.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
 from functools import lru_cache
 
 __all__ = [
@@ -87,20 +86,18 @@ class EnumerationCapExceeded(ValueError):
         self.cap = cap
 
 
-@dataclass(frozen=True)
 class Digraph:
-    """A simple digraph on ``n`` labeled vertices, adjacency as bitmasks."""
+    """A simple digraph on ``n`` labeled vertices, adjacency as bitmasks;
+    immutable, and equal only to a ``Digraph`` of the same fields."""
 
+    __slots__ = ("n", "rows")
     n: int
     rows: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        n, rows = self.n, self.rows
+    def __init__(self, n: int, rows: Iterable[int]) -> None:
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
-        if not isinstance(rows, tuple):
-            rows = tuple(rows)
-            object.__setattr__(self, "rows", rows)
+        rows = tuple(rows)
         if len(rows) != n:
             raise ValueError(f"expected {n} adjacency rows, got {len(rows)}")
         limit = 1 << n
@@ -113,6 +110,27 @@ class Digraph:
                 raise ValueError(f"loop at vertex {loop.bit_length() - 1}: "
                                  f"graphs here are simple")
             loop <<= 1
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "rows", rows)
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.n == other.n and self.rows == other.rows
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.rows))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(n={self.n!r}, rows={self.rows!r})"
+
+    def __reduce__(self) -> tuple:
+        return type(self), (self.n, self.rows)
 
     # ------------------------------------------------------------------
     # construction

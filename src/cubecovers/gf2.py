@@ -53,7 +53,6 @@ from __future__ import annotations
 
 import struct
 from collections.abc import Callable, Iterable, Iterator, Sequence
-from dataclasses import dataclass
 from functools import lru_cache, reduce
 from operator import xor
 from typing import NamedTuple
@@ -282,26 +281,45 @@ def _unit_minor(rows: Sequence[int], subset: int) -> bool:
     ) == subset.bit_count()
 
 
-@dataclass(frozen=True)
 class BitMatrix:
-    """An ``n`` by ``n`` matrix over GF(2) with rows stored as bitmasks."""
+    """An ``n`` by ``n`` matrix over GF(2) with rows stored as bitmasks;
+    immutable, and equal only to a ``BitMatrix`` of the same fields."""
 
+    __slots__ = ("n", "rows")
     n: int
     rows: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        n, rows = self.n, self.rows
+    def __init__(self, n: int, rows: Iterable[int]) -> None:
         if n < 0:
             raise ValueError("matrix dimension must be nonnegative")
-        if not isinstance(rows, tuple):
-            rows = tuple(rows)
-            object.__setattr__(self, "rows", rows)
+        rows = tuple(rows)
         if len(rows) != n:
             raise ValueError(f"expected {n} rows, got {len(rows)}")
         limit = 1 << n
         for mask in rows:
             if not (isinstance(mask, int) and 0 <= mask < limit):
                 raise _out_of_range(rows, n)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "rows", rows)
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.n == other.n and self.rows == other.rows
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.rows))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(n={self.n!r}, rows={self.rows!r})"
+
+    def __reduce__(self) -> tuple:
+        return type(self), (self.n, self.rows)
 
     # ------------------------------------------------------------------
     # construction

@@ -13,7 +13,9 @@ instead of the astronomically scaled plain power-series coefficients.
 integers, k and n - k paired under one binomial stepped along the row, in
 Horner order from the middle pair down, so no term is shifted by its whole
 k(n-k).  No product of two series is formed: :class:`ChromaticSeries` is
-only the value the quotient returns.
+only the value the quotient returns.  Its coefficients are ints; only a
+solve that is not integral, which a correct one never is, imports
+:mod:`fractions` for a proper ``Fraction``.
 
 Nothing here reads :mod:`cubecovers.counting` but through its two
 counters.  Counting advances its products C(n,j) * D(j) by exact
@@ -44,10 +46,13 @@ with n >= 1 agrees exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
+from collections.abc import Iterable
+from typing import TYPE_CHECKING, NamedTuple
 
 from cubecovers.counting import count_dags, count_orientable_dags
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 __all__ = [
@@ -59,21 +64,42 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class ChromaticSeries:
     """Coefficients a_0 .. a_N on the basis x^n / (n! * 2^C(n,2)), each an
     ``int`` or a :class:`~fractions.Fraction`.
 
     The truncation order N is ``len(coeffs) - 1`` and is part of the value:
-    equality compares both the order and every coefficient.
+    equality compares both the order and every coefficient.  Immutable,
+    and equal only to a ``ChromaticSeries``.
     """
 
+    __slots__ = ("coeffs",)
     coeffs: tuple[int | Fraction, ...]
 
-    def __post_init__(self) -> None:
-        if not self.coeffs:
+    def __init__(self, coeffs: Iterable[int | Fraction]) -> None:
+        coeffs = tuple(coeffs)
+        if not coeffs:
             raise ValueError("a series needs at least its constant coefficient")
-        object.__setattr__(self, "coeffs", tuple(self.coeffs))
+        object.__setattr__(self, "coeffs", coeffs)
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.coeffs == other.coeffs
+
+    def __hash__(self) -> int:
+        return hash((self.coeffs,))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(coeffs={self.coeffs!r})"
+
+    def __reduce__(self) -> tuple:
+        return type(self), (self.coeffs,)
 
     @property
     def order(self) -> int:
@@ -136,13 +162,18 @@ def orientable_from_quotient(order: int) -> ChromaticSeries:
     """
     _check_order(order)
     return ChromaticSeries(tuple(
-        w >> n if w & ((1 << n) - 1) == 0 else Fraction(w, 1 << n)
+        w >> n if w & ((1 << n) - 1) == 0 else _fraction(w, 1 << n)
         for n, w in enumerate(_scaled_quotient(order))
     ))
 
 
-@dataclass(frozen=True)
-class IdentityCheck:
+def _fraction(numerator: int, denominator: int) -> Fraction:
+    # A correct solve never gets here, so only a wrong one imports fractions.
+    from fractions import Fraction
+    return Fraction(numerator, denominator)
+
+
+class IdentityCheck(NamedTuple):
     """Outcome of one coefficientwise identity comparison."""
 
     name: str

@@ -26,7 +26,7 @@ ORIENTABLE_COUNTS = [1, 1, 4, 43, 1156, 74581, 11226874]
 # ----------------------------------------------------------------------
 
 
-def kernel_binomial(n, k):
+def reference_binomial(n, k):
     # With a and b the indicators of k and n - k, the only nonzero term of
     # the chromatic sum is C(n,k) * 1 * 1 << k(n-k), so the sum reads back
     # the binomial the reference takes for term k.
@@ -35,18 +35,23 @@ def kernel_binomial(n, k):
     return chromatic_sum(n, a, b) >> (k * (n - k))
 
 
+# Self-checks of conftest's reference: they read no package code.  The
+# binomials the counting pass keeps are checked by
+# test_memo_products_are_binomials_times_counts_at_every_m.
+
+
 @pytest.mark.parametrize("n,k,expected", [(5, 2, 10), (7, 3, 35), (9, 0, 1), (6, 6, 1)])
-def test_binomial_values(n, k, expected):
-    assert kernel_binomial(n, k) == expected
+def test_reference_binomial_values(n, k, expected):
+    assert reference_binomial(n, k) == expected
 
 
-def test_binomial_pascal_identity():
+def test_reference_binomial_pascal_identity():
     for n in range(1, 40):
         for k in range(1, n):
-            assert kernel_binomial(n, k) == (
-                kernel_binomial(n - 1, k - 1) + kernel_binomial(n - 1, k)
+            assert reference_binomial(n, k) == (
+                reference_binomial(n - 1, k - 1) + reference_binomial(n - 1, k)
             )
-        assert [kernel_binomial(n, k) for k in range(n + 1)] == [
+        assert [reference_binomial(n, k) for k in range(n + 1)] == [
             math.comb(n, k) for k in range(n + 1)
         ]
 
@@ -135,6 +140,17 @@ def test_stepwise_growth_equals_one_shot_growth_and_the_literal_formulas(
         assert count_dags(n) == dags[n]
         assert counting._COUNTS[0] == dags[: n + 1]
     assert counting._COUNTS == one_shot
+
+
+def test_memo_products_are_binomials_times_counts_at_every_m(monkeypatch):
+    # The exact division T_j * m // (m - j) steps C(m-1,j) D(j) to
+    # C(m,j) D(j): after each m, every product the memo keeps is
+    # math.comb's binomial times the literal D(j).
+    dags, _ = _literal_counts(60)
+    monkeypatch.setattr(counting, "_COUNTS", _cold_memo())
+    for m in range(61):
+        count_dags(m)
+        assert counting._COUNTS[2] == [math.comb(m, j) * dags[j] for j in range(m + 1)], m
 
 
 @st.composite

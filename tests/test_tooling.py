@@ -202,13 +202,13 @@ def test_cli_options_are_pinned():
 def test_verify_builds_no_value_object_per_graph(monkeypatch):
     built = []
     for cls in (Digraph, BitMatrix):
-        init = cls.__post_init__
+        init = cls.__init__
 
-        def counted(self, init=init):
+        def counted(self, *args, init=init):
             built.append(type(self))
-            init(self)
+            init(self, *args)
 
-        monkeypatch.setattr(cls, "__post_init__", counted)
+        monkeypatch.setattr(cls, "__init__", counted)
     batches = []
     for module, name in ((correspondence, "characteristic_slots"),
                          (correspondence, "adjacency_slots"),
@@ -271,3 +271,37 @@ def test_the_worker_pool_is_not_imported_at_start_up():
     result = subprocess.run([sys.executable, "-c", probe], env=env, cwd=ROOT,
                             capture_output=True, text=True, timeout=60, check=True)
     assert result.stdout.strip() == "False"
+
+
+# Only click's gettext may load more while the benchmarked commands run.
+RUN_TIME_IMPORTS = {"locale", "_locale", "encodings.ascii"}
+
+START_UP_PROBE = """
+import sys
+import cubecovers.cli
+heavy = [m for m in ("dataclasses", "fractions", "decimal", "numbers") if m in sys.modules]
+lazy = [m for m in ("asymptotics", "checks", "correspondence", "counting", "digraph",
+                    "gf2", "series") if "cubecovers." + m not in sys.modules]
+before = set(sys.modules)
+for args in (["verify", "--n-max", "5", "--series-order", "12"],
+             ["verify", "--series", "--series-order", "200"], ["constants"]):
+    try:
+        cubecovers.cli.main(args, prog_name="cubecovers")
+    except SystemExit as exc:
+        assert not exc.code, (args, exc.code)
+print((heavy, lazy, sorted(set(sys.modules) - before)), file=sys.stderr)
+"""
+
+
+def test_start_up_and_the_benchmarked_commands_import_no_number_modules():
+    # dataclasses, fractions and decimal (which loads numbers) serve no
+    # benchmarked command: value types are plain classes, fractions only a
+    # wrong quotient solve and decimal only the printing of counts.  And
+    # no package module is lazy: without a bytecode cache, a command would
+    # compile it while it runs.
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    result = subprocess.run([sys.executable, "-c", START_UP_PROBE], env=env, cwd=ROOT,
+                            capture_output=True, text=True, timeout=120, check=True)
+    heavy, lazy, added = ast.literal_eval(result.stderr)
+    assert heavy == [] and lazy == []
+    assert set(added) <= RUN_TIME_IMPORTS, added
