@@ -7,7 +7,10 @@ JSON is the machine interface and renders every exact integer as a decimal
 string; text is for people.  Output is deterministic for fixed flags.
 Exit codes: 0 success, 1 verification failure, 2 usage error.
 The formatters import ``decimal`` when first called, so only ``count``,
-``table`` and ``asymptotic`` load it.
+``table`` and ``asymptotic`` load it.  Each command's ``--help`` option
+has its text as a literal: click builds its own on a command's first
+parse, help or not, through ``gettext``, whose first call imports
+``locale``, and this CLI ships no translations.
 """
 
 from __future__ import annotations
@@ -77,18 +80,69 @@ def _fmt_decimal(value: decimal.Decimal, digits: int) -> str:
     return f"{mantissa}e{int(exponent):+03d}"
 
 
+# 2^k as a Decimal, for the power-of-two splits of ``_dec``.
+_POWERS: dict[int, decimal.Decimal] = {}
+
+
 def _dec(value: int) -> str:
     """Exact decimal digits of an integer of any size.
 
     ``str`` refuses integers longer than ``sys.get_int_max_str_digits()``
-    (4300 digits by default, reached by D(165)); the decimal module's
-    conversion has no such limit.
+    (4300 digits by default, reached by D(165)), and ``Decimal(int)`` is
+    quadratic.  So, as CPython 3.12's ``_pylong.int_to_decimal_string``
+    does, split at a power-of-two bit count k, convert both halves and form
+    hi * 2^k + lo in ``decimal``, whose products of big numbers are fast.
+    The context is wide enough for every sum to be exact, and a rounding
+    would raise ``decimal.Inexact``.
     """
     import decimal
-    return str(decimal.Decimal(value))
+    context = _context(decimal.MAX_PREC)
+    context.traps[decimal.Inexact] = True
+
+    def power(k: int) -> decimal.Decimal:
+        if k not in _POWERS:
+            _POWERS[k] = (decimal.Decimal(1 << k) if k < 4096
+                          else context.multiply(power(k >> 1), power(k >> 1)))
+        return _POWERS[k]
+
+    def convert(x: int) -> decimal.Decimal:
+        if x.bit_length() < 4096:
+            return decimal.Decimal(x)
+        k = 1 << (x.bit_length() >> 1).bit_length() - 1
+        hi = x >> k
+        return context.fma(convert(hi), power(k), convert(x - (hi << k)))
+
+    return str(convert(value))
 
 
-@click.group()
+def _show_help(ctx: click.Context, param: click.Parameter, value: bool) -> None:
+    if value and not ctx.resilient_parsing:
+        click.echo(ctx.get_help(), color=ctx.color)
+        ctx.exit()
+
+
+class _Command(click.Command):
+    """A command whose help option is click's, with its text a literal."""
+
+    _literal_help = None
+
+    def get_help_option(self, ctx: click.Context) -> click.Option | None:
+        names = self.get_help_option_names(ctx)
+        if not names or not self.add_help_option:
+            return None
+        # Built once: click orders the eager callbacks by this object.
+        if self._literal_help is None:
+            self._literal_help = click.Option(
+                names, is_flag=True, expose_value=False, is_eager=True,
+                callback=_show_help, help="Show this message and exit.")
+        return self._literal_help
+
+
+class _Group(_Command, click.Group):
+    command_class = _Command
+
+
+@click.group(cls=_Group)
 def main() -> None:
     """Exact counts, enumeration, and asymptotics for small covers over cubes
     (equivalently, labeled acyclic digraphs)."""

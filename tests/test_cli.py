@@ -1,8 +1,11 @@
 import json
 import math
+import random
+import sys
 from decimal import Decimal
 from fractions import Fraction
 
+import click
 import pytest
 from click.testing import CliRunner
 
@@ -77,6 +80,27 @@ def test_big_exact_integers_print_without_traceback(runner, args):
     result = invoke(runner, *args)
     assert result.exit_code == 0, result.output
     assert result.exception is None
+
+
+@pytest.fixture
+def no_str_digit_limit():
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    yield
+    sys.set_int_max_str_digits(limit)
+
+
+def test_dec_matches_str_up_to_a_million_bits(no_str_digit_limit):
+    # Around each split: below, at and above the direct 4,096-bit
+    # conversion, exact powers of two, a zero low half, and negatives.
+    rng = random.Random(2008)
+    values = [0, 1, -1, (1 << 4095) - 1, 1 << 4095, 1 << 4096, (1 << 4096) + 1,
+              1 << 9000, (1 << 8192) - 1, 12345 << 20000, -rng.getrandbits(50_000)]
+    values += [rng.getrandbits(rng.randrange(1, bits))
+               for bits in (5_000, 30_000, 100_000, 250_000) for _ in range(3)]
+    values.append(rng.getrandbits(10 ** 6) | 1 << 10 ** 6 - 1)
+    for value in values:
+        assert cli._dec(value) == str(value), value.bit_length()
 
 
 # ----------------------------------------------------------------------
@@ -471,3 +495,44 @@ def test_identical_flags_give_identical_bytes(runner, args):
     second = invoke(runner, *args)
     assert first.exit_code == second.exit_code == 0
     assert first.output == second.output
+
+
+# ----------------------------------------------------------------------
+# help and usage
+# ----------------------------------------------------------------------
+
+USAGE_ERRORS = [("count", "r"), ("table",), ("enumerate", "--n", "7"),
+                ("verify", "--jobs", "0"), ("constants", "--digits", "0"),
+                ("asymptotic", "--n", "-1")]
+
+
+def _run(args):
+    result = CliRunner().invoke(cli.main, list(args), prog_name="cubecovers")
+    return result.exit_code, result.stdout_bytes, result.stderr_bytes
+
+
+@pytest.mark.parametrize(
+    "args",
+    [("--help",), (), ("nosuch",), ("verify", "--jobs", "0", "--help")]
+    + [(name, "--help") for name in cli.main.commands] + USAGE_ERRORS,
+    ids=lambda args: " ".join(args) or "no arguments",
+)
+def test_help_and_usage_bytes_are_clicks_own(monkeypatch, args):
+    ours = _run(args)
+    monkeypatch.setattr(cli._Command, "get_help_option", click.Command.get_help_option)
+    assert ours == _run(args)
+
+
+@pytest.mark.parametrize("args", USAGE_ERRORS, ids=" ".join)
+def test_usage_errors_exit_2_with_the_help_hint(args):
+    code, _, err = _run(args)
+    assert code == 2
+    assert f"Try 'cubecovers {args[0]} --help' for help.".encode() in err
+
+
+def test_each_command_builds_its_help_option_once():
+    for command in [cli.main, *cli.main.commands.values()]:
+        ctx = click.Context(command)
+        option = command.get_help_option(ctx)
+        assert option is command.get_help_option(ctx)
+        assert option.opts == ["--help"] and option.is_eager and option.is_flag

@@ -25,6 +25,10 @@ PINNED = {
         "89b07ffaf6dd1a877519e0f3594cf909f67cc923c1b14978434b3260a95e3ac8",
     ("enumerate", "--n", "5", "--matrices", "--format", "json"):
         "5ac82e1a8e40fd762785e7849871d37c7770a1c86bc3fde958a4ae29eb7f8b4d",
+    ("enumerate", "--n", "5"):
+        "3aa56f6aba0f93baaf69d306658a4654532daf7a7fc88c10b04b31eaa0141ec0",
+    ("enumerate", "--n", "5", "--orientable", "--matrices"):
+        "83d8ce0add7fa37dac95e6b68f42435fce3acbda4206da4053b75cd4ef6d60c6",
     ("asymptotic", "--n", "30", "--format", "json"):
         "2bf302692d47e37887fc2089fe28635e91576355dc9cd82229f9d17e2dbf92c6",
     ("constants", "--format", "json"):
