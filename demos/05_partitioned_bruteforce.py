@@ -6,8 +6,10 @@ adjacency bits, row major), so "count them all" means "walk an integer
 range".  The range can be cut anywhere: each slice is counted as the codes
 below its end less those below its start, a pure function of its bounds,
 and the partial counts add up to the same totals no matter how the work is
-split or scheduled.  The --jobs flag of the command line tool cuts the
-range into equal slices the same way.
+split or scheduled.  The library's ``brute_counts(n, jobs=k)`` cuts the
+range into k equal slices the same way and counts them in worker
+processes, which is no faster than one job: each worker fills its own memo
+of reach states.
 """
 
 import time

@@ -59,7 +59,7 @@ def _first_code(failing: int, codes: list[int], slot: int) -> int | None:
 
 
 def verify_checks(n_max: int, series_order: int, series_only: bool,
-                  jobs: int, enum_cap: int) -> list[dict]:
+                  enum_cap: int) -> list[dict]:
     """The records of ``verify`` in its order: a dict with the check's name,
     its scope (``identity``, ``n`` or ``order``), ``pass``, and ``detail``
     or ``first_failure``.  Unless ``series_only``, an ``n_max`` above
@@ -76,7 +76,7 @@ def verify_checks(n_max: int, series_order: int, series_only: bool,
             # The first n the walk below would refuse.
             raise digraph.EnumerationCapExceeded(enum_cap + 1, enum_cap)
         for n in range(n_max + 1):
-            got = correspondence.brute_counts(n, jobs=jobs, cap=enum_cap)
+            got = correspondence.brute_counts(n, cap=enum_cap)
             want_d = counting.count_dags(n)
             want_v = counting.count_orientable_dags(n)
             add("dag-count-bruteforce", got.dags == want_d,

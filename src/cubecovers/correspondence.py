@@ -38,7 +38,7 @@ module and :mod:`cubecovers.checks` know both.
 :func:`unit_diagonal_matrices` keeps the full scan of ``2^(n(n-1))``
 candidates, each decoded from its code by
 :func:`cubecovers.digraph.code_to_rows`, as the tests' reference for that
-walk, :func:`cubecovers.gf2.unit_minor_rows`.
+walk, side n of :func:`cubecovers.gf2.unit_minor_walk`.
 """
 
 from __future__ import annotations
@@ -201,7 +201,7 @@ def unit_diagonal_matrices(n: int) -> Iterator[BitMatrix]:
     :func:`~cubecovers.digraph.code_to_rows` under the cap of
     :func:`~cubecovers.digraph.enumerate_digraphs`.  Filtered through
     :meth:`~cubecovers.gf2.BitMatrix.has_unit_principal_minors` they are
-    the tests' reference for :func:`cubecovers.gf2.unit_minor_rows`.
+    the tests' reference for side n of :func:`cubecovers.gf2.unit_minor_walk`.
     """
     _check_cap(n, DEFAULT_ENUMERATION_CAP)
     for code in range(1 << (n * (n - 1))):

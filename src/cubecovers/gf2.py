@@ -20,8 +20,8 @@ linearly independent exactly when the minor on S is 1.
 
 :func:`unit_minor_walk` grows the members of every side up to n in one
 depth-first walk, without testing candidates, bordering the leading block
-one index at a time; :func:`unit_minor_rows` is its side n and
-:func:`count_unit_minor_matrices` counts the last border.  Every leading
+one index at a time, and :func:`count_unit_minor_matrices` counts the
+last border.  Every leading
 block of a member is a member.  Border a k by k member B with a row r, a
 column c and a diagonal 1: the minors on index sets without k are B's, and
 for each S in {0 .. k-1} Schur's formula (Griffin and Tsatsomeros,
@@ -67,7 +67,6 @@ __all__ = [
     "slot_layout",
     "split_slots",
     "transpose_slots",
-    "unit_minor_rows",
     "unit_minor_walk",
     "unpack_rows",
 ]
@@ -490,16 +489,6 @@ def unit_minor_walk(n: int, inverses: bool = False
                 break
         else:
             path.pop()
-
-
-def unit_minor_rows(n: int) -> Iterator[tuple[int, ...]]:
-    """The row masks of every ``n`` by ``n`` GF(2) matrix whose principal
-    minors all equal 1, each once: side n of :func:`unit_minor_walk`."""
-    if n < 0:
-        raise ValueError("matrix dimension must be nonnegative")
-    packing = _packing(n, n, 1)
-    return (_split(word, packing.stride, n, packing.cols_struct)
-            for k, word, _ in unit_minor_walk(n) if k == n)
 
 
 def count_unit_minor_matrices(n: int, odd_columns: bool = False) -> int:

@@ -49,7 +49,7 @@ def criterion(number: int, name: str, budget_seconds: float | None = None):
 
 def passing(names, n_max=0, order=0):
     """The records of ``verify`` named in ``names``, each asserted to pass."""
-    checks = verify_checks(n_max, order, False, 1, DEFAULT_ENUMERATION_CAP)
+    checks = verify_checks(n_max, order, False, DEFAULT_ENUMERATION_CAP)
     records = [c for c in checks if c["check"] in names]
     assert all(c["pass"] for c in records), records
     return records

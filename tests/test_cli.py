@@ -1,9 +1,12 @@
 import json
 import math
+import os
 import random
+import subprocess
 import sys
 from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 
 import click
 import pytest
@@ -209,11 +212,11 @@ def test_verify_series_only(runner):
         assert record["first_failure"] is None
 
 
-def test_verify_jobs_flag(runner):
-    result = invoke(runner, "verify", "--n-max", "3", "--series-order", "4",
-                    "--jobs", "2")
-    assert result.exit_code == 0
-    assert json.loads(result.output)["passed"] is True
+def test_verify_refuses_the_removed_jobs_option(runner):
+    # Its worker pool was no faster than one job.
+    result = invoke(runner, "verify", "--n-max", "3", "--jobs", "2")
+    assert result.exit_code == 2
+    assert "No such option" in result.output and "--jobs" in result.output
 
 
 def test_verify_detects_corrupted_counts(runner, corrupted_dag_count):
@@ -375,8 +378,7 @@ def test_verify_names_the_first_coefficient_the_quotient_misses(
     assert line in text.output.splitlines()
 
 
-@pytest.mark.parametrize("args", [("--n-max", "7"), ("--n-max", "9", "--jobs", "2")],
-                         ids=" ".join)
+@pytest.mark.parametrize("args", [("--n-max", "7"), ("--n-max", "9")], ids=" ".join)
 def test_verify_above_the_cap_refuses_before_any_brute_force(runner, monkeypatch, args):
     calls = []
     brute = correspondence.brute_counts
@@ -501,9 +503,10 @@ def test_identical_flags_give_identical_bytes(runner, args):
 # help and usage
 # ----------------------------------------------------------------------
 
+# ``verify --jobs 0`` names the removed option; ``--n-max -1`` is out of range.
 USAGE_ERRORS = [("count", "r"), ("table",), ("enumerate", "--n", "7"),
-                ("verify", "--jobs", "0"), ("constants", "--digits", "0"),
-                ("asymptotic", "--n", "-1")]
+                ("verify", "--jobs", "0"), ("verify", "--n-max", "-1"),
+                ("constants", "--digits", "0"), ("asymptotic", "--n", "-1")]
 
 
 def _run(args):
@@ -513,7 +516,8 @@ def _run(args):
 
 @pytest.mark.parametrize(
     "args",
-    [("--help",), (), ("nosuch",), ("verify", "--jobs", "0", "--help")]
+    [("--help",), (), ("nosuch",), ("verify", "--jobs", "0", "--help"),
+     ("verify", "--n-max", "-1", "--help")]
     + [(name, "--help") for name in cli.main.commands] + USAGE_ERRORS,
     ids=lambda args: " ".join(args) or "no arguments",
 )
@@ -536,3 +540,53 @@ def test_each_command_builds_its_help_option_once():
         option = command.get_help_option(ctx)
         assert option is command.get_help_option(ctx)
         assert option.opts == ["--help"] and option.is_eager and option.is_flag
+
+
+# ----------------------------------------------------------------------
+# a reader that closes the pipe
+# ----------------------------------------------------------------------
+
+ENV = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+
+# D(3) = 26 in the memo makes ``verify`` fail (see ``corrupted_dag_count``).
+FAILING_VERIFY = """
+from cubecovers import cli, counting
+counting._COUNTS = ([1, 1, 3, 26], [1, 1, 1, 4], [1, 3, 9, 26])
+cli.main(["verify", "--n-max", "3", "--series-order", "5"], prog_name="cubecovers")
+"""
+
+
+def _closed_pipe(argv, lines):
+    """Exit status and stderr of ``python ARGV`` whose reader closes stdout
+    after ``lines`` lines; with 0, before the program starts."""
+    read, write = os.pipe()
+    reader = os.fdopen(read, "rb")
+    if not lines:
+        reader.close()
+    proc = subprocess.Popen([sys.executable, *argv], stdout=write,
+                            stderr=subprocess.PIPE, env=ENV)
+    os.close(write)
+    for _ in range(lines):
+        reader.readline()
+    reader.close()
+    _, err = proc.communicate(timeout=60)
+    return proc.returncode, err
+
+
+@pytest.mark.parametrize("args,lines", [
+    # Both write far more than a pipe holds, so they write after the close.
+    (("enumerate", "--n", "5"), 1),
+    (("table", "--max-n", "300"), 1),
+    (("count", "r", "--n", "5"), 0),
+    (("verify", "--n-max", "3"), 0),
+], ids=lambda value: " ".join(value) if isinstance(value, tuple) else str(value))
+def test_a_closed_pipe_exits_141_without_a_message(args, lines):
+    assert _closed_pipe(["-m", "cubecovers", *args], lines) == (141, b"")
+
+
+def test_a_failing_verify_that_cannot_write_exits_141():
+    assert _closed_pipe(["-c", FAILING_VERIFY], 0) == (141, b"")
+    # Its output written, the same run fails as a verification.
+    written = subprocess.run([sys.executable, "-c", FAILING_VERIFY], env=ENV,
+                             capture_output=True, timeout=60)
+    assert written.returncode == 1 and b'"passed": false' in written.stdout

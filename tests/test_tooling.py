@@ -28,11 +28,12 @@ doubled the time of a ``verify --n-max 5`` run, so they are required here
 to build none and to call each batch kernel once per n on every DAG of
 that n, without timing anything.  They map each DAG once and no other
 graph, so the graphs in each batch of the dictionary maps are read back
-too.
+too.  ``enumerate`` takes its codes 1,024 at a time, and is required to
+decode and map each batch once, never one graph at a time.
 
 Every run of the command line pays for what ``cubecovers.cli`` imports, so
-the worker pool, which only ``verify --jobs`` above 1 uses, is required to
-stay off that path.
+the worker pool, which only the library's ``brute_counts(jobs > 1)`` uses,
+is required to stay off that path.
 """
 
 import ast
@@ -42,6 +43,9 @@ import pkgutil
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
+from click.testing import CliRunner
 
 import cubecovers
 from cubecovers import (BitMatrix, Digraph, checks, cli, correspondence, count_dags,
@@ -72,8 +76,8 @@ CLI_OPTIONS = {
     "count": ["kind", "--n"],
     "table": ["--max-n", "--format"],
     "enumerate": ["--n", "--orientable", "--matrices", "--format", "--enum-cap"],
-    "verify": ["--n-max", "--series-order", "--order", "--series", "--jobs",
-               "--enum-cap", "--format"],
+    "verify": ["--n-max", "--series-order", "--order", "--series", "--enum-cap",
+               "--format"],
     "constants": ["--digits", "--format"],
     "asymptotic": ["--n", "--digits", "--format"],
 }
@@ -225,7 +229,7 @@ def test_verify_builds_no_value_object_per_graph(monkeypatch):
         return even(word, n, stride, starts)
 
     monkeypatch.setattr(digraph, "even_out_degree_slots", even_batch)
-    records = checks.verify_checks(4, 4, False, 1, 6)
+    records = checks.verify_checks(4, 4, False, 6)
     assert all(record["pass"] for record in records)
     # Neither the 573 DAGs at n <= 4 nor the grown members.
     assert built == []
@@ -250,7 +254,7 @@ def test_verify_maps_each_dag_once_and_no_other_graph(monkeypatch):
             return out
 
         monkeypatch.setattr(correspondence, name, counted)
-    records = checks.verify_checks(4, 4, False, 1, 6)
+    records = checks.verify_checks(4, 4, False, 6)
     assert all(record["pass"] for record in records)
     for name, batches in calls.items():
         # One batch per n, D(0) + .. + D(4) = 573 graphs in all.
@@ -261,6 +265,31 @@ def test_verify_maps_each_dag_once_and_no_other_graph(monkeypatch):
             codes = [g.code() for g in graphs]
             assert codes == sorted(set(codes)), (name, n)
             assert all(map(is_acyclic_dfs, graphs)), (name, n)
+
+
+@pytest.mark.parametrize("flags", [(), ("--matrices",), ("--orientable",),
+                                   ("--orientable", "--matrices", "--format", "json")],
+                         ids=lambda flags: " ".join(flags) or "text")
+def test_enumerate_decodes_and_maps_each_batch_once(monkeypatch, flags):
+    calls = {"decode_slots": 0, "characteristic_slots": 0}
+    for module, name in ((digraph, "decode_slots"),
+                         (correspondence, "characteristic_slots")):
+        def counted(*args, name=name, kernel=getattr(module, name)):
+            calls[name] += 1
+            return kernel(*args)
+
+        monkeypatch.setattr(module, name, counted)
+
+    def refused(*args):
+        raise AssertionError("a graph mapped or decoded on its own")
+
+    monkeypatch.setattr(Digraph, "from_code", refused)
+    monkeypatch.setattr(correspondence, "characteristic_matrix", refused)
+    result = CliRunner().invoke(cli.main, ["enumerate", "--n", "5", *flags])
+    assert result.exit_code == 0, result.output
+    # D(5) = 29,281 codes make 29 batches of at most 1,024.
+    assert calls == {"decode_slots": 29,
+                     "characteristic_slots": 29 if "--matrices" in flags else 0}
 
 
 def test_the_worker_pool_is_not_imported_at_start_up():
