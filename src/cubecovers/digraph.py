@@ -23,6 +23,16 @@ the block of rows ``0 .. w-1``: w joins H, and every vertex that reaches w
 now reaches what w reaches.  :func:`_block_count` is that recurrence,
 memoised on the state, and the full range is the block of all n rows.
 
+Renaming the vertices below j maps the completions of a block one to one
+onto those of the state with every signature renamed, and keeps every
+cycle and every out-degree.  So the memo key renames them by how many
+signatures hold each, and sorts (:func:`_state`); it need not be
+canonical to be sound.  A vertex of H with signature 0 is free: it
+reaches nothing below j, so each row takes or leaves the edge into it at
+will, and k free vertices multiply the acyclic count by 2^(jk).  With
+both, the full range at n = 9 leaves 1,022 states in the memo; keyed on
+the sorted signatures alone, it would leave 123,983.
+
 A range is counted as the codes below its end less those below its
 start.  The codes below a bound x are counted along x's own path, one row
 chunk at a time from row ``n-1`` down: at each row, every smaller chunk
@@ -66,10 +76,10 @@ __all__ = [
 
 # 2^(n(n-1)) graphs: n=5 is about a million, n=6 about a billion, n=7
 # about 4e12.  Measured from a cold memo on one core of a 2-core VM with
-# Python 3.11, the reach-state count takes about 1.5 ms at n=5, 5 ms at
-# n=6, 60 ms at n=7, 0.6 s at n=8 and 7 s at n=9.  The cap also guards
-# ``enumerate``, which lists all 3,781,503 DAGs at n=6.  Callers may raise
-# the cap.
+# Python 3.11, the reach-state count of the full range takes about 0.7 ms
+# at n=5, 2 ms at n=6, 8 ms at n=7, 25 ms at n=8, 0.05-0.09 s at n=9 and
+# 0.3 s at n=10.  The cap also guards ``enumerate``, which lists all
+# 3,781,503 DAGs at n=6.  Callers may raise the cap.
 DEFAULT_ENUMERATION_CAP = 6
 
 
@@ -432,35 +442,71 @@ def _acyclic_blocks(n: int) -> Iterator[tuple[int, int, int]]:
 # ----------------------------------------------------------------------
 
 
-# Thread-safe.  The memo holds 124k states in a 52 MB process at n = 9, and
-# 1.59M in 512 MB at n = 10; DEFAULT_ENUMERATION_CAP keeps default runs at
-# n <= 6.
+def _state(j: int, sigs: list[int]) -> tuple[int, ...]:
+    """The memo key of the block of rows 0 .. j-1 over H with signatures
+    ``sigs``: the vertices below j renamed by how many signatures hold
+    each, fewest first and ties in index order, and the renamed
+    signatures sorted.  Any renaming of those vertices maps the block's
+    completions one to one onto those of the renamed state, so the key
+    need not be canonical to be sound."""
+    held = [0] * j  # held[v]: the signatures that hold v
+    for sig in sigs:
+        while sig:
+            low = sig & -sig
+            held[low.bit_length() - 1] += 1
+            sig ^= low
+    place = [0] * j  # place[v]: v's new bit
+    for i, v in enumerate(sorted(range(j), key=held.__getitem__)):
+        place[v] = 1 << i
+    renamed = []
+    for sig in sigs:
+        new = 0
+        while sig:
+            low = sig & -sig
+            new |= place[low.bit_length() - 1]
+            sig ^= low
+        renamed.append(new)
+    renamed.sort()
+    return tuple(renamed)
+
+
+# Thread-safe.  From a cold memo the full range leaves 2^(n+1) - 2 states
+# (measured at n = 5 to 10): 1,022 in a 15 MB process at n = 9.
+# DEFAULT_ENUMERATION_CAP keeps default runs at n <= 6.
 @lru_cache(maxsize=None)
 def _block_count(j: int, sigs: tuple[int, ...]) -> tuple[int, int]:
     """(acyclic, even) counts of the block of rows 0 .. j-1 over an acyclic
     H whose vertices j .. n-1 have the sorted signatures ``sigs``; the even
     count assumes every row of H even.
 
-    Row w = j-1 picks C, a set of vertices of H, and B, a set of vertices
-    below w.  Its reach is r = B | U, with U the union of the signatures
-    of C, and it closes a cycle exactly when w lies in U.  Otherwise every
-    signature that holds w trades it for r, w joins H with signature r,
-    and rows 0 .. w-1 are counted over that state.  The C are grouped by
-    (U, |C| mod 2); each r then stands for 2^|U| choices of B, the subsets
-    of U joined to ``r - U``, half of them even when U is not empty.
+    k > 0 free vertices, those with signature 0, lead the sorted
+    signatures.  With d the acyclic count without them, the counts are
+    ``d << j*k`` and ``d << j*(k-1)``: each row takes or leaves each edge
+    into them freely, and half of its 2^k choices are even.
+
+    Otherwise row w = j-1 picks C, a set of vertices of H, and B, a set of
+    vertices below w.  Its reach is r = B | U, with U the union of the
+    signatures of C, and it closes a cycle exactly when w lies in U.
+    Otherwise every signature that holds w trades it for r, w joins H with
+    signature r, and rows 0 .. w-1 are counted over that state, keyed by
+    :func:`_state`.  No signature is empty, so U is empty only for the
+    empty C, and the C are grouped by U.  Each r then stands for 2^|U|
+    choices of B, the subsets of U joined to ``r - U``, half of them even
+    when U is not empty.
     """
     if j == 0:
         return 1, 1
+    k = sigs.count(0)
+    if k:
+        d = _block_count(j, sigs[k:])[0]
+        return d << j * k, d << j * (k - 1)
     bit = 1 << j - 1
-    unions = {(0, 0): 1}  # (U, |C| mod 2) -> the number of C
+    unions = {0: 1}  # U -> the number of C
     for sig in sigs:
-        grown = unions.copy()
-        for (union, odd), c in unions.items():
-            key = union | sig, odd ^ 1
-            grown[key] = grown.get(key, 0) + c
-        unions = grown
+        for union, c in list(unions.items()):
+            unions[union | sig] = unions.get(union | sig, 0) + c
     choices = {}  # r -> [choices of (C, B), those with |B| + |C| even]
-    for (union, odd), c in unions.items():
+    for union, c in unions.items():
         if union & bit:
             continue  # w reaches itself: a cycle
         size = union.bit_count()
@@ -471,15 +517,15 @@ def _block_count(j: int, sigs: tuple[int, ...]) -> tuple[int, int]:
             tally[0] += c << size
             if size:
                 tally[1] += c << size - 1
-            elif not (odd + extra.bit_count()) & 1:
-                tally[1] += c
+            elif not extra.bit_count() & 1:
+                tally[1] += c  # C is empty, and B is even
             if extra == free:
                 break
             extra = (extra - free) & free  # next submask, increasing
     dags = even = 0
     for r, (ways, even_ways) in choices.items():
-        state = sorted([(sig | r) ^ bit if sig & bit else sig for sig in sigs] + [r])
-        d, e = _block_count(j - 1, tuple(state))
+        grown = [(sig | r) ^ bit if sig & bit else sig for sig in sigs]
+        d, e = _block_count(j - 1, _state(j - 1, grown + [r]))
         dags += ways * d
         even += even_ways * e
     return dags, even
@@ -524,7 +570,7 @@ def _count_below(n: int, x: int) -> tuple[int, int]:
         for chunk in range(digit):
             grown = _place(reach, u, chunk)
             if grown is not None:
-                d, e = _block_count(u, tuple(sorted([r & (1 << u) - 1 for r in grown[u:]])))
+                d, e = _block_count(u, _state(u, [r & (1 << u) - 1 for r in grown[u:]]))
                 dags += d
                 if not odd | chunk.bit_count() & 1:
                     even += e

@@ -3,10 +3,11 @@
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines.  Criteria 2, 4, 5 and 6 assert on the records that ``cubecovers
 verify`` prints (:func:`cubecovers.checks.verify_checks`).  The deep checks
-count all 2^30 digraphs at n = 6, all 2^42 at n = 7 and all 2^56 at
-n = 8 in this process, with no worker pool; the reach-state count of
-:mod:`cubecovers.digraph` counts each state of the rows still to come once,
-so each takes under a second on one core.
+count all 2^30 digraphs at n = 6, all 2^42 at n = 7, all 2^56 at n = 8
+and all 2^72 at n = 9 in this process, with no worker pool; the
+reach-state count of :mod:`cubecovers.digraph` counts each state of the
+rows still to come once, up to a renaming of the vertices below them, so
+each takes under a tenth of a second on one core.
 """
 
 import math
@@ -151,14 +152,22 @@ def test_optional_deep_bruteforce_at_n_6():
 
 
 def test_deep_bruteforce_at_n_7_gives_the_papers_counts():
-    # About 0.06 s from a cold memo on one core (2-core VM, Python 3.11.7).
+    # About 8 ms from a cold memo on one core (2-core VM, Python 3.11.7).
     with criterion(0, "deep check at n = 7, one process", budget_seconds=30.0):
         got = brute_counts(7, jobs=1, cap=7)
         assert (got.dags, got.orientable) == (DAG_COUNTS[6], ORIENTABLE_COUNTS[6])
 
 
 def test_deep_bruteforce_at_n_8_gives_the_papers_counts():
-    # About 0.6 s from a cold memo on one core (2-core VM, Python 3.11.7).
+    # About 25 ms from a cold memo on one core (2-core VM, Python 3.11.7).
     with criterion(0, "deep check at n = 8, one process", budget_seconds=60.0):
         got = brute_counts(8, jobs=1, cap=8)
         assert (got.dags, got.orientable) == (783702329343, 3862830343)
+
+
+def test_deep_bruteforce_at_n_9_gives_the_papers_counts():
+    # About 0.05-0.09 s from a cold memo on one core (2-core VM, Python
+    # 3.11.7).
+    with criterion(0, "deep check at n = 9, one process", budget_seconds=30.0):
+        got = brute_counts(9, jobs=1, cap=9)
+        assert (got.dags, got.orientable) == (1213442454842881, 2990426173816)

@@ -1,7 +1,7 @@
 import random
 from array import array
 from bisect import bisect_left
-from itertools import islice
+from itertools import islice, permutations
 from operator import lt
 
 import pytest
@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from cubecovers import (
     Digraph,
     EnumerationCapExceeded,
+    brute_counts,
     count_dags,
     count_orientable_dags,
     is_acyclic_dfs,
@@ -18,6 +19,7 @@ from cubecovers import (
 from cubecovers.digraph import (
     _acyclic_blocks,
     _block_count,
+    _state,
     acyclic_codes,
     count_acyclic_codes,
     decode_slots,
@@ -347,16 +349,22 @@ def _dfs_counts(n, first, last):
     return dags, even
 
 
-def _assert_block_matches_dfs(n, s, base):
+def _assert_block_matches_dfs(n, s, base, rename=None):
     # The reach-state count of the block of s rows holding code ``base``,
     # its signatures read off by the fixed-point reach of the test, against
-    # a DFS scan of every code of the block.
+    # a DFS scan of every code of the block.  ``rename`` maps each vertex
+    # below s to a new one, and the renamed signatures are counted too.
     rows = Digraph.from_code(n, base).rows
     sigs = [sum(1 << v for v in range(s) if _reaching(rows, v) >> x & 1) for x in range(s, n)]
-    dags, even = _block_count(s, tuple(sorted(sigs)))
+    states = [sigs]
+    if rename is not None:
+        states.append([sum(1 << rename[v] for v in range(s) if sig >> v & 1) for sig in sigs])
     odd = any(mask.bit_count() & 1 for mask in rows)
     size = 1 << s * (n - 1)
-    assert (dags, 0 if odd else even) == _dfs_counts(n, base, base + size), (n, s, rows)
+    scanned = _dfs_counts(n, base, base + size)
+    for state in states:
+        dags, even = _block_count(s, tuple(sorted(state)))
+        assert (dags, 0 if odd else even) == scanned, (n, s, rows, state)
 
 
 @pytest.mark.parametrize("n,s,tries", [
@@ -381,6 +389,56 @@ def test_a_block_of_four_rows_matches_a_dfs_scan_of_its_2_16_codes():
     _assert_block_matches_dfs(5, 4, 0b0101 << 16)
 
 
+@pytest.mark.parametrize("n,s,tries", [(4, 2, 20), (5, 2, 8), (4, 3, 8), (5, 3, 3)])
+def test_a_block_counts_the_same_with_its_low_vertices_renamed(n, s, tries):
+    # The memo key renames the vertices below s (_state); any renaming
+    # keeps the count of the block, and both counts match the DFS scan.
+    rng = random.Random(1000 + 10 * n + s)
+    size = 1 << s * (n - 1)
+    seen = 0
+    while seen < tries:
+        base = rng.randrange(1 << (n - s) * (n - 1)) * size
+        if is_acyclic_dfs(Digraph.from_code(n, base)):
+            rename = list(range(s))
+            rng.shuffle(rename)
+            _assert_block_matches_dfs(n, s, base, rename)
+            seen += 1
+
+
+@pytest.mark.parametrize("n,s,edges", [
+    (5, 3, [(4, 0), (4, 3)]),  # 3 is free, 4 reaches 0: one signature 0
+    (5, 3, []),  # 3 and 4 reach nothing below 3: two signatures 0
+    (5, 2, [(2, 3), (2, 4), (3, 1), (3, 4)]),  # only 4 is free
+])
+def test_a_block_over_free_vertices_matches_a_dfs_scan_of_its_codes(n, s, edges):
+    # Every row of H is even, so both counts are compared.
+    base = Digraph.from_edges(n, edges).code()
+    assert base % (1 << s * (n - 1)) == 0
+    _assert_block_matches_dfs(n, s, base, rename=list(range(s))[::-1])
+
+
+@given(st.integers(0, 5).flatmap(lambda j: st.tuples(
+    st.just(j), st.lists(st.integers(0, (1 << j) - 1), max_size=6))))
+@settings(max_examples=200, deadline=None)
+def test_state_is_a_sorted_renaming_of_its_signatures(case):
+    j, sigs = case
+    state = _state(j, sigs)
+    assert list(state) == sorted(state)
+    assert sorted(sig.bit_count() for sig in state) == sorted(sig.bit_count() for sig in sigs)
+    assert any(
+        sorted(sum(1 << rename[v] for v in range(j) if sig >> v & 1) for sig in sigs)
+        == list(state)
+        for rename in permutations(range(j))
+    )
+
+
+def test_the_memo_holds_at_most_2_9_states_after_the_full_range_at_n_8():
+    # Keyed on the sorted signatures alone, it would hold 12,954.
+    _block_count.cache_clear()
+    assert brute_counts(8, cap=8) == (783702329343, 3862830343)
+    assert _block_count.cache_info().currsize <= 1 << 9
+
+
 @pytest.mark.parametrize("n", [5, 6])
 def test_count_acyclic_codes_matches_dfs_on_random_ranges(n):
     # Ranges cut inside blocks of one to three rows, and ranges that hold
@@ -402,7 +460,7 @@ def test_count_acyclic_codes_matches_dfs_on_random_ranges(n):
         assert count_acyclic_codes(n, first, last) == _dfs_counts(n, first, last), (first, last)
 
 
-@pytest.mark.parametrize("n", range(9))
+@pytest.mark.parametrize("n", range(11))
 def test_count_acyclic_codes_over_the_full_range_gives_d_and_v(n):
     assert count_acyclic_codes(n, 0, 1 << n * (n - 1)) == (count_dags(n), count_orientable_dags(n))
 
