@@ -49,6 +49,12 @@ from cubecovers import correspondence, counting, digraph, gf2, series
 # matrix checks stop at 4.
 MATRIX_BRUTEFORCE_CAP = 4
 
+# The largest ``n_max`` that ``verify`` accepts.  The digraph-side records
+# count reach states rather than walk codes, and from a cold memo
+# ``brute_counts(12)`` takes 2.1-3.1 s and ``verify --n-max 12`` 2.2-2.8 s
+# (2-core VM, Python 3.11.7); each further n costs about 3.5 times more.
+BRUTE_FORCE_MAX_N = 12
+
 
 def _first_code(failing: int, codes: list[int], slot: int) -> int | None:
     """The code in the lowest slot that has a bit of ``failing`` set, or
@@ -58,13 +64,13 @@ def _first_code(failing: int, codes: list[int], slot: int) -> int | None:
     return codes[((failing & -failing).bit_length() - 1) // slot]
 
 
-def verify_checks(n_max: int, series_order: int, series_only: bool,
-                  enum_cap: int) -> list[dict]:
+def verify_checks(n_max: int, series_order: int, series_only: bool) -> list[dict]:
     """The records of ``verify`` in its order: a dict with the check's name,
     its scope (``identity``, ``n`` or ``order``), ``pass``, and ``detail``
-    or ``first_failure``.  Unless ``series_only``, an ``n_max`` above
-    ``enum_cap`` raises :class:`~cubecovers.digraph.EnumerationCapExceeded`
-    before any brute force runs.
+    or ``first_failure``.  Unless ``series_only``, the digraph-side counts
+    run for every n up to ``n_max``; they count reach states, not codes, so
+    no cap applies (the command line bounds ``n_max`` by
+    :data:`BRUTE_FORCE_MAX_N`).
     """
     checks: list[dict] = []
 
@@ -72,11 +78,8 @@ def verify_checks(n_max: int, series_order: int, series_only: bool,
         checks.append({"check": check, **scope, "pass": passed, key: detail})
 
     if not series_only:
-        if n_max > enum_cap:
-            # The first n the walk below would refuse.
-            raise digraph.EnumerationCapExceeded(enum_cap + 1, enum_cap)
         for n in range(n_max + 1):
-            got = correspondence.brute_counts(n, cap=enum_cap)
+            got = correspondence.brute_counts(n)
             want_d = counting.count_dags(n)
             want_v = counting.count_orientable_dags(n)
             add("dag-count-bruteforce", got.dags == want_d,

@@ -26,12 +26,8 @@ from typing import TYPE_CHECKING
 import click
 
 from cubecovers import asymptotics, correspondence, counting, digraph, gf2
-from cubecovers.checks import verify_checks
-from cubecovers.digraph import (
-    DEFAULT_ENUMERATION_CAP,
-    Digraph,
-    EnumerationCapExceeded,
-)
+from cubecovers.checks import BRUTE_FORCE_MAX_N, verify_checks
+from cubecovers.digraph import DEFAULT_ENUMERATION_CAP, Digraph
 
 if TYPE_CHECKING:
     import decimal
@@ -193,82 +189,72 @@ def table(max_n: int, fmt: str) -> None:
 
 
 @main.command("enumerate")
-@click.option("--n", "n", type=click.IntRange(0), required=True)
+@click.option("--n", "n", type=click.IntRange(0, DEFAULT_ENUMERATION_CAP),
+              required=True)
 @click.option("--orientable", is_flag=True,
               help="Only graphs with every out-degree even.")
 @click.option("--matrices", is_flag=True,
               help="Also print the characteristic matrix of each graph.")
 @click.option("--format", "fmt", type=click.Choice(["text", "json"]),
               default="text", show_default=True)
-@click.option("--enum-cap", type=click.IntRange(0), default=DEFAULT_ENUMERATION_CAP,
-              show_default=True, help="Refuse exhaustive walks above this n.")
-def enumerate_cmd(n: int, orientable: bool, matrices: bool, fmt: str,
-                  enum_cap: int) -> None:
+def enumerate_cmd(n: int, orientable: bool, matrices: bool, fmt: str) -> None:
     """Stream the acyclic digraphs on N vertices in canonical code order."""
-    try:
-        codes = digraph.acyclic_codes(n, cap=enum_cap)
-        total = 0
-        # A batch of codes, one slot each, is decoded, filtered, mapped and
-        # written at once.  (At n = 5, filtering batches of 256, 1,024 and
-        # 4,096 took 18, 16 and 34 ms on a 2-core VM under Python 3.11.7: the
-        # shifts of a wider int cost more than the calls they save.)
-        while chunk := list(islice(codes, 1024)):
-            k = len(chunk)
-            stride, slot, starts = gf2.slot_layout(n, k)
-            adjacency = digraph.decode_slots(gf2.join_slots(chunk, n), n, stride, starts)
-            kept = (digraph.even_out_degree_slots(adjacency, n, stride, starts)
-                    if orientable else starts)
-            graphs = gf2.split_slots(adjacency, n, k)
+    codes = digraph.acyclic_codes(n)
+    total = 0
+    # A batch of codes, one slot each, is decoded, filtered, mapped and
+    # written at once.  (At n = 5, filtering batches of 256, 1,024 and
+    # 4,096 took 18, 16 and 34 ms on a 2-core VM under Python 3.11.7: the
+    # shifts of a wider int cost more than the calls they save.)
+    while chunk := list(islice(codes, 1024)):
+        k = len(chunk)
+        stride, slot, starts = gf2.slot_layout(n, k)
+        adjacency = digraph.decode_slots(gf2.join_slots(chunk, n), n, stride, starts)
+        kept = (digraph.even_out_degree_slots(adjacency, n, stride, starts)
+                if orientable else starts)
+        graphs = gf2.split_slots(adjacency, n, k)
+        if matrices:
+            images = gf2.split_slots(
+                correspondence.characteristic_slots(adjacency, n, k), n, k)
+        lines = []
+        while kept:  # the kept slots, lowest first
+            low = kept & -kept
+            kept ^= low
+            t = (low.bit_length() - 1) // slot
+            edges = Digraph(n, gf2.unpack_rows(graphs[t], n)).edges()
             if matrices:
-                images = gf2.split_slots(
-                    correspondence.characteristic_slots(adjacency, n, k), n, k)
-            lines = []
-            while kept:  # the kept slots, lowest first
-                low = kept & -kept
-                kept ^= low
-                t = (low.bit_length() - 1) // slot
-                edges = Digraph(n, gf2.unpack_rows(graphs[t], n)).edges()
+                rows = gf2.BitMatrix(n, gf2.unpack_rows(images[t], n)).to_text().split()
+            if fmt == "json":
+                record = {"code": chunk[t], "edges": [[u, v] for u, v in edges]}
                 if matrices:
-                    rows = gf2.BitMatrix(n, gf2.unpack_rows(images[t], n)).to_text().split()
-                if fmt == "json":
-                    record = {"code": chunk[t], "edges": [[u, v] for u, v in edges]}
-                    if matrices:
-                        record["matrix"] = rows
-                    lines.append(json.dumps(record))
-                else:
-                    shown = ",".join(f"{u}>{v}" for u, v in edges) or "-"
-                    line = f"{chunk[t]}\t{shown}"
-                    if matrices:
-                        line += "\t" + "/".join(rows)
-                    lines.append(line)
-            total += len(lines)
-            if lines:
-                click.echo("\n".join(lines))
-        if fmt == "json":
-            click.echo(json.dumps({"count": str(total)}))
-        else:
-            click.echo(f"count\t{total}")
-    except EnumerationCapExceeded as exc:
-        raise click.UsageError(str(exc))
+                    record["matrix"] = rows
+                lines.append(json.dumps(record))
+            else:
+                shown = ",".join(f"{u}>{v}" for u, v in edges) or "-"
+                line = f"{chunk[t]}\t{shown}"
+                if matrices:
+                    line += "\t" + "/".join(rows)
+                lines.append(line)
+        total += len(lines)
+        if lines:
+            click.echo("\n".join(lines))
+    if fmt == "json":
+        click.echo(json.dumps({"count": str(total)}))
+    else:
+        click.echo(f"count\t{total}")
 
 
 @main.command()
-@click.option("--n-max", type=click.IntRange(0), default=4, show_default=True)
+@click.option("--n-max", type=click.IntRange(0, BRUTE_FORCE_MAX_N), default=4,
+              show_default=True)
 @click.option("--series-order", "--order", "series_order",
               type=click.IntRange(0), default=12, show_default=True)
 @click.option("--series", "series_only", is_flag=True,
               help="Run only the series identity checks.")
-@click.option("--enum-cap", type=click.IntRange(0), default=DEFAULT_ENUMERATION_CAP,
-              show_default=True)
 @click.option("--format", "fmt", type=click.Choice(["text", "json"]),
               default="json", show_default=True)
-def verify(n_max: int, series_order: int, series_only: bool, enum_cap: int,
-           fmt: str) -> None:
+def verify(n_max: int, series_order: int, series_only: bool, fmt: str) -> None:
     """Cross-check every formula against its brute-force or series oracle."""
-    try:
-        checks = verify_checks(n_max, series_order, series_only, enum_cap)
-    except EnumerationCapExceeded as exc:
-        raise click.UsageError(str(exc))
+    checks = verify_checks(n_max, series_order, series_only)
     failures = [c for c in checks if not c["pass"]]
     if fmt == "json":
         click.echo(json.dumps({"checks": checks, "passed": not failures}))

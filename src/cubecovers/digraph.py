@@ -74,12 +74,10 @@ __all__ = [
     "rows_to_code",
 ]
 
-# 2^(n(n-1)) graphs: n=5 is about a million, n=6 about a billion, n=7
-# about 4e12.  Measured from a cold memo on one core of a 2-core VM with
-# Python 3.11, the reach-state count of the full range takes about 0.7 ms
-# at n=5, 2 ms at n=6, 8 ms at n=7, 25 ms at n=8, 0.05-0.09 s at n=9 and
-# 0.3 s at n=10.  The cap also guards ``enumerate``, which lists all
-# 3,781,503 DAGs at n=6.  Callers may raise the cap.
+# The largest n that a listing walks by default.  There are 2^(n(n-1))
+# graphs: n=5 is about a million, n=6 about a billion, n=7 about 4e12.
+# ``enumerate`` lists all 3,781,503 DAGs at n=6 in 66-85 s, and would list
+# 1,138,779,265 at n=7.  Callers of the library may raise the cap.
 DEFAULT_ENUMERATION_CAP = 6
 
 
@@ -471,8 +469,12 @@ def _state(j: int, sigs: list[int]) -> tuple[int, ...]:
 
 
 # Thread-safe.  From a cold memo the full range leaves 2^(n+1) - 2 states
-# (measured at n = 5 to 10): 1,022 in a 15 MB process at n = 9.
-# DEFAULT_ENUMERATION_CAP keeps default runs at n <= 6.
+# (measured at n = 5 to 13).  On one core of a 2-core VM with Python
+# 3.11.7 it takes about 0.7 ms at n=5, 2 ms at n=6, 8 ms at n=7, 25 ms at
+# n=8, 0.05-0.09 s at n=9 and 0.3 s at n=10, where it leaves 2,046
+# states; then 0.6-1.0 s at n=11 (4,094 states, a 15 MB process),
+# 2.1-3.1 s at n=12 (8,190 states, 17 MB) and 6.9-10 s at n=13 (16,382
+# states, 20 MB).
 @lru_cache(maxsize=None)
 def _block_count(j: int, sigs: tuple[int, ...]) -> tuple[int, int]:
     """(acyclic, even) counts of the block of rows 0 .. j-1 over an acyclic

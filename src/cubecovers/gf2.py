@@ -73,30 +73,29 @@ __all__ = [
 
 
 class _Packing(NamedTuple):
-    """How a batch of k matrices of ``m`` rows and ``n`` columns lies in one
-    int: matrix t in the slot from bit ``t * slot``, its row i ``i *
-    stride`` bits into the slot, so its entry (i, j) is bit ``t * slot + i
-    * stride + j``.  A slot holds the square block of power-of-two side
+    """How a batch of k square matrices of side ``n`` lies in one int:
+    matrix t in the slot from bit ``t * slot``, its row i ``i * stride``
+    bits into the slot, so its entry (i, j) is bit ``t * slot + i * stride
+    + j``.  A slot holds the square block of power-of-two side
     that the transpose swaps in place, ``side * stride`` bits."""
 
     stride: int
     slot: int
     starts: int  # bit t * slot for each t < k
     swaps: tuple[tuple[int, int], ...]  # (delta, mask) of each delta swap
-    rows_struct: struct.Struct | None  # the m rows, for strides of 8 to 64 bits
-    cols_struct: struct.Struct | None  # the n columns
+    rows_struct: struct.Struct | None  # the n rows, for strides of 8 to 64 bits
     slots_struct: struct.Struct | None  # the k slots, for slots of 8 to 64 bits
     unit: int  # one row's bits
-    invalid: int  # every bit outside the n columns of the m rows of a slot
-    identity: int  # bit (i, i) for i < min(m, n), in every slot
+    invalid: int  # every bit outside the n columns of the n rows of a slot
+    identity: int  # bit (i, i) for i < n, in every slot
 
 
 _FIELDS = {8: "B", 16: "H", 32: "I", 64: "Q"}
 
 
-@lru_cache(maxsize=256)  # bounded: one entry per shape and batch size
-def _packing(m: int, n: int, k: int) -> _Packing:
-    side = 1 << (max(m, n, 1) - 1).bit_length()  # the square block transposed
+@lru_cache(maxsize=256)  # bounded: one entry per side and batch size
+def _packing(n: int, k: int) -> _Packing:
+    side = 1 << (max(n, 1) - 1).bit_length()  # the square block transposed
     stride = max(side, 8)
     slot = side * stride
     # Whole bytes per slot (the stride is at least 8 bits), so the slot
@@ -118,12 +117,11 @@ def _packing(m: int, n: int, k: int) -> _Packing:
         slot,
         starts,
         tuple(swaps),
-        field and struct.Struct(f"<{m}{field}"),
         field and struct.Struct(f"<{n}{field}"),
         slot_field and struct.Struct(f"<{k}{slot_field}"),
         (1 << stride) - 1,
-        ~(sum(((1 << n) - 1) << i * stride for i in range(m)) * starts),
-        sum(1 << i * stride + i for i in range(min(m, n))) * starts,
+        ~(sum(((1 << n) - 1) << i * stride for i in range(n)) * starts),
+        sum(1 << i * stride + i for i in range(n)) * starts,
     )
 
 
@@ -160,13 +158,15 @@ def slot_layout(n: int, k: int = 1) -> tuple[int, int, int]:
     ``starts`` has one bit at the start of each slot, so a mask for one
     slot times ``starts`` is that mask in every slot.  One matrix is the
     batch with ``k = 1``."""
-    return _packing(n, n, k)[:3]
+    return _packing(n, k)[:3]
 
 
 def pack_rows(rows: Sequence[int], n: int) -> int:
     """The bitmask ``rows``, each a mask on ``n`` columns, packed into one
-    int: the batch of one matrix."""
-    packing = _packing(len(rows), n, 1)
+    int: the batch of one matrix.  There must be ``n`` rows."""
+    if len(rows) != n:
+        raise ValueError(f"expected {n} rows, got {len(rows)}")
+    packing = _packing(n, 1)
     # A row below 0 or past the stride fails to pack, and is named here; a
     # packed bit past the n columns is named by the transpose.
     try:
@@ -178,21 +178,21 @@ def pack_rows(rows: Sequence[int], n: int) -> int:
 def unpack_rows(word: int, n: int) -> tuple[int, ...]:
     """The ``n`` rows packed in ``word``, the batch of one matrix of side
     ``n``: the inverse of :func:`pack_rows`."""
-    packing = _packing(n, n, 1)
-    return _split(word, packing.stride, n, packing.cols_struct)
+    packing = _packing(n, 1)
+    return _split(word, packing.stride, n, packing.rows_struct)
 
 
 def join_slots(values: Sequence[int], n: int) -> int:
     """One int holding ``values[t]`` in slot t of the layout for side ``n``,
     each value below ``2^slot``: the inverse of :func:`split_slots`."""
-    packing = _packing(n, n, len(values))
+    packing = _packing(n, len(values))
     return _join(values, packing.slot, packing.slots_struct)
 
 
 def split_slots(word: int, n: int, k: int) -> tuple[int, ...]:
     """The ``k`` slots of ``word`` in the layout for side ``n``, each as the
     int of its packed rows."""
-    packing = _packing(n, n, k)
+    packing = _packing(n, k)
     return _split(word, packing.slot, k, packing.slots_struct)
 
 
@@ -213,7 +213,7 @@ def transpose_slots(
     batch size.  A bit outside the n columns of the n rows of a slot is
     refused, naming its row (and its slot, in a batch of more than one).
     """
-    packing = _packing(n, n, k)
+    packing = _packing(n, k)
     if word & packing.invalid:
         raise _outside(word, n, packing, k)
     if with_identity is not None:
@@ -254,7 +254,7 @@ def odd_column_slots(word: int, n: int, k: int = 1) -> int:
     every slot are XORed into its row 0, one shift per halving of the side,
     and the bits of row 0 that miss all ones are ORed into its bit 0.
     """
-    packing = _packing(n, n, k)
+    packing = _packing(n, k)
     stride, starts = packing.stride, packing.starts
     shift = packing.slot >> 1
     while shift >= stride:
@@ -477,7 +477,7 @@ def unit_minor_walk(n: int, inverses: bool = False
     """
     if n < 0:
         raise ValueError("matrix dimension must be nonnegative")
-    stride = _packing(n, n, 1).stride
+    stride = _packing(n, 1).stride
     yield 0, 0, []
     path = [_children(0, 0, [], stride, n > 1 or inverses)] if n else []
     while path:

@@ -26,7 +26,7 @@ from cubecovers import (
 )
 from cubecovers.checks import verify_checks
 from cubecovers.correspondence import unit_diagonal_matrices
-from cubecovers.digraph import DEFAULT_ENUMERATION_CAP, enumerate_acyclic
+from cubecovers.digraph import enumerate_acyclic
 
 DAG_COUNTS = [1, 3, 25, 543, 29281, 3781503, 1138779265]
 ORIENTABLE_COUNTS = [1, 1, 4, 43, 1156, 74581, 11226874]
@@ -50,7 +50,7 @@ def criterion(number: int, name: str, budget_seconds: float | None = None):
 
 def passing(names, n_max=0, order=0):
     """The records of ``verify`` named in ``names``, each asserted to pass."""
-    checks = verify_checks(n_max, order, False, DEFAULT_ENUMERATION_CAP)
+    checks = verify_checks(n_max, order, False)
     records = [c for c in checks if c["check"] in names]
     assert all(c["pass"] for c in records), records
     return records
@@ -154,14 +154,14 @@ def test_optional_deep_bruteforce_at_n_6():
 def test_deep_bruteforce_at_n_7_gives_the_papers_counts():
     # About 8 ms from a cold memo on one core (2-core VM, Python 3.11.7).
     with criterion(0, "deep check at n = 7, one process", budget_seconds=30.0):
-        got = brute_counts(7, jobs=1, cap=7)
+        got = brute_counts(7, jobs=1)
         assert (got.dags, got.orientable) == (DAG_COUNTS[6], ORIENTABLE_COUNTS[6])
 
 
 def test_deep_bruteforce_at_n_8_gives_the_papers_counts():
     # About 25 ms from a cold memo on one core (2-core VM, Python 3.11.7).
     with criterion(0, "deep check at n = 8, one process", budget_seconds=60.0):
-        got = brute_counts(8, jobs=1, cap=8)
+        got = brute_counts(8, jobs=1)
         assert (got.dags, got.orientable) == (783702329343, 3862830343)
 
 
@@ -169,5 +169,5 @@ def test_deep_bruteforce_at_n_9_gives_the_papers_counts():
     # About 0.05-0.09 s from a cold memo on one core (2-core VM, Python
     # 3.11.7).
     with criterion(0, "deep check at n = 9, one process", budget_seconds=30.0):
-        got = brute_counts(9, jobs=1, cap=9)
+        got = brute_counts(9, jobs=1)
         assert (got.dags, got.orientable) == (1213442454842881, 2990426173816)

@@ -16,6 +16,8 @@ from cubecovers import (
     Digraph, IdentityCheck, cli, correspondence, counting, digraph, gf2,
     is_acyclic_dfs, series,
 )
+from cubecovers.checks import BRUTE_FORCE_MAX_N
+from cubecovers.digraph import DEFAULT_ENUMERATION_CAP
 
 
 @pytest.fixture
@@ -170,9 +172,19 @@ def test_enumerate_json_stream(runner):
     assert codes == sorted(codes)
 
 
-def test_enumerate_respects_cap(runner):
-    assert invoke(runner, "enumerate", "--n", "7").exit_code == 2
-    assert invoke(runner, "enumerate", "--n", "3", "--enum-cap", "2").exit_code == 2
+def test_enumerate_respects_cap(runner, monkeypatch):
+    # Above DEFAULT_ENUMERATION_CAP the range of --n refuses, before any
+    # listing; the cap is no option.
+    listed = []
+    monkeypatch.setattr(digraph, "acyclic_codes", lambda *args: listed.append(args))
+    above = DEFAULT_ENUMERATION_CAP + 1
+    result = invoke(runner, "enumerate", "--n", str(above))
+    assert result.exit_code == 2
+    assert f"'--n': {above} is not in the range 0<=x<={above - 1}." in result.output
+    assert listed == []
+    result = invoke(runner, "enumerate", "--n", "3", "--enum-cap", "2")
+    assert result.exit_code == 2
+    assert "No such option '--enum-cap'" in result.output
 
 
 # ----------------------------------------------------------------------
@@ -378,21 +390,31 @@ def test_verify_names_the_first_coefficient_the_quotient_misses(
     assert line in text.output.splitlines()
 
 
-@pytest.mark.parametrize("args", [("--n-max", "7"), ("--n-max", "9")], ids=" ".join)
-def test_verify_above_the_cap_refuses_before_any_brute_force(runner, monkeypatch, args):
+@pytest.mark.parametrize("n", range(DEFAULT_ENUMERATION_CAP + 1, BRUTE_FORCE_MAX_N + 1))
+def test_verify_passes_above_the_listing_cap(runner, n):
+    # The brute force counts reach states and lists nothing, so the listing
+    # cap does not bound it.  The memo is shared, so the range costs about
+    # what its top does (near 2 s at the ceiling).
+    result = invoke(runner, "verify", "--n-max", str(n))
+    assert result.exit_code == 0
+    payload = json.loads(result.output)
+    assert payload["passed"] is True
+    brute = [c for c in payload["checks"] if c["check"] == "dag-count-bruteforce"]
+    assert [c["n"] for c in brute] == list(range(n + 1))
+    assert all(c["pass"] for c in payload["checks"])
+
+
+def test_verify_above_its_ceiling_refuses_before_any_brute_force(runner, monkeypatch):
     calls = []
-    brute = correspondence.brute_counts
-
-    def recorded(*call_args, **kwargs):
-        calls.append(call_args)
-        return brute(*call_args, **kwargs)
-
-    monkeypatch.setattr(correspondence, "brute_counts", recorded)
-    result = invoke(runner, "verify", *args)
+    monkeypatch.setattr(correspondence, "brute_counts", lambda *a, **k: calls.append(a))
+    above = str(BRUTE_FORCE_MAX_N + 1)
+    result = invoke(runner, "verify", "--n-max", above)
     assert result.exit_code == 2
-    assert "refusing an exhaustive walk at n = 7: the cap is 6" in result.output
+    assert f"'--n-max': {above} is not in the range 0<=x<={BRUTE_FORCE_MAX_N}." \
+        in result.output
+    # The range is checked before --series drops the brute force.
+    assert invoke(runner, "verify", "--series", "--n-max", above).exit_code == 2
     assert calls == []
-    assert invoke(runner, "verify", "--series", *args, "--order", "4").exit_code == 0
 
 
 # ----------------------------------------------------------------------
@@ -503,9 +525,11 @@ def test_identical_flags_give_identical_bytes(runner, args):
 # help and usage
 # ----------------------------------------------------------------------
 
-# ``verify --jobs 0`` names the removed option; ``--n-max -1`` is out of range.
+# ``verify --jobs 0`` and ``--enum-cap 6`` name removed options; ``--n-max
+# -1`` and ``13`` are out of range.
 USAGE_ERRORS = [("count", "r"), ("table",), ("enumerate", "--n", "7"),
-                ("verify", "--jobs", "0"), ("verify", "--n-max", "-1"),
+                ("verify", "--jobs", "0"), ("verify", "--enum-cap", "6"),
+                ("verify", "--n-max", "-1"), ("verify", "--n-max", "13"),
                 ("constants", "--digits", "0"), ("asymptotic", "--n", "-1")]
 
 

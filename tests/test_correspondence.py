@@ -353,22 +353,29 @@ def test_two_worker_processes_count_n_6_as_one_process_does():
 
 
 def test_brute_counts_validates_input():
-    with pytest.raises(EnumerationCapExceeded):
-        brute_counts(7)
+    with pytest.raises(ValueError, match=r"^bad code range \[0, 65\) for n=3$"):
+        brute_counts(3, stop=65)
     with pytest.raises(ValueError):
         brute_counts(3, start=-1)
     with pytest.raises(ValueError):
         brute_counts(3, start=5, stop=3)
     with pytest.raises(ValueError):
         brute_counts(3, jobs=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="nonnegative"):
         brute_counts(-1)
 
 
-def test_brute_counts_cap_can_be_raised_for_range_slices():
-    # A tiny slice of the n=7 space is fine once the cap is lifted.
-    got = brute_counts(7, start=0, stop=1, cap=7)
-    assert got == (1, 1)  # code 0 is the empty graph
+def test_brute_counts_counts_range_slices_at_n_7_with_no_cap():
+    # The count lists no code, so n = 7 needs no cap.  Code 0 is the empty
+    # graph.  The slice around rows 2-4 each into {5, 6} straddles a block
+    # boundary, and is checked graph by graph (284 acyclic, 48 of them even).
+    assert brute_counts(7, start=0, stop=1) == (1, 1)
+    middle = rows_to_code((0, 0, 0b1100000, 0b1100000, 0b1100000, 0, 0))
+    graphs = [Digraph.from_code(7, code) for code in range(middle - 300, middle + 300)]
+    acyclic = [g for g in graphs if is_acyclic_dfs(g)]
+    assert 0 < sum(g.all_out_degrees_even() for g in acyclic) < len(acyclic) < 600
+    assert brute_counts(7, middle - 300, middle + 300) == (
+        len(acyclic), sum(g.all_out_degrees_even() for g in acyclic))
 
 
 # ----------------------------------------------------------------------

@@ -435,7 +435,7 @@ def test_state_is_a_sorted_renaming_of_its_signatures(case):
 def test_the_memo_holds_at_most_2_9_states_after_the_full_range_at_n_8():
     # Keyed on the sorted signatures alone, it would hold 12,954.
     _block_count.cache_clear()
-    assert brute_counts(8, cap=8) == (783702329343, 3862830343)
+    assert brute_counts(8) == (783702329343, 3862830343)
     assert _block_count.cache_info().currsize <= 1 << 9
 
 

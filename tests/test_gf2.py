@@ -489,6 +489,14 @@ def test_constructor_validates_masks():
         BitMatrix(2, (0,))
 
 
+@pytest.mark.parametrize("rows,n", [((1, 2), 3), ((1, 2, 4, 0, 0), 3), ((), 1), ((0,), 0)])
+def test_pack_rows_refuses_a_row_count_other_than_n(rows, n):
+    # Packed as they come, (1, 2) at n = 3 read back as (1, 2, 0), and five
+    # rows spilled into a second slot.
+    with pytest.raises(ValueError, match=f"^expected {n} rows, got {len(rows)}$"):
+        gf2.pack_rows(rows, n)
+
+
 def test_value_types_refuse_rows_that_are_not_ints():
     # A float row passes a range check alone, and would fail only later:
     # in det, the minor test or transpose (BitMatrix), or in the loop

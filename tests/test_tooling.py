@@ -75,9 +75,8 @@ IMPORT_GRAPH = {
 CLI_OPTIONS = {
     "count": ["kind", "--n"],
     "table": ["--max-n", "--format"],
-    "enumerate": ["--n", "--orientable", "--matrices", "--format", "--enum-cap"],
-    "verify": ["--n-max", "--series-order", "--order", "--series", "--enum-cap",
-               "--format"],
+    "enumerate": ["--n", "--orientable", "--matrices", "--format"],
+    "verify": ["--n-max", "--series-order", "--order", "--series", "--format"],
     "constants": ["--digits", "--format"],
     "asymptotic": ["--n", "--digits", "--format"],
 }
@@ -229,7 +228,7 @@ def test_verify_builds_no_value_object_per_graph(monkeypatch):
         return even(word, n, stride, starts)
 
     monkeypatch.setattr(digraph, "even_out_degree_slots", even_batch)
-    records = checks.verify_checks(4, 4, False, 6)
+    records = checks.verify_checks(4, 4, False)
     assert all(record["pass"] for record in records)
     # Neither the 573 DAGs at n <= 4 nor the grown members.
     assert built == []
@@ -254,7 +253,7 @@ def test_verify_maps_each_dag_once_and_no_other_graph(monkeypatch):
             return out
 
         monkeypatch.setattr(correspondence, name, counted)
-    records = checks.verify_checks(4, 4, False, 6)
+    records = checks.verify_checks(4, 4, False)
     assert all(record["pass"] for record in records)
     for name, batches in calls.items():
         # One batch per n, D(0) + .. + D(4) = 573 graphs in all.
