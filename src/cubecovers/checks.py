@@ -49,11 +49,13 @@ from cubecovers import correspondence, counting, digraph, gf2, series
 # matrix checks stop at 4.
 MATRIX_BRUTEFORCE_CAP = 4
 
-# The largest ``n_max`` that ``verify`` accepts.  The digraph-side records
-# count reach states rather than walk codes, and from a cold memo
-# ``brute_counts(12)`` takes 2.1-3.1 s and ``verify --n-max 12`` 2.2-2.8 s
-# (2-core VM, Python 3.11.7); each further n costs about 3.5 times more.
-BRUTE_FORCE_MAX_N = 12
+# The largest ``n_max`` that ``verify`` accepts: the largest whose cold
+# ``verify --n-max`` stays within about 2.5 s.  The digraph-side records
+# count chains of reach states rather than walk codes, and a cold
+# ``verify --n-max`` takes 0.13-0.22 s at 12, 0.36-0.51 s at 14 and
+# 0.79-1.2 s at 15, but 1.9-3.0 s at 16 (2-core VM, Python 3.11.7); each
+# further n costs about 2.7 times more.
+BRUTE_FORCE_MAX_N = 15
 
 
 def _first_code(failing: int, codes: list[int], slot: int) -> int | None:

@@ -5,8 +5,9 @@ Each parses its options, calls the library and prints what it returns;
 ``verify`` prints the records of :func:`cubecovers.checks.verify_checks`.
 JSON is the machine interface and renders every exact integer as a decimal
 string; text is for people.  Output is deterministic for fixed flags.
-Exit codes: 0 success, 1 failed verification, 2 usage error, 141 (128 +
-SIGPIPE) if stdout's reader closes it early, a failing ``verify`` too.
+Exit codes: 0 success, 1 failed verification, 2 usage error, 130 (128 +
+SIGINT) on an interrupt, without a traceback, and 141 (128 + SIGPIPE) if
+stdout's reader closes it early, a failing ``verify`` too.
 The formatters import ``decimal`` when first called, so only ``count``,
 ``table`` and ``asymptotic`` load it.  Each command's ``--help`` option
 has its text as a literal: click builds its own on a command's first
@@ -146,6 +147,9 @@ class _Group(_Command, click.Group):
             # The reader is gone; on the null device the last flush cannot fail.
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
             sys.exit(141)
+        except KeyboardInterrupt:
+            # Not a failed verification (1), as click's own Abort would say.
+            sys.exit(130)
 
 
 @click.group(cls=_Group)

@@ -151,14 +151,14 @@ def brute_counts(
     """Brute-force counts over the code range ``[start, stop)``, by the
     reach-state count of :func:`cubecovers.digraph.count_acyclic_codes`.
     That count lists no code, so no n is refused for its size: the full
-    range at n = 12 takes about 2 s (see the memo comment in
-    :mod:`cubecovers.digraph`).
+    range at n = 12 takes about 0.04 s (see the memo comment on
+    ``_chain_count`` in :mod:`cubecovers.digraph`).
 
     ``stop`` defaults to the full range ``2^(n(n-1))``.  With ``jobs > 1``
     the range is cut into ``jobs`` slices of equal size, give or take a
     code, and counted by as many worker processes, at most
     ``os.cpu_count()`` of them.  That is slower than one job: the count of
-    one job is cheap (``brute_counts(9)`` takes about 0.1 s on one core),
+    one job is cheap (``brute_counts(9)`` takes about 3 ms on one core),
     and each worker pays for its own process start-up and its own memo of
     reach states.  The result is the same
     for any job count or partition, because each slice is a pure function

