@@ -8,8 +8,9 @@ below its end less those below its start, a pure function of its bounds,
 and the partial counts add up to the same totals no matter how the work is
 split or scheduled.  The library's ``brute_counts(n, jobs=k)`` cuts the
 range into k equal slices the same way and counts them in worker
-processes, which is slower than one job: each worker starts its own
-process and fills its own memo of reach states.
+processes, which is slower than one job: each slice is counted by the
+reach states of a range, which cost more than the chain count of the
+whole range, and the pool takes time to start.
 """
 
 import time

@@ -43,7 +43,7 @@ from cubecovers.counting import (
     count_orientable_dags,
     sequence_table,
 )
-from cubecovers.digraph import Digraph, EnumerationCapExceeded, is_acyclic_dfs
+from cubecovers.digraph import Digraph, is_acyclic_dfs
 from cubecovers.gf2 import BitMatrix
 from cubecovers.series import (
     ChromaticSeries,
@@ -60,7 +60,6 @@ __all__ = [
     "ChromaticSeries",
     "DagCounts",
     "Digraph",
-    "EnumerationCapExceeded",
     "IdentityCheck",
     "RootFindingError",
     "brute_count_characteristic_matrices",

@@ -28,7 +28,7 @@ import click
 
 from cubecovers import asymptotics, correspondence, counting, digraph, gf2
 from cubecovers.checks import BRUTE_FORCE_MAX_N, verify_checks
-from cubecovers.digraph import DEFAULT_ENUMERATION_CAP, Digraph
+from cubecovers.digraph import Digraph
 
 if TYPE_CHECKING:
     import decimal
@@ -185,16 +185,23 @@ def table(max_n: int, fmt: str) -> None:
         for n, d, v in rows:
             click.echo(f"{n},{d},{v}")
     else:
-        width_d = max(len(d) for _, d, _ in rows)
-        width_v = max(len(v) for _, _, v in rows)
-        click.echo(f"{'n':>3} {'dags':>{width_d}} {'orientable':>{width_v}}")
-        for n, d, v in rows:
-            click.echo(f"{n:>3} {d:>{width_d}} {v:>{width_v}}")
+        # Each column is as wide as its header or its widest value.
+        header = ("n", "dags", "orientable")
+        widths = [max(len(str(value)) for value in column)
+                  for column in zip(header, *rows)]
+        for line in (header, *rows):
+            click.echo(" ".join(f"{value:>{w}}" for value, w in zip(line, widths)))
+
+
+# The largest n that ``enumerate`` lists.  There are 2^(n(n-1)) graphs:
+# n=5 is about a million, n=6 about a billion, n=7 about 4e12.
+# ``enumerate`` lists all 3,781,503 DAGs at n=6 in 66-85 s, and would list
+# 1,138,779,265 at n=7.
+ENUMERATE_MAX_N = 6
 
 
 @main.command("enumerate")
-@click.option("--n", "n", type=click.IntRange(0, DEFAULT_ENUMERATION_CAP),
-              required=True)
+@click.option("--n", "n", type=click.IntRange(0, ENUMERATE_MAX_N), required=True)
 @click.option("--orientable", is_flag=True,
               help="Only graphs with every out-degree even.")
 @click.option("--matrices", is_flag=True,

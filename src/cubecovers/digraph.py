@@ -6,8 +6,10 @@ bitmasks: bit ``j`` of ``rows[u]`` means there is an edge from ``u`` to
 
 Every graph has a canonical integer code: the ``n*(n-1)`` off-diagonal
 adjacency bits read in row-major order.  Enumeration walks that integer
-range in order, which makes streams deterministic, resumable, and trivially
-partitionable into disjoint code ranges for parallel counting.
+range in order, which makes streams deterministic.  A count over a code
+range can be started and resumed at any code, but its parts cost more than
+the whole: each part is counted by the reach states of a range, not the
+chains of the full range (below).
 
 The acyclic graphs are counted a block of codes at a time.  Rows 0 .. j-1
 are the lowest ``j(n-1)`` bits of a code, so each aligned block of
@@ -79,9 +81,7 @@ from functools import lru_cache
 from math import comb
 
 __all__ = [
-    "DEFAULT_ENUMERATION_CAP",
     "Digraph",
-    "EnumerationCapExceeded",
     "acyclic_codes",
     "code_to_rows",
     "count_acyclic_codes",
@@ -92,26 +92,6 @@ __all__ = [
     "is_acyclic_dfs",
     "rows_to_code",
 ]
-
-# The largest n that a listing walks by default.  There are 2^(n(n-1))
-# graphs: n=5 is about a million, n=6 about a billion, n=7 about 4e12.
-# ``enumerate`` lists all 3,781,503 DAGs at n=6 in 66-85 s, and would list
-# 1,138,779,265 at n=7.  Callers of the library may raise the cap.
-DEFAULT_ENUMERATION_CAP = 6
-
-
-class EnumerationCapExceeded(ValueError):
-    """Raised when an exhaustive walk (over digraphs or over matrices) is
-    asked for at an n above its cap."""
-
-    def __init__(self, n: int, cap: int):
-        super().__init__(
-            f"refusing an exhaustive walk at n = {n}: the cap is {cap}, "
-            f"raise it explicitly if you really mean it"
-        )
-        self.n = n
-        self.cap = cap
-
 
 class Digraph:
     """A simple digraph on ``n`` labeled vertices, adjacency as bitmasks;
@@ -319,24 +299,17 @@ def is_acyclic_dfs(graph: Digraph) -> bool:
     return True
 
 
-def _check_cap(n: int, cap: int) -> None:
-    if n < 0:
-        raise ValueError("vertex count must be nonnegative")
-    if n > cap:
-        raise EnumerationCapExceeded(n, cap)
-
-
-def enumerate_digraphs(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> Iterator[Digraph]:
+def enumerate_digraphs(n: int) -> Iterator[Digraph]:
     """Yield all ``2^(n(n-1))`` simple digraphs on ``n`` labeled vertices.
 
     Graphs appear exactly once, in increasing order of their canonical code.
+    The walk is lazy, so a caller pays only for the graphs it takes.
     """
-    _check_cap(n, cap)
     for code in range(1 << (n * (n - 1))):
         yield Digraph.from_code(n, code)
 
 
-def acyclic_codes(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> Iterator[int]:
+def acyclic_codes(n: int) -> Iterator[int]:
     """Yield the codes of the acyclic digraphs on ``n`` labeled vertices,
     in increasing order.
 
@@ -345,7 +318,8 @@ def acyclic_codes(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> Iterator[int]:
     chunks that avoid A come in increasing order, and for each of them the
     row-0 chunks that close no cycle.
     """
-    _check_cap(n, cap)
+    if n < 0:
+        raise ValueError("vertex count must be nonnegative")
     if n == 0:
         yield 0
         return
@@ -373,10 +347,10 @@ def acyclic_codes(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> Iterator[int]:
             row1 = (row1 - free1) & free1
 
 
-def enumerate_acyclic(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> Iterator[Digraph]:
+def enumerate_acyclic(n: int) -> Iterator[Digraph]:
     """Yield the acyclic digraphs on ``n`` labeled vertices, in code order:
     the graphs of :func:`acyclic_codes`."""
-    for code in acyclic_codes(n, cap):
+    for code in acyclic_codes(n):
         yield Digraph.from_code(n, code)
 
 

@@ -2,6 +2,7 @@ import json
 import math
 import os
 import random
+import re
 import signal
 import subprocess
 import sys
@@ -18,7 +19,7 @@ from cubecovers import (
     is_acyclic_dfs, series,
 )
 from cubecovers.checks import BRUTE_FORCE_MAX_N
-from cubecovers.digraph import DEFAULT_ENUMERATION_CAP
+from cubecovers.cli import ENUMERATE_MAX_N
 
 
 @pytest.fixture
@@ -122,6 +123,36 @@ def test_table_reproduces_published_rows(runner):
     assert lines[-2].split() == ["6", "3781503", "74581"]
 
 
+def _assert_aligned(text):
+    # Every line is as long as the header, and each value ends in the
+    # column where its header ends.
+    lines = text.splitlines()
+    ends = [[m.end() for m in re.finditer(r"\S+", line)] for line in lines]
+    assert all(e == ends[0] for e in ends), text
+    assert all(len(line) == ends[0][-1] for line in lines), text
+
+
+def test_table_text_aligns_each_value_under_its_header(runner):
+    result = invoke(runner, "table", "--max-n", "3")
+    assert result.exit_code == 0
+    assert result.output.splitlines()[-1].split() == ["3", "25", "4"]
+    _assert_aligned(result.output)
+
+
+def test_table_text_widens_the_n_column_past_three_digits(runner, monkeypatch):
+    monkeypatch.setattr(counting, "sequence_table",
+                        lambda max_n: [(0, 1, 1), (999, 7, 1), (1000, 12345, 6)])
+    result = invoke(runner, "table", "--max-n", "1000")
+    assert result.exit_code == 0
+    assert result.output.splitlines() == [
+        "   n  dags orientable",
+        "   0     1          1",
+        " 999     7          1",
+        "1000 12345          6",
+    ]
+    _assert_aligned(result.output)
+
+
 def test_table_csv_trivial(runner):
     result = invoke(runner, "table", "--max-n", "0", "--format", "csv")
     assert result.output == "n,dags,orientable\n0,1,1\n"
@@ -174,11 +205,11 @@ def test_enumerate_json_stream(runner):
 
 
 def test_enumerate_respects_cap(runner, monkeypatch):
-    # Above DEFAULT_ENUMERATION_CAP the range of --n refuses, before any
+    # Above ENUMERATE_MAX_N the range of --n refuses, before any
     # listing; the cap is no option.
     listed = []
     monkeypatch.setattr(digraph, "acyclic_codes", lambda *args: listed.append(args))
-    above = DEFAULT_ENUMERATION_CAP + 1
+    above = ENUMERATE_MAX_N + 1
     result = invoke(runner, "enumerate", "--n", str(above))
     assert result.exit_code == 2
     assert f"'--n': {above} is not in the range 0<=x<={above - 1}." in result.output
@@ -299,8 +330,8 @@ def _break_codes_12_and_48(check, monkeypatch):
         return right
     codes = digraph.acyclic_codes
 
-    def wrong_codes(n, cap=digraph.DEFAULT_ENUMERATION_CAP):
-        return (code for code in codes(n, cap) if not (n == 3 and code in (12, 48)))
+    def wrong_codes(n):
+        return (code for code in codes(n) if not (n == 3 and code in (12, 48)))
 
     monkeypatch.setattr(digraph, "acyclic_codes", wrong_codes)
     return lambda graph: (graph in set(digraph.enumerate_acyclic(graph.n))) == (
@@ -338,8 +369,8 @@ def test_verify_names_a_cyclic_code_among_the_acyclic_ones(runner, monkeypatch):
     # Code 5 at n = 3 is the 2-cycle 0 <-> 1: its image is no member.
     codes = digraph.acyclic_codes
 
-    def with_code_5(n, cap=digraph.DEFAULT_ENUMERATION_CAP):
-        return iter(sorted({*codes(n, cap), *([5] if n == 3 else [])}))
+    def with_code_5(n):
+        return iter(sorted({*codes(n), *([5] if n == 3 else [])}))
 
     monkeypatch.setattr(digraph, "acyclic_codes", with_code_5)
     result = invoke(runner, "verify", "--n-max", "3", "--series-order", "4")
@@ -391,7 +422,7 @@ def test_verify_names_the_first_coefficient_the_quotient_misses(
     assert line in text.output.splitlines()
 
 
-@pytest.mark.parametrize("n", range(DEFAULT_ENUMERATION_CAP + 1, BRUTE_FORCE_MAX_N + 1))
+@pytest.mark.parametrize("n", range(ENUMERATE_MAX_N + 1, BRUTE_FORCE_MAX_N + 1))
 def test_verify_passes_above_the_listing_cap(runner, n):
     # The brute force counts reach states and lists nothing, so the listing
     # cap does not bound it.  The memo is shared, so the range costs about

@@ -12,7 +12,6 @@ from conftest import set_bit_transpose
 from cubecovers import (
     BitMatrix,
     Digraph,
-    EnumerationCapExceeded,
     brute_count_characteristic_matrices,
     brute_count_orientable_characteristic_matrices,
     brute_counts,
@@ -28,6 +27,7 @@ from cubecovers.correspondence import (
     unit_diagonal_matrices,
 )
 from cubecovers.digraph import (
+    acyclic_codes,
     count_acyclic_codes,
     enumerate_acyclic,
     enumerate_digraphs,
@@ -124,13 +124,12 @@ def test_unit_diagonal_matrices_follow_the_code_order(n):
         assert rows_to_code(m.rows) == code
 
 
-def test_full_scans_refuse_n_above_the_cap_and_negative_n():
-    with pytest.raises(EnumerationCapExceeded, match="n = 7: the cap is 6") as caught:
-        next(unit_diagonal_matrices(7))
-    assert (caught.value.n, caught.value.cap) == (7, 6)
-    for scan in (unit_diagonal_matrices, enumerate_digraphs):
-        with pytest.raises(ValueError, match="nonnegative"):
-            next(scan(-1))
+def test_listings_refuse_negative_n_on_the_first_next():
+    for scan in (unit_diagonal_matrices, enumerate_digraphs, acyclic_codes,
+                 enumerate_acyclic):
+        listing = scan(-1)
+        with pytest.raises(ValueError, match="vertex count must be nonnegative"):
+            next(listing)
 
 
 @pytest.mark.parametrize("n", range(5))
@@ -395,19 +394,14 @@ def test_orientable_matrix_counts(n, expected):
     assert expected == count_orientable_dags(n)
 
 
-def test_matrix_counters_reach_n_5_once_the_cap_is_raised():
+def test_matrix_counters_at_n_5():
     assert brute_count_characteristic_matrices(5) == 29281
     assert brute_count_orientable_characteristic_matrices(5) == 1156
 
 
-def test_matrix_counters_enforce_their_cap():
+def test_matrix_counters_refuse_negative_n():
+    # These counters grow matrices and never build a digraph.
     for counter in (brute_count_characteristic_matrices,
                     brute_count_orientable_characteristic_matrices):
-        with pytest.raises(EnumerationCapExceeded) as refused:
-            counter(7)
-        assert str(refused.value) == str(EnumerationCapExceeded(7, 6))
-        # These counters grow matrices and never build a digraph.
-        assert "graph" not in str(refused.value)
-        assert "n = 7" in str(refused.value) and "cap is 6" in str(refused.value)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="matrix dimension must be nonnegative"):
             counter(-1)

@@ -1,7 +1,7 @@
 import random
 from array import array
 from bisect import bisect_left
-from itertools import islice, permutations
+from itertools import count, islice, permutations
 from operator import lt
 
 import pytest
@@ -9,13 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cubecovers import (
+    BitMatrix,
     Digraph,
-    EnumerationCapExceeded,
     brute_counts,
     count_dags,
     count_orientable_dags,
     is_acyclic_dfs,
 )
+from cubecovers.correspondence import unit_diagonal_matrices
 from cubecovers.digraph import (
     _acyclic_blocks,
     _block_count,
@@ -231,19 +232,14 @@ def test_enumeration_is_in_code_order_without_repeats():
             ]
 
 
-def test_enumeration_cap():
-    with pytest.raises(EnumerationCapExceeded):
-        next(enumerate_digraphs(7))
-    with pytest.raises(EnumerationCapExceeded):
-        next(enumerate_digraphs(3, cap=2))
-    assert sum(1 for _ in enumerate_digraphs(3, cap=3)) == 64
-    with pytest.raises(EnumerationCapExceeded):
-        next(acyclic_codes(3, cap=2))
-
-
-def test_cap_error_is_a_value_error_with_context():
-    with pytest.raises(ValueError, match="cap is 6"):
-        next(enumerate_digraphs(8))
+def test_listings_are_lazy_at_n_7():
+    # No n is refused for its size: a caller pays only for what it takes.
+    # The first 1,000 acyclic codes at n = 7 are those the DFS keeps, in
+    # order, among the lowest codes.
+    kept = (code for code in count() if is_acyclic_dfs(Digraph.from_code(7, code)))
+    assert list(islice(acyclic_codes(7), 1000)) == list(islice(kept, 1000))
+    assert next(enumerate_digraphs(7)) == Digraph(7, [0] * 7)
+    assert next(unit_diagonal_matrices(7)) == BitMatrix.identity(7)
 
 
 # ----------------------------------------------------------------------
