@@ -20,9 +20,11 @@ with V(n), and with 0 at n = 0, naming the first that differs.
 
 The matrix records quantify over the D(n) acyclic digraphs, read as codes
 from :func:`~cubecovers.digraph.acyclic_codes`, and over the members grown
-by one :func:`~cubecovers.gf2.unit_minor_walk`.  Each DAG must come back from
-its image, pass or fail both orientability tests together, and map to a
-member; each member must be the image of a DAG.  That is the paper's
+by one :func:`~cubecovers.gf2.unit_minor_walk` to the side below the
+largest, where each member adds its whole border to the largest side as
+one list (:func:`~cubecovers.gf2.unit_minor_border`).  Each DAG must come
+back from its image, pass or fail both orientability tests together, and
+map to a member; each member must be the image of a DAG.  That is the paper's
 dictionary: injective on the DAGs, onto the members, even out-degrees to
 odd column sums.  The claims about all digraphs stay in the unit tests.
 Each n runs as one batch.  Its codes are packed into one int, one slot
@@ -56,6 +58,15 @@ MATRIX_BRUTEFORCE_CAP = 4
 # 0.79-1.2 s at 15, but 1.9-3.0 s at 16 (2-core VM, Python 3.11.7); each
 # further n costs about 2.7 times more.
 BRUTE_FORCE_MAX_N = 15
+
+# The largest ``series_order`` that ``verify`` accepts: the largest whose
+# cold ``verify --series --series-order`` stays within about 2.5 s, as for
+# :data:`BRUTE_FORCE_MAX_N`.  The series records are exact bigint products
+# and quotients, and a cold run takes 0.24-0.26 s at 200, 0.58-0.79 s at
+# 300, 1.6-2.0 s at 400, 1.8-2.3 s at 410 and 420, 2.7-2.9 s at 425 and
+# 5.1-5.6 s at 500 (2-core VM, Python 3.11.7).  :func:`verify_checks`
+# takes any order.
+SERIES_MAX_ORDER = 400
 
 
 def _first_code(failing: int, codes: list[int], slot: int) -> int | None:
@@ -96,11 +107,15 @@ def verify_checks(n_max: int, series_order: int, series_only: bool) -> list[dict
         odd = gf2.odd_column_slots
         # Grown on the matrix side alone, each packed into one int (at the
         # 8-bit stride of every side up to 8); every matrix-side check below
-        # reads these.
+        # reads these.  The walk stops at side cap - 1, and each member
+        # there adds its whole border to side cap.
         cap = min(n_max, MATRIX_BRUTEFORCE_CAP)
         grown: list[set[int]] = [set() for _ in range(cap + 1)]
-        for n, word, _ in gf2.unit_minor_walk(cap) if grown else ():
+        stride = gf2.slot_layout(cap)[0]
+        for n, word, planes in gf2.unit_minor_walk(max(cap - 1, 0)):
             grown[n].add(word)
+            if n == cap - 1:
+                grown[cap].update(gf2.unit_minor_border(word, planes, stride))
         for n, members in enumerate(grown):
             m_all = len(members)
             add("matrix-count-bruteforce", m_all == counting.count_dags(n),

@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING
 import click
 
 from cubecovers import asymptotics, correspondence, counting, digraph, gf2
-from cubecovers.checks import BRUTE_FORCE_MAX_N, verify_checks
+from cubecovers.checks import BRUTE_FORCE_MAX_N, SERIES_MAX_ORDER, verify_checks
 from cubecovers.digraph import Digraph
 
 if TYPE_CHECKING:
@@ -258,7 +258,7 @@ def enumerate_cmd(n: int, orientable: bool, matrices: bool, fmt: str) -> None:
 @click.option("--n-max", type=click.IntRange(0, BRUTE_FORCE_MAX_N), default=4,
               show_default=True)
 @click.option("--series-order", "--order", "series_order",
-              type=click.IntRange(0), default=12, show_default=True)
+              type=click.IntRange(0, SERIES_MAX_ORDER), default=12, show_default=True)
 @click.option("--series", "series_only", is_flag=True,
               help="Run only the series identity checks.")
 @click.option("--format", "fmt", type=click.Choice(["text", "json"]),

@@ -617,8 +617,11 @@ def _count_below(n: int, x: int) -> tuple[int, int]:
     that closes no cycle heads the block of rows 0 .. u-1, counted by its
     state (:func:`_block_count`).  x's own chunk carries the reach sets,
     and whether some row so far is odd, down to row u-1; where it closes a
-    cycle, so does every code left below x.
+    cycle, so does every code left below x.  Below x = 0 there is no
+    code, so nothing is walked: the lower bound of every full range.
     """
+    if not x:
+        return 0, 0
     width = n - 1
     if x >> n * width:
         return _chain_count(n, ())  # the full range

@@ -20,26 +20,33 @@ linearly independent exactly when the minor on S is 1.
 
 :func:`unit_minor_walk` grows the members of every side up to n in one
 depth-first walk, without testing candidates, bordering the leading block
-one index at a time, and :func:`count_unit_minor_matrices` counts the
-last border.  Every leading
-block of a member is a member.  Border a k by k member B with a row r, a
-column c and a diagonal 1: the minors on index sets without k are B's, and
-for each S in {0 .. k-1} Schur's formula (Griffin and Tsatsomeros,
-*Principal minors, Part I*, 2006) gives det A[S + {k}] = det B_S * (1 + r_S
-B_S^-1 c_S) = 1 + r_S B_S^-1 c_S.  So for fixed B and r the admissible
-columns are exactly the vectors orthogonal to the 2^k - 1 forms r_S B_S^-1:
-a subspace of dimension k - rank.  A matrix determines its (B, r, c), so
-each member comes out once.  Odd column sums are linear too.  They
-constrain only the finished matrix: on the last border they fix r (column
-j < k sums to column j of B plus r_j) and add the all-ones form on c (the
-new column sums to the weight of c plus 1).
+one index at a time.  :func:`unit_minor_border` hands over the last
+border of a member as one list of words, so the walk to side n - 1 and
+the borders of its members there list side n, and
+:func:`count_unit_minor_matrices` counts the last border instead.  Every
+leading block of a member is a member.  Border a k by k member B with a
+row r, a column c and a diagonal 1: the minors on index sets without k
+are B's, and for each S in {0 .. k-1} Schur's formula (Griffin and
+Tsatsomeros, *Principal minors, Part I*, 2006) gives det A[S + {k}] =
+det B_S * (1 + r_S B_S^-1 c_S) = 1 + r_S B_S^-1 c_S.  So for fixed B and
+r the admissible columns are exactly the vectors orthogonal to the 2^k -
+1 forms r_S B_S^-1: a subspace of dimension k - rank.  A matrix
+determines its (B, r, c), so each member comes out once.  Odd column
+sums are linear too.  They constrain only the finished matrix: on the
+last border they fix r (column j < k sums to column j of B plus r_j) and
+add the all-ones form on c (the new column sums to the weight of c plus
+1).
 
-The walk carries each member's principal inverses to its children, sliced
-by entry: bit S of ``planes[i][j]`` is entry (i, j) of B_S^-1, 0 unless i
-and j are in S.  A child keeps the planes of the sets without k; on S +
-{k} its inverse is [[B_S^-1 + u v, u], [v, 1]], with v = r_S B_S^-1 and u =
-B_S^-1 c_S, as the Schur complement 1 + v c_S is 1.  That is k^2 ANDs and
-XORs on 2^k-bit masks per child, and no inversion.
+The walk carries each member's principal inverses, at every side, to its
+children, sliced by entry: bit S of ``planes[i][j]`` is entry (i, j) of
+B_S^-1, 0 unless i and j are in S.  A child keeps the planes of the sets
+without k; on S + {k} its inverse is [[B_S^-1 + u v, u], [v, 1]], with v
+= r_S B_S^-1 and u = B_S^-1 c_S, as the Schur complement 1 + v c_S is 1.
+That is k^2 ANDs and XORs on 2^k-bit masks per child, and no inversion.
+Which children there are takes only B's inverses: one table of r_S u
+over every (r, c), built by doubling, has a zero exactly at the
+children.  The border list is one comprehension over that table, and the
+walk builds the same table before it grows each child's planes.
 
 Both routes are the exact matrix-side oracle.  They use GF(2) linear
 algebra only, import nothing from the rest of the package, and never
@@ -67,6 +74,7 @@ __all__ = [
     "slot_layout",
     "split_slots",
     "transpose_slots",
+    "unit_minor_border",
     "unit_minor_walk",
     "unpack_rows",
 ]
@@ -427,65 +435,95 @@ def _sums(vectors: Iterable[Sequence[int]], k: int) -> list[list[int]]:
 Planes = list[list[int]]
 
 
-def _children(k: int, word: int, planes: Planes, stride: int,
-              inverses: bool) -> Iterator[tuple[int, Planes | None]]:
-    """Yield ``(word, planes)`` for each member bordering the k by k member
-    packed in ``word``, with principal inverses ``planes``, by new row r,
-    then new column c; the child's planes only with ``inverses``.
-
-    Bit t of ``columns[c][i]`` is entry i of u = B_t^-1 c_t, and bit t of
-    ``forms[r][j]`` entry j of v = r_t B_t^-1.  Bit t of ``sums[r * 2^k +
-    c]`` is r_t u = v c_t: r and c border a member exactly when it is 0.
-    """
-    size = 1 << k  # the index sets of the block; t + {k} is bit t + size
-    columns = _sums(zip(*planes), k)
-    sums = [0] * size  # r = 0, then doubled over the bits i of r
-    for entries in zip(*columns):  # entry i of every column's u
-        sums += [a ^ b for a, b in zip(sums, entries * (len(sums) >> k))]
+@lru_cache(maxsize=64)  # bounded: one entry per side and stride
+def _offsets(k: int, stride: int) -> tuple[int, ...]:
+    """Entry ``r * 2^k + c`` is what bordering a k by k member with new row
+    r, column c and a diagonal 1 adds to its word packed at ``stride``."""
+    size = 1 << k
     spread = [0]  # spread[c]: the bits of c as column k of the packed rows
     for i in range(k):
         bit = 1 << i * stride + k
         spread += [x | bit for x in spread]
-    if inverses:
-        forms = _sums(planes, k)
-        corner = [((1 << size) - 1) << size]  # entry (k, k) of every B_s^-1
-    for i, x in enumerate(sums):
+    return tuple([(r | size) << k * stride | x for r in range(size) for x in spread])
+
+
+def _table(k: int, planes: Planes) -> tuple[list[list[int]], list[int]]:
+    """``(columns, sums)`` for the k by k member with principal inverses
+    ``planes``, by doubling.
+
+    Bit t of ``columns[c][i]`` is entry i of u = B_t^-1 c_t.  Bit t of
+    ``sums[r * 2^k + c]`` is r_t u = v c_t, with v = r_t B_t^-1: r and c
+    border the member exactly when it is 0.
+    """
+    columns = _sums(zip(*planes), k)
+    sums = [0] * (1 << k)  # r = 0, then doubled over the bits i of r
+    for entries in zip(*columns):  # entry i of every column's u
+        sums += [a ^ b for a, b in zip(sums, entries * (len(sums) >> k))]
+    return columns, sums
+
+
+def unit_minor_border(word: int, planes: Planes, stride: int) -> list[int]:
+    """The words of every member bordering the k by k member packed in
+    ``word`` at ``stride``, with principal inverses ``planes`` (as
+    :func:`unit_minor_walk` yields them), as one list in the order that
+    the walk steps to them, packed at the same stride, which must exceed k.
+
+    The borders of the members of side n - 1 of ``unit_minor_walk(n - 1)``
+    are the members of side n, each once, for one table and one
+    comprehension per member of side n - 1.
+    """
+    k = len(planes)
+    _, sums = _table(k, planes)
+    return [word | offset for offset, x in zip(_offsets(k, stride), sums) if not x]
+
+
+def _children(k: int, word: int, planes: Planes, stride: int
+              ) -> Iterator[tuple[int, Planes]]:
+    """Yield ``(word, planes)`` for each member bordering the k by k member
+    packed in ``word``, with principal inverses ``planes``, by new row r,
+    then new column c: the words of :func:`unit_minor_border`, each with
+    the child's planes.
+
+    Bit t of ``forms[r][j]`` is entry j of v = r_t B_t^-1, and ``columns``
+    is :func:`_table`'s.
+    """
+    size = 1 << k  # the index sets of the block; t + {k} is bit t + size
+    columns, sums = _table(k, planes)
+    forms = _sums(planes, k)
+    corner = [((1 << size) - 1) << size]  # entry (k, k) of every B_s^-1
+    for i, (offset, x) in enumerate(zip(_offsets(k, stride), sums)):
         if x:
             continue
-        r, c = divmod(i, size)
-        child = word | (r | size) << k * stride | spread[c]
-        if not inverses:
-            yield child, None
-            continue
-        v = forms[r]
+        v = forms[i >> k]
         grown = [[p | (p ^ ui & vj) << size for p, vj in zip(plane, v)] + [ui << size]
-                 for plane, ui in zip(planes, columns[c])]
+                 for plane, ui in zip(planes, columns[i & size - 1])]
         grown.append([vj << size for vj in v] + corner)
-        yield child, grown
+        yield word | offset, grown
 
 
-def unit_minor_walk(n: int, inverses: bool = False
-                    ) -> Iterator[tuple[int, int, Planes | None]]:
+def unit_minor_walk(n: int) -> Iterator[tuple[int, int, Planes]]:
     """Yield ``(k, word, planes)`` for every member of every side k <= n
     (a GF(2) matrix whose principal minors all equal 1), each once, depth
     first: a member, then every member that it leads.
 
     ``word`` packs the rows at the stride of :func:`slot_layout` for side
     n: :func:`pack_rows`' layout for side n, and for every side if n <= 8.
-    ``planes`` are the member's principal inverses (module docstring), None
-    at side n unless ``inverses``; the walk holds those of one path.
+    ``planes`` are the member's principal inverses (module docstring), at
+    every side; the walk holds those of one path.  Where that stride
+    exceeds n (every n but the powers of two from 8), the members of side
+    n + 1 are the :func:`unit_minor_border` lists of those of side n.
     """
     if n < 0:
         raise ValueError("matrix dimension must be nonnegative")
     stride = _packing(n, 1).stride
     yield 0, 0, []
-    path = [_children(0, 0, [], stride, n > 1 or inverses)] if n else []
+    path = [_children(0, 0, [], stride)] if n else []
     while path:
         k = len(path)
         for word, planes in path[-1]:
             yield k, word, planes
             if k < n:
-                path.append(_children(k, word, planes, stride, k + 1 < n or inverses))
+                path.append(_children(k, word, planes, stride))
                 break
         else:
             path.pop()
@@ -506,7 +544,7 @@ def count_unit_minor_matrices(n: int, odd_columns: bool = False) -> int:
         return 1  # the empty matrix; its column sums are vacuously odd
     k = n - 1
     total = 0
-    for side, word, planes in unit_minor_walk(k, inverses=True):
+    for side, word, planes in unit_minor_walk(k):
         if side < k:
             continue
         if not odd_columns:

@@ -18,7 +18,7 @@ from cubecovers import (
     Digraph, IdentityCheck, cli, correspondence, counting, digraph, gf2,
     is_acyclic_dfs, series,
 )
-from cubecovers.checks import BRUTE_FORCE_MAX_N
+from cubecovers.checks import BRUTE_FORCE_MAX_N, SERIES_MAX_ORDER
 from cubecovers.cli import ENUMERATE_MAX_N
 
 
@@ -449,6 +449,20 @@ def test_verify_above_its_ceiling_refuses_before_any_brute_force(runner, monkeyp
     assert calls == []
 
 
+def test_verify_above_its_series_ceiling_refuses_before_any_check(runner, monkeypatch):
+    calls = []
+    for module, name in ((correspondence, "brute_counts"), (series, "verify_identities"),
+                         (series, "orientable_from_quotient")):
+        monkeypatch.setattr(module, name, lambda *a, name=name: calls.append(name))
+    above = str(SERIES_MAX_ORDER + 1)
+    for args in (("--series-order", above), ("--series", "--order", above)):
+        result = invoke(runner, "verify", *args)
+        assert result.exit_code == 2
+        assert f"'--series-order' / '--order': {above} is not in the range " \
+            f"0<=x<={SERIES_MAX_ORDER}." in result.output
+    assert calls == []
+
+
 # ----------------------------------------------------------------------
 # constants and asymptotic
 # ----------------------------------------------------------------------
@@ -562,6 +576,7 @@ def test_identical_flags_give_identical_bytes(runner, args):
 USAGE_ERRORS = [("count", "r"), ("table",), ("enumerate", "--n", "7"),
                 ("verify", "--jobs", "0"), ("verify", "--enum-cap", "6"),
                 ("verify", "--n-max", "-1"), ("verify", "--n-max", "16"),
+                ("verify", "--series-order", "401"),
                 ("constants", "--digits", "0"), ("asymptotic", "--n", "-1")]
 
 

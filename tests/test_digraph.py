@@ -14,6 +14,7 @@ from cubecovers import (
     brute_counts,
     count_dags,
     count_orientable_dags,
+    digraph,
     is_acyclic_dfs,
 )
 from cubecovers.correspondence import unit_diagonal_matrices
@@ -446,6 +447,20 @@ def test_the_chain_memo_holds_2_7_plus_1_states_after_the_full_range_at_n_8():
     assert brute_counts(8) == (783702329343, 3862830343)
     assert _chain_count.cache_info().currsize == (1 << 7) + 1
     assert _block_count.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_a_full_range_places_no_row(monkeypatch, n):
+    # The full range is a chain lookup less the count below 0, which is
+    # empty: no row of the lower bound is walked.
+    calls = []
+    place = digraph._place
+    monkeypatch.setattr(digraph, "_place", lambda *args: calls.append(args) or place(*args))
+    got = count_acyclic_codes(n, 0, 1 << n * (n - 1))
+    assert got == (count_dags(n), count_orientable_dags(n))
+    assert len(calls) == 0
+    assert brute_counts(n) == got
+    assert len(calls) == 0
 
 
 @pytest.mark.parametrize("n", range(11))

@@ -261,8 +261,15 @@ def test_membership_closed_under_transpose(n):
 
 
 def side(n):
-    """The row masks of the members of side n of the grown walk."""
-    return (gf2.unpack_rows(word, n) for k, word, _ in gf2.unit_minor_walk(n) if k == n)
+    """The row masks of the members of side n, grown as the verify records
+    grow them: the walk to side n - 1, then each member's border.  Every
+    side up to 8 packs at the same stride."""
+    if not n:
+        return iter([()])
+    stride = gf2.slot_layout(n)[0]
+    return (gf2.unpack_rows(child, n)
+            for k, word, planes in gf2.unit_minor_walk(n - 1) if k == n - 1
+            for child in gf2.unit_minor_border(word, planes, stride))
 
 
 def full_scan(n):
@@ -281,6 +288,23 @@ def test_grown_walk_equals_the_full_scan(n):
     assert gf2.count_unit_minor_matrices(n, odd_columns=True) == sum(
         BitMatrix(n, rows).has_odd_column_sums() for rows in members
     )
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_each_border_lists_the_children_that_the_walk_steps_to(n):
+    # A member's border is the list of the words that stepping the walk
+    # one side further yields under it, in the same order.
+    stride = gf2.slot_layout(n)[0]
+    walk = list(gf2.unit_minor_walk(n))
+    for at, (k, word, planes) in enumerate(walk):
+        if k != n - 1:
+            continue
+        stepped = []
+        for child in walk[at + 1:]:
+            if child[0] != n:
+                break
+            stepped.append(child[1])
+        assert gf2.unit_minor_border(word, planes, stride) == stepped
 
 
 def test_grown_walk_at_five_lists_members_only_and_each_once():
@@ -319,7 +343,7 @@ def gauss_jordan_inverse(rows, subset):
 def test_the_walk_carries_every_principal_inverse():
     stride, _, _ = gf2.slot_layout(4)
     seen = 0
-    for k, word, planes in gf2.unit_minor_walk(4, inverses=True):
+    for k, word, planes in gf2.unit_minor_walk(4):
         rows = [word >> i * stride & (1 << stride) - 1 for i in range(k)]
         assert word >> k * stride == 0
         assert [len(plane) for plane in planes] == [k] * k
@@ -332,10 +356,14 @@ def test_the_walk_carries_every_principal_inverse():
 
 
 def test_one_walk_yields_each_sides_members_once():
+    # The walk to side 4 and the borders of its members there.
+    stride = gf2.slot_layout(5)[0]
     by_side = [[] for _ in range(6)]
-    for k, word, planes in gf2.unit_minor_walk(5):
+    for k, word, planes in gf2.unit_minor_walk(4):
         by_side[k].append(word)
-        assert (planes is None) == (k == 5)
+        assert len(planes) == k
+        if k == 4:
+            by_side[5] += gf2.unit_minor_border(word, planes, stride)
     for k, words in enumerate(by_side):
         assert len(words) == len(set(words)) == count_dags(k)
         if k < 5:  # side 5 is test_grown_walk_at_five_lists_members_only_and_each_once
@@ -343,16 +371,22 @@ def test_one_walk_yields_each_sides_members_once():
 
 
 def test_the_walk_streams_one_path(monkeypatch):
-    # A member of side 6 comes after one expansion per side below it, not
-    # after a whole level of the 29,281 members of side 5 and their planes.
+    # A member of side 6 comes after one expansion per side below it, the
+    # border of side 5 the last, not after a whole level of the 29,281
+    # members of side 5 and their planes.
     expanded = []
-    children = gf2._children
+    children, border = gf2._children, gf2.unit_minor_border
 
-    def counted(k, *args):
+    def counted_children(k, *args):
         expanded.append(k)
         return children(k, *args)
 
-    monkeypatch.setattr(gf2, "_children", counted)
+    def counted_border(word, planes, stride):
+        expanded.append(len(planes))
+        return border(word, planes, stride)
+
+    monkeypatch.setattr(gf2, "_children", counted_children)
+    monkeypatch.setattr(gf2, "unit_minor_border", counted_border)
     first = next(side(6))
     assert BitMatrix(6, first).has_unit_principal_minors()
     assert expanded == list(range(6))
